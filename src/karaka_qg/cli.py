@@ -43,13 +43,9 @@ from .rule_engine import (
     read_candidates_jsonl,
     write_candidates_jsonl,
 )
-from .treebank_io import TreebankError, load_treebank
+from .treebank_io import KARAKA_ORDER, TreebankError, load_treebank
 
 log = logging.getLogger("karaka_qg")
-
-SUMMARY_KARAKA_ORDER = (
-    "k1", "k1s", "k2", "k2p", "k3", "rt", "rh", "k5", "r6", "k7s", "k7t", "k7p",
-)
 
 
 class ConfigError(ValueError):
@@ -134,8 +130,7 @@ def _write_run_meta(cfg: PipelineConfig, command: str) -> None:
     _write_json(meta, cfg.output_dir / "run_meta.json")
 
 
-def _generate(cfg: PipelineConfig):
-    markers = _load_markers(cfg)
+def _generate(cfg: PipelineConfig, markers):
     lexicon = _load_lexicon(cfg)
     sentences = load_treebank(cfg.input_path)
     candidates = []
@@ -145,22 +140,25 @@ def _generate(cfg: PipelineConfig):
     return sentences, candidates
 
 
-def cmd_generate(cfg: PipelineConfig) -> int:
-    sentences, candidates = _generate(cfg)
+def _write_generate_outputs(cfg: PipelineConfig, candidates) -> None:
     cfg.output_dir.mkdir(parents=True, exist_ok=True)
     write_candidates_jsonl(candidates, cfg.output_dir / "candidates.jsonl")
-    summary = {k: 0 for k in SUMMARY_KARAKA_ORDER}
+    summary = {k: 0 for k in KARAKA_ORDER}
     for c in candidates:
         summary[c.karaka] = summary.get(c.karaka, 0) + 1
     _write_json(summary, cfg.output_dir / "generate_summary.json")
+
+
+def cmd_generate(cfg: PipelineConfig) -> int:
+    sentences, candidates = _generate(cfg, _load_markers(cfg))
+    _write_generate_outputs(cfg, candidates)
     _write_run_meta(cfg, "generate")
     log.info("generated %d candidates from %d sentences",
              len(candidates), len(sentences))
     return 0
 
 
-def _filter(cfg: PipelineConfig, sentences, candidates):
-    markers = _load_markers(cfg)
+def _filter(cfg: PipelineConfig, markers, sentences, candidates):
     filter_cfg = FilterConfig(theta=cfg.theta, enabled=frozenset(cfg.enabled_filters),
                               markers=markers)
     return run_filters(candidates, sentences, filter_cfg)
@@ -182,7 +180,7 @@ def cmd_filter(cfg: PipelineConfig) -> int:
     sentences = load_treebank(cfg.input_path)
     candidates_path = cfg.candidates_path or cfg.output_dir / "candidates.jsonl"
     candidates = read_candidates_jsonl(candidates_path)
-    kept, verdicts = _filter(cfg, sentences, candidates)
+    kept, verdicts = _filter(cfg, _load_markers(cfg), sentences, candidates)
     cfg.output_dir.mkdir(parents=True, exist_ok=True)
     _write_filter_outputs(cfg, candidates, kept, verdicts)
     _write_run_meta(cfg, "filter")
@@ -220,14 +218,10 @@ def cmd_eval(cfg: PipelineConfig) -> int:
 
 
 def cmd_pipeline(cfg: PipelineConfig) -> int:
-    sentences, candidates = _generate(cfg)
-    cfg.output_dir.mkdir(parents=True, exist_ok=True)
-    write_candidates_jsonl(candidates, cfg.output_dir / "candidates.jsonl")
-    summary = {k: 0 for k in SUMMARY_KARAKA_ORDER}
-    for c in candidates:
-        summary[c.karaka] = summary.get(c.karaka, 0) + 1
-    _write_json(summary, cfg.output_dir / "generate_summary.json")
-    kept, verdicts = _filter(cfg, sentences, candidates)
+    markers = _load_markers(cfg)
+    sentences, candidates = _generate(cfg, markers)
+    _write_generate_outputs(cfg, candidates)
+    kept, verdicts = _filter(cfg, markers, sentences, candidates)
     _write_filter_outputs(cfg, candidates, kept, verdicts)
     _write_run_meta(cfg, "pipeline")
     if cfg.ratings_path is not None:
@@ -335,10 +329,7 @@ def main(argv=None) -> int:
     try:
         return COMMANDS[args.command](cfg)
     except (TreebankError, LexiconError, MarkerTableError, RatingsError,
-            FilterError, FileNotFoundError) as exc:
-        log.error("%s", exc)
-        return 1
-    except OSError as exc:
+            FilterError, OSError) as exc:
         log.error("%s", exc)
         return 1
 

@@ -11,12 +11,12 @@ from __future__ import annotations
 
 import csv
 import statistics
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
-# Row order mirrors the karaka listing; unexpected labels sort after.
-KARAKA_ROW_ORDER = (
-    "k1", "k1s", "k2", "k2p", "k3", "rt", "rh", "k5", "r6", "k7s", "k7t", "k7p",
-)
+from .treebank_io import KARAKA_ORDER
+
+# Rows follow the canonical karaka order; unexpected labels sort after.
+KARAKA_ROW_ORDER = KARAKA_ORDER
 
 RATING_COLUMNS = ("candidate_id", "annotator_id", "syntax", "semantic")
 
@@ -211,29 +211,12 @@ def render_before_after(ba: BeforeAfter) -> str:
     return "\n".join(lines)
 
 
-def _row_to_dict(r: RowStats) -> dict:
-    return {
-        "syntax_mean": r.syntax_mean,
-        "syntax_median": r.syntax_median,
-        "semantic_mean": r.semantic_mean,
-        "semantic_median": r.semantic_median,
-        "count": r.count,
-    }
-
-
 def eval_table_to_dict(table: EvalTable) -> dict:
     return {
-        "rows": {k: _row_to_dict(table.rows[k]) for k in _sorted_rows(table.rows)},
-        "totals": _row_to_dict(table.totals),
+        "rows": {k: asdict(table.rows[k]) for k in _sorted_rows(table.rows)},
+        "totals": asdict(table.totals),
     }
 
 
 def before_after_to_dict(ba: BeforeAfter) -> dict:
-    def split(s: SplitStats) -> dict:
-        return {
-            "syntax_mean": s.syntax_mean,
-            "semantic_mean": s.semantic_mean,
-            "count": s.count,
-        }
-
-    return {"before": split(ba.before), "after": split(ba.after)}
+    return asdict(ba)

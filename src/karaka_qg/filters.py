@@ -6,7 +6,6 @@ them. A dropped candidate records the first filter that rejected it.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from enum import Enum
 
@@ -19,7 +18,7 @@ from .morphology import (
     verb_gender,
     verb_number,
 )
-from .rule_engine import QuestionCandidate, RuleId
+from .rule_engine import QuestionCandidate, RuleId, _read_jsonl, _write_jsonl
 from .treebank_io import ParsedSentence
 
 
@@ -33,7 +32,7 @@ class FilterId(str, Enum):
 
 FILTER_ORDER = tuple(FilterId)
 
-DEFAULT_PRONOUN_TAGS = frozenset({"PRON", "PRP"})
+PRONOUN_POS_TAGS = frozenset({"PRON", "PRP"})
 
 
 class FilterError(ValueError):
@@ -43,7 +42,6 @@ class FilterError(ValueError):
 @dataclass(frozen=True)
 class FilterConfig:
     theta: int = 5
-    pronoun_pos_tags: frozenset = DEFAULT_PRONOUN_TAGS
     enabled: frozenset = frozenset(FilterId)
     markers: MarkerTable = DEFAULT_MARKERS
 
@@ -90,7 +88,7 @@ def filter_anaphora(c: QuestionCandidate, s: ParsedSentence, cfg: FilterConfig) 
     """Drop candidates that still contain a non-interrogative pronoun."""
     candidate_forms = set(c.tokens)
     for t in s.tokens:
-        if (t.upos in cfg.pronoun_pos_tags
+        if (t.upos in PRONOUN_POS_TAGS
                 and t.form in candidate_forms
                 and not is_interrogative_form(t.form, cfg.markers)):
             return _dropped(c, FilterId.F_ANAPHORA,
@@ -211,16 +209,8 @@ def run_filters(candidates, sentences, cfg: FilterConfig = FilterConfig()):
 
 
 def write_verdicts_jsonl(verdicts, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        for v in verdicts:
-            fh.write(json.dumps(v.to_json_dict(), ensure_ascii=False) + "\n")
+    _write_jsonl(verdicts, path)
 
 
 def read_verdicts_jsonl(path) -> list[FilterVerdict]:
-    out = []
-    with open(path, encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if line:
-                out.append(FilterVerdict.from_json_dict(json.loads(line)))
-    return out
+    return _read_jsonl(path, FilterVerdict.from_json_dict)

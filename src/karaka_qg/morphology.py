@@ -149,32 +149,28 @@ def genitive_interrogative(marker: str) -> str:
         raise ValueError(f"not a genitive marker: {marker!r}") from None
 
 
+def _verb_feature(s: ParsedSentence, verb_id: int, feat: str, by_aux: dict) -> str | None:
+    """FEATS value, else the one an auxiliary ending betrays, else None."""
+    verb = s.token(verb_id)
+    value = verb.feats.get(feat)
+    if value:
+        return value
+    if verb.form in by_aux:
+        return by_aux[verb.form]
+    for child in s.children(verb_id):
+        if child.form in by_aux:
+            return by_aux[child.form]
+    return None
+
+
 def verb_gender(s: ParsedSentence, verb_id: int) -> str | None:
     """Gender from FEATS, else from auxiliary endings, else None."""
-    verb = s.token(verb_id)
-    gender = verb.feats.get("Gender")
-    if gender:
-        return gender
-    if verb.form in AUX_GENDER:
-        return AUX_GENDER[verb.form]
-    for child in s.children(verb_id):
-        if child.form in AUX_GENDER:
-            return AUX_GENDER[child.form]
-    return None
+    return _verb_feature(s, verb_id, "Gender", AUX_GENDER)
 
 
 def verb_number(s: ParsedSentence, verb_id: int) -> str | None:
     """Number from FEATS, else from auxiliary endings, else None."""
-    verb = s.token(verb_id)
-    number = verb.feats.get("Number")
-    if number:
-        return number
-    if verb.form in AUX_NUMBER:
-        return AUX_NUMBER[verb.form]
-    for child in s.children(verb_id):
-        if child.form in AUX_NUMBER:
-            return AUX_NUMBER[child.form]
-    return None
+    return _verb_feature(s, verb_id, "Number", AUX_NUMBER)
 
 
 def is_interrogative_form(form: str, m: MarkerTable = DEFAULT_MARKERS) -> bool:

@@ -18,8 +18,9 @@ from __future__ import annotations
 
 import json
 import logging
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
+from functools import partial
 
 from .lexicon import SemanticCategory, SemanticLexicon
 from .morphology import (
@@ -158,132 +159,142 @@ def _substitute(s: ParsedSentence, target: Token, wh: str) -> tuple[str, ...]:
 
 
 UNKNOWN = SemanticCategory.UNKNOWN
+# Key of a category entry covering every category the row does not name.
+OTHER = None
+# Case key of a target that carries no postposition.
+DIRECT = None
 
 
-def gen_k1(s: ParsedSentence, lex: SemanticLexicon, m: MarkerTable) -> list[QuestionCandidate]:
-    """Agent questions. Ergative agents ask kisne, direct ones kaun.
+def _unknown_note(lemma: str) -> tuple[str, ...]:
+    return (f"category of {lemma!r} unknown; emitting all variants",)
 
-    The case decides alone; a single candidate comes out per agent. An
-    agent marked with some other postposition is outside the rule.
+
+@dataclass(frozen=True)
+class Role:
+    """Case key matching any marker of one MarkerTable field, e.g. ergative."""
+
+    name: str
+
+
+@dataclass(frozen=True)
+class Substitution:
+    """A rule that swaps a target chunk for interrogatives read from tables.
+
+    ``asks`` is a tuple of interrogatives, or a dict from lexicon category
+    to one, where OTHER covers the categories not named and UNKNOWN is
+    always named. A ``by_case`` row first keys ``asks`` by the target's
+    case: DIRECT, a literal postposition, or a MarkerTable ``Role``. A case
+    not listed skips the target, logged when the row names the kind of
+    marker it ``skip``s. One ask's interrogatives share a variation group
+    unless ``shared_group`` is false. ``notes`` is a note per label.
     """
-    out = []
-    for target in _karaka_targets(s, ("k1",)):
-        case = case_of(s, target.id, m)
-        if case.is_oblique:
-            if case.marker not in m.ergative:
-                log.info("k1 token %r carries non-ergative marker %r; skipped",
-                         target.form, case.marker)
-                continue
-            wh = "kisne"
+
+    rule: RuleId
+    labels: tuple[str, ...]
+    asks: tuple | dict
+    by_case: bool = False
+    skip: str = ""
+    shared_group: bool = True
+    notes: dict = field(default_factory=dict)
+
+
+SUBSTITUTIONS = (
+    # Agents. The case decides alone; an agent marked with some other
+    # postposition is outside the rule.
+    Substitution(RuleId.R_K1, ("k1",), by_case=True, skip="non-ergative",
+                 asks={DIRECT: ("kaun",), Role("ergative"): ("kisne",)}),
+    # Copula complements: kaun for people, kaisa for properties.
+    Substitution(RuleId.R_K1S, ("k1s",), asks={
+        SemanticCategory.HUMAN: ("kaun",),
+        SemanticCategory.OCCUPATION: ("kaun",),
+        UNKNOWN: ("kaun", "kaisa"),
+        OTHER: ("kaisa",),
+    }),
+    # Patients: ko-marked ones ask kisko, direct ones kya.
+    Substitution(RuleId.R_K2, ("k2",), by_case=True, skip="unexpected",
+                 asks={DIRECT: ("kya",), Role("accusative"): ("kisko",)}),
+    # Goal locations.
+    Substitution(RuleId.R_K2P, ("k2p",), asks=("kidhar", "kahan")),
+    # Instruments; a path also licenses the perlative kisse hokar.
+    Substitution(RuleId.R_K3, ("k3",), by_case=True, asks={
+        "ke dwaaraa": ("kiske dwaaraa",),
+        "se": {
+            SemanticCategory.PATH: ("kisse", "kisse hokar"),
+            UNKNOWN: ("kisse", "kisse hokar"),
+            OTHER: ("kisse",),
+        },
+    }),
+    # Purpose: kiske liye for human beneficiaries, kyon otherwise. The two
+    # readings differ in meaning, so they never share a variation group.
+    Substitution(RuleId.R_RT, ("rt",), shared_group=False, asks={
+        SemanticCategory.HUMAN: ("kiske liye",),
+        UNKNOWN: ("kiske liye", "kyon"),
+        OTHER: ("kyon",),
+    }),
+    # Spatial locatives: kahan and kidhar drop the marker, kis mein / kis
+    # par re-express it. k7p has no rule of its own and is routed here.
+    Substitution(
+        RuleId.R_K7S, ("k7s", "k7p"), by_case=True,
+        notes={"k7p": "k7p token routed through the spatial locative rule"},
+        asks={
+            "mein": ("kahan", "kidhar", "kis mein"),
+            "par": ("kahan", "kidhar", "kis par"),
+        },
+    ),
+    # Temporals: kab, plus the day-selecting kis din and konse din for dates.
+    Substitution(RuleId.R_K7T, ("k7t",), asks={
+        SemanticCategory.DATE: ("kab", "kis din", "konse din"),
+        UNKNOWN: ("kab", "kis din", "konse din"),
+        OTHER: ("kab",),
+    }),
+)
+
+
+def _case_asks(row: Substitution, s: ParsedSentence, target: Token, m: MarkerTable):
+    """The row's ask for the target's case, or None if the row lists no such case."""
+    case = case_of(s, target.id, m)
+    for key, asks in row.asks.items():
+        if key is DIRECT:
+            hit = not case.is_oblique
+        elif isinstance(key, Role):
+            hit = case.marker in getattr(m, key.name)
         else:
-            wh = "kaun"
-        emitter = _Emitter(s, RuleId.R_K1, target)
-        out.append(emitter.emit("k1", wh, _substitute(s, target, wh), 0))
-    return out
+            hit = case.marker == key
+        if hit:
+            return asks
+    if row.skip:
+        log.info("%s token %r carries %s marker %r; skipped",
+                 target.deprel, target.form, row.skip, case.marker)
+    return None
 
 
-def gen_k1s(s: ParsedSentence, lex: SemanticLexicon, m: MarkerTable) -> list[QuestionCandidate]:
-    """Copula complement questions: kaun for people, kaisa for properties.
-
-    An unknown complement yields both readings as free variants.
-    """
+def apply_substitution(row: Substitution, s: ParsedSentence, lex: SemanticLexicon,
+                       m: MarkerTable) -> list[QuestionCandidate]:
+    """The candidates of one SUBSTITUTIONS row for one sentence."""
     out = []
-    for target in _karaka_targets(s, ("k1s",)):
-        cat = lex.lookup(target.lemma)
+    for target in _karaka_targets(s, row.labels):
+        asks = _case_asks(row, s, target, m) if row.by_case else row.asks
+        if asks is None:
+            continue
         notes: tuple[str, ...] = ()
-        if cat in (SemanticCategory.HUMAN, SemanticCategory.OCCUPATION):
-            variants = ["kaun"]
-        elif cat is UNKNOWN:
-            variants = ["kaun", "kaisa"]
-            notes = (f"category of {target.lemma!r} unknown; emitting all variants",)
-        else:
-            variants = ["kaisa"]
-        emitter = _Emitter(s, RuleId.R_K1S, target)
-        for wh in variants:
-            out.append(emitter.emit("k1s", wh, _substitute(s, target, wh), 0, notes))
+        if isinstance(asks, dict):
+            cat = lex.lookup(target.lemma)
+            if cat is UNKNOWN:
+                notes = _unknown_note(target.lemma)
+            asks = asks[cat] if cat in asks else asks[OTHER]
+        if target.deprel in row.notes:
+            notes += (row.notes[target.deprel],)
+        emitter = _Emitter(s, row.rule, target)
+        for index, wh in enumerate(asks):
+            group = 0 if row.shared_group else index
+            out.append(emitter.emit(target.deprel, wh, _substitute(s, target, wh), group, notes))
     return out
 
 
-def gen_k2(s: ParsedSentence, lex: SemanticLexicon, m: MarkerTable) -> list[QuestionCandidate]:
-    """Patient questions. ko-marked patients ask kisko, direct ones kya."""
-    out = []
-    for target in _karaka_targets(s, ("k2",)):
-        case = case_of(s, target.id, m)
-        if case.is_oblique:
-            if case.marker not in m.accusative:
-                log.info("k2 token %r carries unexpected marker %r; skipped",
-                         target.form, case.marker)
-                continue
-            wh = "kisko"
-        else:
-            wh = "kya"
-        emitter = _Emitter(s, RuleId.R_K2, target)
-        out.append(emitter.emit("k2", wh, _substitute(s, target, wh), 0))
-    return out
-
-
-def gen_k2p(s: ParsedSentence, lex: SemanticLexicon, m: MarkerTable) -> list[QuestionCandidate]:
-    """Goal-location questions: kidhar and kahan as free variants."""
-    out = []
-    for target in _karaka_targets(s, ("k2p",)):
-        emitter = _Emitter(s, RuleId.R_K2P, target)
-        for wh in ("kidhar", "kahan"):
-            out.append(emitter.emit("k2p", wh, _substitute(s, target, wh), 0))
-    return out
-
-
-def gen_k3(s: ParsedSentence, lex: SemanticLexicon, m: MarkerTable) -> list[QuestionCandidate]:
-    """Instrument questions for se and ke dwaaraa marked nouns.
-
-    A path instrument additionally licenses the perlative kisse hokar;
-    unknown instruments get both readings.
-    """
-    out = []
-    for target in _karaka_targets(s, ("k3",)):
-        case = case_of(s, target.id, m)
-        if not case.is_oblique:
-            continue
-        emitter = _Emitter(s, RuleId.R_K3, target)
-        if case.marker == "ke dwaaraa":
-            out.append(emitter.emit(
-                "k3", "kiske dwaaraa", _substitute(s, target, "kiske dwaaraa"), 0))
-            continue
-        if case.marker != "se":
-            continue
-        cat = lex.lookup(target.lemma)
-        notes: tuple[str, ...] = ()
-        if cat is SemanticCategory.PATH:
-            variants = ["kisse", "kisse hokar"]
-        elif cat is UNKNOWN:
-            variants = ["kisse", "kisse hokar"]
-            notes = (f"category of {target.lemma!r} unknown; emitting all variants",)
-        else:
-            variants = ["kisse"]
-        for wh in variants:
-            out.append(emitter.emit("k3", wh, _substitute(s, target, wh), 0, notes))
-    return out
-
-
-def gen_rt(s: ParsedSentence, lex: SemanticLexicon, m: MarkerTable) -> list[QuestionCandidate]:
-    """Purpose questions: kiske liye for human beneficiaries, kyon otherwise.
-
-    The two readings differ in meaning, so an unknown target emits them
-    as separate candidates rather than one variation group.
-    """
-    out = []
-    for target in _karaka_targets(s, ("rt",)):
-        cat = lex.lookup(target.lemma)
-        if cat is SemanticCategory.HUMAN:
-            variants = [("kiske liye", 0, ())]
-        elif cat is UNKNOWN:
-            note = (f"category of {target.lemma!r} unknown; emitting all variants",)
-            variants = [("kiske liye", 0, note), ("kyon", 1, note)]
-        else:
-            variants = [("kyon", 0, ())]
-        emitter = _Emitter(s, RuleId.R_RT, target)
-        for wh, group, notes in variants:
-            out.append(emitter.emit("rt", wh, _substitute(s, target, wh), group, notes))
-    return out
+# The table's rules as (s, lex, m) functions, in table order.
+gen_k1, gen_k1s, gen_k2, gen_k2p, gen_k3, gen_rt, gen_k7s, gen_k7t = (
+    partial(apply_substitution, row) for row in SUBSTITUTIONS
+)
 
 
 def gen_rh(s: ParsedSentence, lex: SemanticLexicon, m: MarkerTable) -> list[QuestionCandidate]:
@@ -324,7 +335,7 @@ def gen_k5(s: ParsedSentence, lex: SemanticLexicon, m: MarkerTable) -> list[Ques
         if cat is SemanticCategory.PLACE:
             variants = [("kahan", 0, False, ()), ("kidhar", 0, False, ())]
         elif cat is UNKNOWN:
-            note = (f"category of {target.lemma!r} unknown; emitting all variants",)
+            note = _unknown_note(target.lemma)
             variants = [("kisse", 0, True, note),
                         ("kahan", 1, False, note), ("kidhar", 1, False, note)]
         else:
@@ -390,49 +401,6 @@ def gen_r6_nonliving(s: ParsedSentence, lex: SemanticLexicon, m: MarkerTable) ->
     return out
 
 
-def gen_k7s(s: ParsedSentence, lex: SemanticLexicon, m: MarkerTable) -> list[QuestionCandidate]:
-    """Spatial locative questions for mein and par marked nouns.
-
-    kahan and kidhar drop the marker; kis mein / kis par re-express it
-    inside the interrogative. All three are free variants. Tokens labeled
-    k7p have no rule of their own and are routed through this one.
-    """
-    out = []
-    for target in _karaka_targets(s, ("k7s", "k7p")):
-        case = case_of(s, target.id, m)
-        if case.marker not in ("mein", "par"):
-            continue
-        notes: tuple[str, ...] = ()
-        if target.deprel == "k7p":
-            notes = ("k7p token routed through the spatial locative rule",)
-        emitter = _Emitter(s, RuleId.R_K7S, target)
-        for wh in ("kahan", "kidhar", f"kis {case.marker}"):
-            out.append(emitter.emit(target.deprel, wh, _substitute(s, target, wh), 0, notes))
-    return out
-
-
-def gen_k7t(s: ParsedSentence, lex: SemanticLexicon, m: MarkerTable) -> list[QuestionCandidate]:
-    """Temporal locative questions.
-
-    kab always applies; a date (or unknown) temporal also licenses the
-    day-selecting kis din and konse din, all as free variants.
-    """
-    out = []
-    for target in _karaka_targets(s, ("k7t",)):
-        cat = lex.lookup(target.lemma)
-        variants = ["kab"]
-        notes: tuple[str, ...] = ()
-        if cat is SemanticCategory.DATE:
-            variants += ["kis din", "konse din"]
-        elif cat is UNKNOWN:
-            variants += ["kis din", "konse din"]
-            notes = (f"category of {target.lemma!r} unknown; emitting all variants",)
-        emitter = _Emitter(s, RuleId.R_K7T, target)
-        for wh in variants:
-            out.append(emitter.emit("k7t", wh, _substitute(s, target, wh), 0, notes))
-    return out
-
-
 RULE_FUNCTIONS = (
     (RuleId.R_K1, gen_k1),
     (RuleId.R_K1S, gen_k1s),
@@ -462,18 +430,21 @@ def generate_all(s: ParsedSentence, lex: SemanticLexicon,
     return out
 
 
-def write_candidates_jsonl(candidates, path) -> None:
-    """One candidate per line, UTF-8, stable key order."""
+def _write_jsonl(records, path) -> None:
+    """One record per line, UTF-8, stable key order."""
     with open(path, "w", encoding="utf-8") as fh:
-        for c in candidates:
-            fh.write(json.dumps(c.to_json_dict(), ensure_ascii=False) + "\n")
+        for r in records:
+            fh.write(json.dumps(r.to_json_dict(), ensure_ascii=False) + "\n")
+
+
+def _read_jsonl(path, from_json_dict) -> list:
+    with open(path, encoding="utf-8") as fh:
+        return [from_json_dict(json.loads(line)) for line in fh if line.strip()]
+
+
+def write_candidates_jsonl(candidates, path) -> None:
+    _write_jsonl(candidates, path)
 
 
 def read_candidates_jsonl(path) -> list[QuestionCandidate]:
-    out = []
-    with open(path, encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if line:
-                out.append(QuestionCandidate.from_json_dict(json.loads(line)))
-    return out
+    return _read_jsonl(path, QuestionCandidate.from_json_dict)

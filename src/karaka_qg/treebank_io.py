@@ -14,12 +14,15 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-# Dependency labels the generation rules know about. Anything else is
-# carried through verbatim and simply never matches a rule.
-KARAKA_LABELS = (
-    "k1", "k1s", "k2", "k2p", "k3", "rt", "rh",
-    "k5", "r6", "k7s", "k7t", "k7p", "coof",
+# Karaka labels in their canonical order, which generate summaries and
+# evaluation rows follow.
+KARAKA_ORDER = (
+    "k1", "k1s", "k2", "k2p", "k3", "rt", "rh", "k5", "r6", "k7s", "k7t", "k7p",
 )
+
+# Dependency labels the generation and filter rules know about. Anything
+# else is carried through verbatim and simply never matches a rule.
+KARAKA_LABELS = KARAKA_ORDER + ("coof",)
 
 # Label used for postposition tokens attached to the noun they mark.
 PSP = "psp"
@@ -135,9 +138,12 @@ def _parse_blocks(lines, source: str) -> list[ParsedSentence]:
     rows: list[Token] = []
     sent_id: str | None = None
     raw_text: str | None = None
+    # Line naming the sentence: its sent_id comment, else its first token.
+    id_line = 0
+    first_line_of: dict[str, int] = {}
 
     def flush() -> None:
-        nonlocal rows, sent_id, raw_text
+        nonlocal rows, sent_id, raw_text, id_line
         if not rows and sent_id is None and raw_text is None:
             return
         if not rows:
@@ -145,11 +151,18 @@ def _parse_blocks(lines, source: str) -> list[ParsedSentence]:
                 f"{source}: sentence metadata without token lines"
             )
         sid = sent_id if sent_id is not None else f"s{len(sentences) + 1:03d}"
+        if sid in first_line_of:
+            raise TreebankError(
+                f"{source}:{id_line}: duplicate sent_id {sid!r}, "
+                f"first used at {source}:{first_line_of[sid]}"
+            )
+        first_line_of[sid] = id_line
         _validate(sid, rows)
         sentences.append(ParsedSentence(sid, tuple(rows), raw_text))
         rows = []
         sent_id = None
         raw_text = None
+        id_line = 0
 
     for line_no, raw in enumerate(lines, start=1):
         line = raw.rstrip("\n").rstrip("\r")
@@ -164,6 +177,7 @@ def _parse_blocks(lines, source: str) -> list[ParsedSentence]:
                 key = key.strip()
                 if key == "sent_id":
                     sent_id = value.strip()
+                    id_line = line_no
                 elif key == "text":
                     raw_text = value.strip()
             continue
@@ -182,6 +196,8 @@ def _parse_blocks(lines, source: str) -> list[ParsedSentence]:
             ) from None
         if not form or not deprel:
             raise TreebankError(f"{where}: empty FORM or DEPREL column")
+        if not id_line:
+            id_line = line_no
         rows.append(
             Token(token_id, form, lemma, upos, _parse_feats(feats_s, where), head, deprel)
         )

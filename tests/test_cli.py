@@ -169,6 +169,16 @@ def test_malformed_treebank_is_an_input_error(tmp_path):
     assert main(["generate", "--input", str(src), "--out", str(tmp_path)]) == 1
 
 
+def test_duplicate_sent_id_is_an_input_error(tmp_path, caplog):
+    src = tmp_path / "dup.conllu"
+    src.write_text(TREEBANK.replace("e002", "e001"), encoding="utf-8")
+    with caplog.at_level(logging.ERROR, logger="karaka_qg"):
+        rc = main(["pipeline", "--input", str(src), "--out", str(tmp_path / "out")])
+    assert rc == 1
+    assert f"{src}:10: duplicate sent_id 'e001', first used at {src}:1" in caplog.text
+    assert not (tmp_path / "out" / "candidates.jsonl").exists()
+
+
 def test_missing_lexicon_file_is_an_input_error(tmp_path):
     src = write_input(tmp_path)
     assert main(["generate", "--input", str(src), "--out", str(tmp_path),

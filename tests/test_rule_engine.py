@@ -5,10 +5,13 @@ import logging
 import pytest
 
 from helpers import make_lexicon, make_sentence, texts
-from karaka_qg.lexicon import SemanticLexicon
+from karaka_qg.lexicon import SemanticCategory, SemanticLexicon
 from karaka_qg.morphology import DEFAULT_MARKERS
+from karaka_qg.treebank_io import KARAKA_LABELS
 from karaka_qg.rule_engine import (
+    OTHER,
     RULE_FUNCTIONS,
+    SUBSTITUTIONS,
     QuestionCandidate,
     RuleId,
     gen_k1,
@@ -253,6 +256,29 @@ def test_generate_all_respects_enabled_subset():
 
 def test_rule_order_is_fixed():
     assert [rule for rule, _ in RULE_FUNCTIONS] == list(RuleId)
+
+
+def _table_interrogatives(asks):
+    """Every interrogative an ``asks`` entry can emit, at any nesting."""
+    if isinstance(asks, dict):
+        return {wh for inner in asks.values() for wh in _table_interrogatives(inner)}
+    return set(asks)
+
+
+def test_substitution_table_stays_inside_the_label_and_interrogative_inventories():
+    # F_WORD_ORDER and F_ALREADY_QUESTION only see interrogatives that the
+    # marker table lists, so a table row must not emit any other.
+    for row in SUBSTITUTIONS:
+        emitted = _table_interrogatives(row.asks)
+        assert emitted, row.rule
+        assert emitted <= DEFAULT_MARKERS.interrogatives, (
+            row.rule, emitted - DEFAULT_MARKERS.interrogatives)
+        assert set(row.labels) <= set(KARAKA_LABELS), row.rule
+        assert set(row.notes) <= set(row.labels), row.rule
+        # The generator reads UNKNOWN and OTHER from every category table.
+        for asks in (row.asks.values() if row.by_case else [row.asks]):
+            if isinstance(asks, dict):
+                assert {SemanticCategory.UNKNOWN, OTHER} <= set(asks), row.rule
 
 
 def test_candidates_jsonl_round_trip(tmp_path):

@@ -102,6 +102,22 @@ def test_metadata_without_tokens_rejected():
         loads_treebank("# sent_id = d009\n\n")
 
 
+def test_duplicate_sent_id_names_both_lines():
+    text = SAMPLE.replace("1\tbilli", "# sent_id = d001\n1\tbilli")
+    with pytest.raises(TreebankError, match=(
+            r"^dup\.conllu:7: duplicate sent_id 'd001', first used at dup\.conllu:1$")):
+        loads_treebank(text, source="dup.conllu")
+
+
+def test_positional_id_clashing_with_explicit_one_rejected():
+    # The second block has no sent_id and would be numbered s002, which
+    # the first block already claims; the repeat is named by its first token.
+    text = SAMPLE.replace("# sent_id = d001", "# sent_id = s002")
+    with pytest.raises(TreebankError, match=(
+            r"^x:7: duplicate sent_id 's002', first used at x:1$")):
+        loads_treebank(text, source="x")
+
+
 def test_self_loop_rejected():
     rows = [
         ("raam", "raam", "PROPN", "_", 3, "k1"),
