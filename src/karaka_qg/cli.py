@@ -13,7 +13,7 @@ import argparse
 import json
 import logging
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -54,46 +54,41 @@ class ConfigError(ValueError):
 
 @dataclass
 class PipelineConfig:
+    """One command's settings. Fields a command's flags set are named after
+    their parser dests; the defaults stand for flags the command lacks."""
+
+    command: str
+    output_dir: Path
     input_path: Path | None = None
     lexicon_paths: list = field(default_factory=list)
     marker_table_path: Path | None = None
-    output_dir: Path = Path(".")
-    theta: int = 5
     enabled_rules: set = field(default_factory=lambda: set(RuleId))
-    enabled_filters: set = field(default_factory=lambda: set(FilterId))
+    filters: FilterConfig = FilterConfig()
     candidates_path: Path | None = None
     verdicts_path: Path | None = None
     ratings_path: Path | None = None
-    fmt: str = "text"
+    fmt: str | None = None
+
+
+def _parse_name(kind, noun: str, raw: str):
+    """The RuleId or FilterId named by raw; its R_/F_ prefix may be left out."""
+    name = raw.strip().upper()
+    prefix = noun[0].upper() + "_"
+    if not name.startswith(prefix):
+        name = prefix + name
+    try:
+        return kind(name)
+    except ValueError:
+        raise ConfigError(f"unknown {noun} {raw.strip()!r}") from None
 
 
 def _parse_rules(selection: str) -> set:
     if selection.strip().lower() == "all":
         return set(RuleId)
-    rules = set()
-    for raw in selection.split(","):
-        name = raw.strip().upper()
-        if not name:
-            continue
-        if not name.startswith("R_"):
-            name = "R_" + name
-        try:
-            rules.add(RuleId(name))
-        except ValueError:
-            raise ConfigError(f"unknown rule {raw.strip()!r}") from None
+    rules = {_parse_name(RuleId, "rule", raw) for raw in selection.split(",") if raw.strip()}
     if not rules:
         raise ConfigError("no rules selected")
     return rules
-
-
-def _parse_filter_name(raw: str) -> FilterId:
-    name = raw.strip().upper()
-    if not name.startswith("F_"):
-        name = "F_" + name
-    try:
-        return FilterId(name)
-    except ValueError:
-        raise ConfigError(f"unknown filter {raw.strip()!r}") from None
 
 
 def _load_markers(cfg: PipelineConfig):
@@ -114,17 +109,17 @@ def _write_json(obj, path: Path) -> None:
                     encoding="utf-8")
 
 
-def _write_run_meta(cfg: PipelineConfig, command: str) -> None:
+def _write_run_meta(cfg: PipelineConfig) -> None:
     # Per-run metadata is quarantined here so the data files stay
     # byte-identical across reruns.
     meta = {
-        "command": command,
+        "command": cfg.command,
         "input": str(cfg.input_path) if cfg.input_path else None,
         "lexicons": [str(p) for p in cfg.lexicon_paths],
         "markers": str(cfg.marker_table_path) if cfg.marker_table_path else None,
-        "theta": cfg.theta,
+        "theta": cfg.filters.theta,
         "rules": sorted(r.value for r in cfg.enabled_rules),
-        "filters": sorted(f.value for f in cfg.enabled_filters),
+        "filters": sorted(f.value for f in cfg.filters.enabled),
         "written_at": datetime.now(timezone.utc).isoformat(),
     }
     _write_json(meta, cfg.output_dir / "run_meta.json")
@@ -152,16 +147,14 @@ def _write_generate_outputs(cfg: PipelineConfig, candidates) -> None:
 def cmd_generate(cfg: PipelineConfig) -> int:
     sentences, candidates = _generate(cfg, _load_markers(cfg))
     _write_generate_outputs(cfg, candidates)
-    _write_run_meta(cfg, "generate")
+    _write_run_meta(cfg)
     log.info("generated %d candidates from %d sentences",
              len(candidates), len(sentences))
     return 0
 
 
 def _filter(cfg: PipelineConfig, markers, sentences, candidates):
-    filter_cfg = FilterConfig(theta=cfg.theta, enabled=frozenset(cfg.enabled_filters),
-                              markers=markers)
-    return run_filters(candidates, sentences, filter_cfg)
+    return run_filters(candidates, sentences, replace(cfg.filters, markers=markers))
 
 
 def _write_filter_outputs(cfg: PipelineConfig, candidates, kept, verdicts) -> None:
@@ -178,16 +171,19 @@ def _write_filter_outputs(cfg: PipelineConfig, candidates, kept, verdicts) -> No
 
 def cmd_filter(cfg: PipelineConfig) -> int:
     sentences = load_treebank(cfg.input_path)
-    candidates_path = cfg.candidates_path or cfg.output_dir / "candidates.jsonl"
-    candidates = read_candidates_jsonl(candidates_path)
+    candidates = read_candidates_jsonl(cfg.candidates_path)
     kept, verdicts = _filter(cfg, _load_markers(cfg), sentences, candidates)
     cfg.output_dir.mkdir(parents=True, exist_ok=True)
     _write_filter_outputs(cfg, candidates, kept, verdicts)
-    _write_run_meta(cfg, "filter")
+    _write_run_meta(cfg)
     return 0
 
 
-def _print_eval(cfg: PipelineConfig, table, ba) -> None:
+def _evaluate(cfg: PipelineConfig, candidates, verdicts) -> None:
+    """Print the ratings table, and the before/after block when there are verdicts."""
+    ratings = load_ratings(cfg.ratings_path)
+    table = aggregate(ratings, candidates)
+    ba = before_after(ratings, candidates, verdicts) if verdicts is not None else None
     if cfg.fmt == "json":
         payload = {
             "table": eval_table_to_dict(table),
@@ -202,18 +198,15 @@ def _print_eval(cfg: PipelineConfig, table, ba) -> None:
 
 
 def cmd_eval(cfg: PipelineConfig) -> int:
-    candidates_path = cfg.candidates_path or cfg.output_dir / "candidates.jsonl"
-    candidates = read_candidates_jsonl(candidates_path)
-    ratings = load_ratings(cfg.ratings_path)
-    table = aggregate(ratings, candidates)
+    candidates = read_candidates_jsonl(cfg.candidates_path)
+    # Only the default verdicts file may be absent; a named one must be read.
     verdicts_path = cfg.verdicts_path or cfg.output_dir / "verdicts.jsonl"
-    ba = None
-    if Path(verdicts_path).exists():
+    verdicts = None
+    if cfg.verdicts_path is not None or verdicts_path.exists():
         verdicts = read_verdicts_jsonl(verdicts_path)
-        ba = before_after(ratings, candidates, verdicts)
     else:
         log.info("no verdicts at %s; skipping the before/after block", verdicts_path)
-    _print_eval(cfg, table, ba)
+    _evaluate(cfg, candidates, verdicts)
     return 0
 
 
@@ -223,13 +216,17 @@ def cmd_pipeline(cfg: PipelineConfig) -> int:
     _write_generate_outputs(cfg, candidates)
     kept, verdicts = _filter(cfg, markers, sentences, candidates)
     _write_filter_outputs(cfg, candidates, kept, verdicts)
-    _write_run_meta(cfg, "pipeline")
+    _write_run_meta(cfg)
     if cfg.ratings_path is not None:
-        ratings = load_ratings(cfg.ratings_path)
-        table = aggregate(ratings, candidates)
-        ba = before_after(ratings, candidates, verdicts)
-        _print_eval(cfg, table, ba)
+        _evaluate(cfg, candidates, verdicts)
     return 0
+
+
+def _flag(*names, **spec) -> argparse.ArgumentParser:
+    """A parent parser holding one flag, for the subcommands that take it."""
+    parent = argparse.ArgumentParser(add_help=False)
+    parent.add_argument(*names, **spec)
+    return parent
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -240,67 +237,56 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, needs_input=True):
-        if needs_input:
-            p.add_argument("--input", required=True, help="treebank file")
-        p.add_argument("--out", default=".", help="output directory")
-        p.add_argument("--markers", default=None, help="marker table TSV")
+    treebank = _flag("--input", dest="input_path", type=Path, required=True,
+                     help="treebank file")
+    out = _flag("--out", dest="output_dir", type=Path, default=Path("."),
+                help="output directory")
+    markers = _flag("--markers", dest="marker_table_path", type=Path,
+                    help="marker table TSV")
+    lexicon = _flag("--lexicon", dest="lexicon_paths", type=Path, action="append", default=[],
+                    metavar="PATH", help="semantic lexicon TSV; repeatable, later files win")
+    rules = _flag("--rules", default="all", help="comma-separated rule names or 'all'")
+    filtering = _flag("--theta", type=int, default=FilterConfig.theta,
+                      help="token count allowed on each side of a conjunct")
+    filtering.add_argument("--disable-filter", dest="disabled_filters", action="append",
+                           default=[], metavar="NAME",
+                           help="filter name to switch off; repeatable")
+    candidates = _flag("--candidates", dest="candidates_path", type=Path,
+                       help="candidates JSONL to read (default: OUT/candidates.jsonl)")
+    fmt = _flag("--format", dest="fmt", choices=("text", "json"), default="text")
 
-    g = sub.add_parser("generate", help="produce question candidates")
-    add_common(g)
-    g.add_argument("--lexicon", action="append", default=[],
-                   help="semantic lexicon TSV; repeatable, later files win")
-    g.add_argument("--rules", default="all", help="comma-separated rule names or 'all'")
-
-    f = sub.add_parser("filter", help="prune candidates with surface filters")
-    add_common(f)
-    f.add_argument("--candidates", default=None, help="candidates JSONL to read")
-    f.add_argument("--theta", type=int, default=5,
-                   help="token count allowed on each side of a conjunct")
-    f.add_argument("--disable-filter", action="append", default=[],
-                   help="filter name to switch off; repeatable")
-
-    e = sub.add_parser("eval", help="aggregate human ratings")
-    add_common(e, needs_input=False)
-    e.add_argument("--candidates", default=None, help="candidates JSONL to read")
-    e.add_argument("--verdicts", default=None, help="verdicts JSONL for before/after")
-    e.add_argument("--ratings", required=True, help="ratings CSV")
-    e.add_argument("--format", choices=("text", "json"), default="text")
-
-    p = sub.add_parser("pipeline", help="generate, filter, and optionally eval")
-    add_common(p)
-    p.add_argument("--lexicon", action="append", default=[],
-                   help="semantic lexicon TSV; repeatable, later files win")
-    p.add_argument("--rules", default="all", help="comma-separated rule names or 'all'")
-    p.add_argument("--theta", type=int, default=5,
-                   help="token count allowed on each side of a conjunct")
-    p.add_argument("--disable-filter", action="append", default=[],
-                   help="filter name to switch off; repeatable")
-    p.add_argument("--ratings", default=None, help="ratings CSV")
-    p.add_argument("--format", choices=("text", "json"), default="text")
-
+    sub.add_parser("generate", help="produce question candidates",
+                   parents=[treebank, out, markers, lexicon, rules])
+    sub.add_parser("filter", help="prune candidates with surface filters",
+                   parents=[treebank, out, markers, candidates, filtering])
+    e = sub.add_parser("eval", help="aggregate human ratings",
+                       parents=[out, candidates, fmt])
+    e.add_argument("--verdicts", dest="verdicts_path", type=Path,
+                   help="verdicts JSONL for before/after (default: OUT/verdicts.jsonl if present)")
+    p = sub.add_parser("pipeline", help="generate, filter, and optionally eval",
+                       parents=[treebank, out, markers, lexicon, rules, filtering, fmt])
+    for command, required in ((e, True), (p, False)):
+        command.add_argument("--ratings", dest="ratings_path", type=Path,
+                             required=required, help="ratings CSV")
     return parser
 
 
 def _config_from_args(args) -> PipelineConfig:
-    cfg = PipelineConfig()
-    cfg.input_path = Path(args.input) if getattr(args, "input", None) else None
-    cfg.lexicon_paths = [Path(p) for p in getattr(args, "lexicon", [])]
-    cfg.marker_table_path = Path(args.markers) if getattr(args, "markers", None) else None
-    cfg.output_dir = Path(args.out)
-    cfg.candidates_path = (
-        Path(args.candidates) if getattr(args, "candidates", None) else None
-    )
-    cfg.verdicts_path = Path(args.verdicts) if getattr(args, "verdicts", None) else None
-    cfg.ratings_path = Path(args.ratings) if getattr(args, "ratings", None) else None
-    cfg.fmt = getattr(args, "format", "text")
-    theta = getattr(args, "theta", 5)
-    if theta < 1:
-        raise ConfigError(f"theta must be >= 1, got {theta}")
-    cfg.theta = theta
-    cfg.enabled_rules = _parse_rules(getattr(args, "rules", "all"))
-    disabled = {_parse_filter_name(name) for name in getattr(args, "disable_filter", [])}
-    cfg.enabled_filters = set(FilterId) - disabled
+    """The PipelineConfig of parsed flags; bad names or values raise ConfigError."""
+    opts = dict(vars(args))
+    if "rules" in opts:
+        opts["enabled_rules"] = _parse_rules(opts.pop("rules"))
+    if "theta" in opts:  # the commands that filter, which also take --disable-filter
+        disabled = {_parse_name(FilterId, "filter", raw)
+                    for raw in opts.pop("disabled_filters")}
+        try:
+            opts["filters"] = FilterConfig(theta=opts.pop("theta"),
+                                           enabled=frozenset(FilterId) - disabled)
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from None
+    cfg = PipelineConfig(**opts)
+    if cfg.candidates_path is None:
+        cfg.candidates_path = cfg.output_dir / "candidates.jsonl"
     return cfg
 
 

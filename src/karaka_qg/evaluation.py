@@ -97,21 +97,33 @@ def load_ratings(path) -> list[RatingRecord]:
     return records
 
 
+def _mean(scores):
+    return statistics.fmean(scores) if scores else None
+
+
+def _median(scores):
+    return int(statistics.median_low(scores)) if scores else None
+
+
 def _row_stats(candidate_ids, syntax_scores, semantic_scores) -> RowStats:
-    if syntax_scores:
-        return RowStats(
-            syntax_mean=statistics.fmean(syntax_scores),
-            syntax_median=int(statistics.median_low(syntax_scores)),
-            semantic_mean=statistics.fmean(semantic_scores),
-            semantic_median=int(statistics.median_low(semantic_scores)),
-            count=len(candidate_ids),
-        )
-    return RowStats(None, None, None, None, len(candidate_ids))
+    return RowStats(_mean(syntax_scores), _median(syntax_scores),
+                    _mean(semantic_scores), _median(semantic_scores), len(candidate_ids))
+
+
+def _candidates_by_id(ratings, candidates) -> dict:
+    """Candidates keyed by id; every rating must name one of them."""
+    by_id = {c.candidate_id: c for c in candidates}
+    for r in ratings:
+        if r.candidate_id not in by_id:
+            raise RatingsError(
+                f"rating references unknown candidate_id {r.candidate_id!r}"
+            )
+    return by_id
 
 
 def aggregate(ratings, candidates) -> EvalTable:
     """Per-karaka means, lower medians, and candidate counts, plus totals."""
-    by_id = {c.candidate_id: c for c in candidates}
+    by_id = _candidates_by_id(ratings, candidates)
     groups: dict[str, dict] = {}
     for c in candidates:
         group = groups.setdefault(
@@ -119,12 +131,7 @@ def aggregate(ratings, candidates) -> EvalTable:
         )
         group["ids"].add(c.candidate_id)
     for r in ratings:
-        cand = by_id.get(r.candidate_id)
-        if cand is None:
-            raise RatingsError(
-                f"rating references unknown candidate_id {r.candidate_id!r}"
-            )
-        group = groups[cand.karaka]
+        group = groups[by_id[r.candidate_id].karaka]
         group["syntax"].append(r.syntax)
         group["semantic"].append(r.semantic)
     rows = {
@@ -142,20 +149,12 @@ def aggregate(ratings, candidates) -> EvalTable:
 def _split_stats(candidate_ids, ratings) -> SplitStats:
     syntax = [r.syntax for r in ratings if r.candidate_id in candidate_ids]
     semantic = [r.semantic for r in ratings if r.candidate_id in candidate_ids]
-    if syntax:
-        return SplitStats(statistics.fmean(syntax), statistics.fmean(semantic),
-                          len(candidate_ids))
-    return SplitStats(None, None, len(candidate_ids))
+    return SplitStats(_mean(syntax), _mean(semantic), len(candidate_ids))
 
 
 def before_after(ratings, candidates, verdicts) -> BeforeAfter:
     """Mean quality over all candidates versus the ones kept by filtering."""
-    by_id = {c.candidate_id: c for c in candidates}
-    for r in ratings:
-        if r.candidate_id not in by_id:
-            raise RatingsError(
-                f"rating references unknown candidate_id {r.candidate_id!r}"
-            )
+    by_id = _candidates_by_id(ratings, candidates)
     verdict_map = {v.candidate_id: v for v in verdicts}
     missing = [c.candidate_id for c in candidates if c.candidate_id not in verdict_map]
     if missing:

@@ -380,6 +380,8 @@ def gen_r6_nonliving(s: ParsedSentence, lex: SemanticLexicon, m: MarkerTable) ->
     """
     out = []
     verb = s.main_verb()
+    # Possessors of one noun share its emitter, so their ids stay distinct.
+    emitters = {}
     for possessor in _possessors(s):
         if possessor.head == 0:
             continue
@@ -396,8 +398,8 @@ def gen_r6_nonliving(s: ParsedSentence, lex: SemanticLexicon, m: MarkerTable) ->
             if t.form in ("raha", "rahe"):
                 replacements[t.id] = "rahi"
         tokens = _build_tokens(s, {target.id}, target.id, ["kaun", "si", "vastu"], replacements)
-        emitter = _Emitter(s, RuleId.R_R6_NONLIVING, target)
-        out.append(emitter.emit("r6", "kaun si", tokens, 0))
+        emitter = emitters.setdefault(target.id, _Emitter(s, RuleId.R_R6_NONLIVING, target))
+        out.append(emitter.emit("r6", "kaun si", tokens, emitter.next_index))
     return out
 
 

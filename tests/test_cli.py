@@ -158,6 +158,22 @@ def test_eval_without_verdicts_skips_before_after(tmp_path, capsys, caplog):
     assert "skipping the before/after block" in caplog.text
 
 
+def test_missing_explicit_verdicts_file_is_an_input_error(tmp_path, capsys, caplog):
+    src = write_input(tmp_path)
+    out = tmp_path / "out"
+    assert main(["generate", "--input", str(src), "--out", str(out)]) == 0
+    ratings = tmp_path / "ratings.csv"
+    write_ratings(ratings, [("e001:R_K1:2:0", "a1", 5, 4)])
+    missing = tmp_path / "absent_verdicts.jsonl"
+    with caplog.at_level(logging.INFO, logger="karaka_qg"):
+        rc = main(["eval", "--out", str(out), "--ratings", str(ratings),
+                   "--verdicts", str(missing)])
+    assert rc == 1
+    assert str(missing) in caplog.text
+    assert "skipping the before/after block" not in caplog.text
+    assert capsys.readouterr().out == ""
+
+
 def test_missing_input_file_is_an_input_error(tmp_path):
     assert main(["generate", "--input", str(tmp_path / "absent.conllu"),
                  "--out", str(tmp_path)]) == 1
@@ -207,6 +223,14 @@ def test_bad_theta_is_a_config_error(tmp_path):
                  "--theta", "0"]) == 2
 
 
+def test_theta_below_one_names_the_check(tmp_path, caplog):
+    src = write_input(tmp_path)
+    with caplog.at_level(logging.ERROR, logger="karaka_qg"):
+        rc = main(["filter", "--input", str(src), "--out", str(tmp_path), "--theta", "0"])
+    assert rc == 2
+    assert "theta must be >= 1" in caplog.text
+
+
 def test_unknown_filter_is_a_config_error(tmp_path):
     src = write_input(tmp_path)
     assert main(["filter", "--input", str(src), "--out", str(tmp_path),
@@ -216,6 +240,25 @@ def test_unknown_filter_is_a_config_error(tmp_path):
 def test_missing_subcommand_is_a_usage_error(capsys):
     assert main([]) == 2
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("command, flag", [
+    ("generate", "--theta"), ("generate", "--candidates"),
+    ("filter", "--rules"), ("filter", "--lexicon"), ("filter", "--ratings"),
+    ("eval", "--input"), ("eval", "--theta"), ("eval", "--markers"),
+    ("pipeline", "--candidates"), ("pipeline", "--verdicts"),
+])
+def test_flag_of_another_subcommand_is_a_usage_error(tmp_path, capsys, command, flag):
+    src = write_input(tmp_path)
+    ratings = tmp_path / "ratings.csv"
+    write_ratings(ratings, [])
+    # Each command gets its required flags, so the stray flag is the only fault.
+    required = (["--ratings", str(ratings)] if command == "eval"
+                else ["--input", str(src)])
+    argv = [command, *required, "--out", str(tmp_path / "out"), flag, "1"]
+    assert main(argv) == 2
+    assert f"unrecognized arguments: {flag} 1" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 def test_rules_flag_narrows_generation(tmp_path):

@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 from helpers import load_bundled_corpus, make_rated_candidate
 from karaka_qg.evaluation import RatingRecord, aggregate, before_after
 from karaka_qg.filters import FilterConfig, FilterId, FilterVerdict, run_filters
-from karaka_qg.lexicon import SemanticLexicon, default_lexicon
+from karaka_qg.lexicon import SemanticCategory, SemanticLexicon, default_lexicon
 from karaka_qg.morphology import interrogative_spans
 from karaka_qg.rule_engine import generate_all
 from karaka_qg.treebank_io import ParsedSentence, Token, dumps_treebank, loads_treebank
@@ -129,6 +129,48 @@ def test_variation_group_members_differ_only_in_the_span(sentence):
             start, end = interrogative_spans(list(c.tokens))[0]
             remainders.append(c.tokens[:start] + c.tokens[end:])
         assert len(set(remainders)) == 1
+
+
+NOUN_POOL = ("ghar", "saamaan", "kitaab", "mohan", "darwaaza")
+
+
+@st.composite
+def possessive_trees(draw):
+    """Verb-final trees whose nouns chain through r6 possessors, each with a psp marker."""
+    n = draw(st.integers(min_value=1, max_value=6))
+    # Noun i hangs off the verb (None) or, as an r6 possessor, off an earlier noun.
+    heads = [None] + [draw(st.sampled_from([None, *range(i)])) for i in range(1, n)]
+    layout = []  # possessors before what they possess, each followed by its marker
+    for node in reversed(range(n)):
+        layout.append(("noun", node))
+        if heads[node] is not None:
+            layout.append(("psp", node))
+    token_ids = {entry: i for i, entry in enumerate(layout, start=1)}
+    verb_id = len(layout) + 1
+    lines = ["# sent_id = q001"]
+    for token_id, (kind, node) in enumerate(layout, start=1):
+        if kind == "psp":
+            marker = draw(st.sampled_from(["ka", "ke", "ki", "ko"]))
+            lines.append(f"{token_id}\t{marker}\t{marker}\tADP\t_\t{token_ids['noun', node]}\tpsp")
+            continue
+        if heads[node] is None:
+            head, deprel = verb_id, draw(st.sampled_from(["k1", "k2", "k7p"]))
+        else:
+            head, deprel = token_ids["noun", heads[node]], "r6"
+        lemma = draw(st.sampled_from(NOUN_POOL))
+        lines.append(f"{token_id}\t{lemma}\t{lemma}\tNOUN\t_\t{head}\t{deprel}")
+    lines.append(f"{verb_id}\tgaya\tja\tVERB\t_\t0\troot")
+    return loads_treebank("\n".join(lines) + "\n")[0]
+
+
+@settings(max_examples=60, deadline=None)
+@given(sentence=possessive_trees())
+def test_candidate_ids_are_unique(sentence):
+    everything_nonliving = SemanticLexicon(
+        {t.lemma: SemanticCategory.NONLIVING for t in sentence.tokens}
+    )
+    ids = [c.candidate_id for c in generate_all(sentence, everything_nonliving)]
+    assert len(ids) == len(set(ids))
 
 
 def corpus_candidates():

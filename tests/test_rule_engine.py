@@ -125,6 +125,30 @@ def test_unknown_possessed_noun_does_not_trigger_agreement_mutation():
     assert cands[0].interrogative == "kaun si"
 
 
+def test_two_possessors_of_one_nonliving_noun_get_distinct_ids():
+    # "mohan ka ghar ka saamaan kho gaya": both genitives modify saamaan.
+    s = make_sentence([
+        ("mohan", "mohan", "PROPN", "_", 5, "r6"),
+        ("ka", "ka", "ADP", "_", 1, "psp"),
+        ("ghar", "ghar", "NOUN", "_", 5, "r6"),
+        ("ka", "ka", "ADP", "_", 3, "psp"),
+        ("saamaan", "saamaan", "NOUN", "_", 6, "k1"),
+        ("kho", "kho", "VERB", "_", 0, "root"),
+        ("gaya", "ja", "AUX", "_", 6, "aux"),
+    ])
+    cands = gen_r6_nonliving(s, make_lexicon(saamaan="NONLIVING"), M)
+    assert [c.candidate_id for c in cands] == [
+        "t001:R_R6_NONLIVING:5:0", "t001:R_R6_NONLIVING:5:1",
+    ]
+    assert [c.variation_group for c in cands] == [
+        "t001:R_R6_NONLIVING:5:g0", "t001:R_R6_NONLIVING:5:g1",
+    ]
+    assert texts(cands) == [
+        "mohan ki ghar ka kaun si vastu kho gaya ?",
+        "mohan ka ghar ki kaun si vastu kho gaya ?",
+    ]
+
+
 def test_possessor_question_keeps_possessed_noun():
     s = make_sentence([
         ("mohan", "mohan", "PROPN", "_", 3, "r6"),
