@@ -38,6 +38,7 @@ from .filters import (
 from .lexicon import LexiconError, default_lexicon, load_lexicon, merge_lexicons
 from .morphology import DEFAULT_MARKERS, MarkerTableError, load_marker_table
 from .rule_engine import (
+    JsonlError,
     RuleId,
     generate_all,
     read_candidates_jsonl,
@@ -315,7 +316,7 @@ def main(argv=None) -> int:
     try:
         return COMMANDS[args.command](cfg)
     except (TreebankError, LexiconError, MarkerTableError, RatingsError,
-            FilterError, OSError) as exc:
+            FilterError, JsonlError, OSError) as exc:
         log.error("%s", exc)
         return 1
 

@@ -41,6 +41,24 @@ class SemanticLexicon:
         return len(self.entries)
 
 
+def read_pairs(path, error):
+    """Yield ``("path:line", first, second)`` for each row of a two-column TSV.
+
+    Blank lines and lines starting with "#" are skipped and both columns
+    are stripped. A row with another number of columns raises ``error``.
+    """
+    with open(path, encoding="utf-8") as fh:
+        for line_no, raw in enumerate(fh, start=1):
+            line = raw.rstrip("\n")
+            if not line.strip() or line.startswith("#"):
+                continue
+            cols = line.split("\t")
+            where = f"{path}:{line_no}"
+            if len(cols) != 2:
+                raise error(f"{where}: expected 2 tab-separated columns, got {len(cols)}")
+            yield where, cols[0].strip(), cols[1].strip()
+
+
 def load_lexicon(path) -> SemanticLexicon:
     """Read a two-column TSV of ``lemma<TAB>CATEGORY`` rows.
 
@@ -50,28 +68,16 @@ def load_lexicon(path) -> SemanticLexicon:
     """
     entries: dict[str, SemanticCategory] = {}
     duplicates = 0
-    with open(path, encoding="utf-8") as fh:
-        for line_no, raw in enumerate(fh, start=1):
-            line = raw.rstrip("\n").rstrip("\r")
-            if not line.strip() or line.startswith("#"):
-                continue
-            cols = line.split("\t")
-            if len(cols) != 2:
-                raise LexiconError(
-                    f"{path}:{line_no}: expected 2 tab-separated columns, got {len(cols)}"
-                )
-            lemma, cat_s = cols[0].strip(), cols[1].strip()
-            if not lemma:
-                raise LexiconError(f"{path}:{line_no}: empty lemma")
-            try:
-                category = SemanticCategory(cat_s)
-            except ValueError:
-                raise LexiconError(
-                    f"{path}:{line_no}: unknown category {cat_s!r}"
-                ) from None
-            if lemma in entries:
-                duplicates += 1
-            entries[lemma] = category
+    for where, lemma, cat_s in read_pairs(path, LexiconError):
+        if not lemma:
+            raise LexiconError(f"{where}: empty lemma")
+        try:
+            category = SemanticCategory(cat_s)
+        except ValueError:
+            raise LexiconError(f"{where}: unknown category {cat_s!r}") from None
+        if lemma in entries:
+            duplicates += 1
+        entries[lemma] = category
     return SemanticLexicon(entries, str(path), duplicates)
 
 

@@ -7,24 +7,10 @@ string comparison against token forms; nothing is transliterated.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, replace
 
+from .lexicon import read_pairs
 from .treebank_io import PSP, ParsedSentence
-
-ERGATIVE = frozenset({"ne"})
-ACCUSATIVE = frozenset({"ko"})
-INSTRUMENTAL = frozenset({"se", "ke dwaaraa"})
-GENITIVE = frozenset({"ka", "ke", "ki"})
-LOCATIVE = frozenset({"mein", "par"})
-BENEFACTIVE = frozenset({"ke liye"})
-BECAUSE = frozenset({"kyunki"})
-
-INTERROGATIVES = frozenset({
-    "kaun", "kisne", "kisko", "kya", "kidhar", "kahan",
-    "kisse", "kiske dwaaraa", "kisse hokar", "kiske liye", "kyon",
-    "kiska", "kiske", "kiski", "kaun si",
-    "kis mein", "kis par", "kab", "kis din", "konse din", "kaisa",
-})
 
 # Genitive postposition to possessive interrogative. The interrogative
 # inherits the gender/number suffix of the marker it replaces.
@@ -53,14 +39,19 @@ class MarkerTableError(ValueError):
 
 @dataclass(frozen=True)
 class MarkerTable:
-    ergative: frozenset = ERGATIVE
-    accusative: frozenset = ACCUSATIVE
-    instrumental: frozenset = INSTRUMENTAL
-    genitive: frozenset = GENITIVE
-    locative: frozenset = LOCATIVE
-    benefactive: frozenset = BENEFACTIVE
-    because: frozenset = BECAUSE
-    interrogatives: frozenset = INTERROGATIVES
+    ergative: frozenset = frozenset({"ne"})
+    accusative: frozenset = frozenset({"ko"})
+    instrumental: frozenset = frozenset({"se", "ke dwaaraa"})
+    genitive: frozenset = frozenset({"ka", "ke", "ki"})
+    locative: frozenset = frozenset({"mein", "par"})
+    benefactive: frozenset = frozenset({"ke liye"})
+    because: frozenset = frozenset({"kyunki"})
+    interrogatives: frozenset = frozenset({
+        "kaun", "kisne", "kisko", "kya", "kidhar", "kahan",
+        "kisse", "kiske dwaaraa", "kisse hokar", "kiske liye", "kyon",
+        "kiska", "kiske", "kiski", "kaun si",
+        "kis mein", "kis par", "kab", "kis din", "konse din", "kaisa",
+    })
 
     def case_markers(self) -> frozenset:
         """Every postposition that flips a noun into oblique case."""
@@ -73,27 +64,14 @@ DEFAULT_MARKERS = MarkerTable()
 
 def load_marker_table(path) -> MarkerTable:
     """Read ``role<TAB>form`` rows; roles present replace their defaults."""
-    by_role: dict[str, set] = {}
-    with open(path, encoding="utf-8") as fh:
-        for line_no, raw in enumerate(fh, start=1):
-            line = raw.rstrip("\n").rstrip("\r")
-            if not line.strip() or line.startswith("#"):
-                continue
-            cols = line.split("\t")
-            if len(cols) != 2:
-                raise MarkerTableError(
-                    f"{path}:{line_no}: expected 2 tab-separated columns, got {len(cols)}"
-                )
-            role, form = cols[0].strip(), cols[1].strip()
-            if role not in _ROLE_FIELDS:
-                raise MarkerTableError(f"{path}:{line_no}: unknown role {role!r}")
-            if not form:
-                raise MarkerTableError(f"{path}:{line_no}: empty form")
-            by_role.setdefault(role, set()).add(form)
-    overrides = {_ROLE_FIELDS[role]: frozenset(forms) for role, forms in by_role.items()}
-    defaults = {f.name: getattr(DEFAULT_MARKERS, f.name) for f in fields(MarkerTable)}
-    defaults.update(overrides)
-    return MarkerTable(**defaults)
+    by_field: dict[str, set] = {}
+    for where, role, form in read_pairs(path, MarkerTableError):
+        if role not in _ROLE_FIELDS:
+            raise MarkerTableError(f"{where}: unknown role {role!r}")
+        if not form:
+            raise MarkerTableError(f"{where}: empty form")
+        by_field.setdefault(_ROLE_FIELDS[role], set()).add(form)
+    return replace(DEFAULT_MARKERS, **{name: frozenset(forms) for name, forms in by_field.items()})
 
 
 @dataclass(frozen=True)

@@ -38,6 +38,10 @@ log = logging.getLogger(__name__)
 TERMINAL_PUNCT = {"।", ".", "|"}
 
 
+class JsonlError(ValueError):
+    """Raised for a malformed or repeated line in a candidates or verdicts file."""
+
+
 class RuleId(str, Enum):
     R_K1 = "R_K1"
     R_K1S = "R_K1S"
@@ -440,8 +444,28 @@ def _write_jsonl(records, path) -> None:
 
 
 def _read_jsonl(path, from_json_dict) -> list:
+    """One record per non-blank line; a malformed or repeated line raises JsonlError."""
+    records = []
+    first_line_of: dict[str, int] = {}
     with open(path, encoding="utf-8") as fh:
-        return [from_json_dict(json.loads(line)) for line in fh if line.strip()]
+        for line_no, line in enumerate(fh, start=1):
+            if not line.strip():
+                continue
+            where = f"{path}:{line_no}"
+            try:
+                record = from_json_dict(json.loads(line))
+            except KeyError as exc:
+                raise JsonlError(f"{where}: missing field {exc}") from None
+            except (ValueError, TypeError) as exc:
+                raise JsonlError(f"{where}: {exc}") from None
+            if record.candidate_id in first_line_of:
+                raise JsonlError(
+                    f"{where}: duplicate candidate_id {record.candidate_id!r}, "
+                    f"first used at {path}:{first_line_of[record.candidate_id]}"
+                )
+            first_line_of[record.candidate_id] = line_no
+            records.append(record)
+    return records
 
 
 def write_candidates_jsonl(candidates, path) -> None:

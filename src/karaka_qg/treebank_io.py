@@ -12,7 +12,9 @@ id gets a positional one ("s001", "s002", ...).
 
 from __future__ import annotations
 
+import io
 from dataclasses import dataclass
+from itertools import groupby
 
 # Karaka labels in their canonical order, which generate summaries and
 # evaluation rows follow.
@@ -133,24 +135,55 @@ def _validate(sentence_id: str, tokens: list[Token]) -> None:
             cur = heads[cur]
 
 
+def _parse_token(line: str, where: str) -> Token:
+    cols = line.split("\t")
+    if len(cols) != 7:
+        raise TreebankError(
+            f"{where}: expected 7 tab-separated columns, got {len(cols)}"
+        )
+    id_s, form, lemma, upos, feats_s, head_s, deprel = cols
+    try:
+        token_id = int(id_s)
+        head = int(head_s)
+    except ValueError:
+        raise TreebankError(
+            f"{where}: ID and HEAD must be integers, got {id_s!r}/{head_s!r}"
+        ) from None
+    if not form or not deprel:
+        raise TreebankError(f"{where}: empty FORM or DEPREL column")
+    return Token(token_id, form, lemma, upos, _parse_feats(feats_s, where), head, deprel)
+
+
 def _parse_blocks(lines, source: str) -> list[ParsedSentence]:
     sentences: list[ParsedSentence] = []
-    rows: list[Token] = []
-    sent_id: str | None = None
-    raw_text: str | None = None
-    # Line naming the sentence: its sent_id comment, else its first token.
-    id_line = 0
     first_line_of: dict[str, int] = {}
-
-    def flush() -> None:
-        nonlocal rows, sent_id, raw_text, id_line
-        if not rows and sent_id is None and raw_text is None:
-            return
+    numbered = enumerate((raw.rstrip("\n") for raw in lines), start=1)
+    for in_block, block in groupby(numbered, key=lambda item: bool(item[1].strip())):
+        if not in_block:
+            continue
+        rows: list[Token] = []
+        sent_id: str | None = None
+        raw_text: str | None = None
+        # Line naming the sentence: its sent_id comment, else its first token.
+        id_line = 0
+        for line_no, line in block:
+            if not line.startswith("#"):
+                rows.append(_parse_token(line, f"{source}:{line_no}"))
+                id_line = id_line or line_no
+                continue
+            key, eq, value = line[1:].partition("=")
+            if eq and key.strip() == "sent_id":
+                sent_id = value.strip()
+                if not sent_id:
+                    raise TreebankError(f"{source}:{line_no}: empty sent_id")
+                id_line = line_no
+            elif eq and key.strip() == "text":
+                raw_text = value.strip()
         if not rows:
-            raise TreebankError(
-                f"{source}: sentence metadata without token lines"
-            )
-        sid = sent_id if sent_id is not None else f"s{len(sentences) + 1:03d}"
+            if sent_id is None and raw_text is None:
+                continue
+            raise TreebankError(f"{source}: sentence metadata without token lines")
+        sid = sent_id or f"s{len(sentences) + 1:03d}"
         if sid in first_line_of:
             raise TreebankError(
                 f"{source}:{id_line}: duplicate sent_id {sid!r}, "
@@ -159,49 +192,6 @@ def _parse_blocks(lines, source: str) -> list[ParsedSentence]:
         first_line_of[sid] = id_line
         _validate(sid, rows)
         sentences.append(ParsedSentence(sid, tuple(rows), raw_text))
-        rows = []
-        sent_id = None
-        raw_text = None
-        id_line = 0
-
-    for line_no, raw in enumerate(lines, start=1):
-        line = raw.rstrip("\n").rstrip("\r")
-        where = f"{source}:{line_no}"
-        if not line.strip():
-            flush()
-            continue
-        if line.startswith("#"):
-            body = line[1:].strip()
-            if "=" in body:
-                key, value = body.split("=", 1)
-                key = key.strip()
-                if key == "sent_id":
-                    sent_id = value.strip()
-                    id_line = line_no
-                elif key == "text":
-                    raw_text = value.strip()
-            continue
-        cols = line.split("\t")
-        if len(cols) != 7:
-            raise TreebankError(
-                f"{where}: expected 7 tab-separated columns, got {len(cols)}"
-            )
-        id_s, form, lemma, upos, feats_s, head_s, deprel = cols
-        try:
-            token_id = int(id_s)
-            head = int(head_s)
-        except ValueError:
-            raise TreebankError(
-                f"{where}: ID and HEAD must be integers, got {id_s!r}/{head_s!r}"
-            ) from None
-        if not form or not deprel:
-            raise TreebankError(f"{where}: empty FORM or DEPREL column")
-        if not id_line:
-            id_line = line_no
-        rows.append(
-            Token(token_id, form, lemma, upos, _parse_feats(feats_s, where), head, deprel)
-        )
-    flush()
     return sentences
 
 
@@ -212,8 +202,8 @@ def load_treebank(path) -> list[ParsedSentence]:
 
 
 def loads_treebank(text: str, source: str = "<string>") -> list[ParsedSentence]:
-    """Parse treebank content held in a string."""
-    return _parse_blocks(text.splitlines(keepends=True), source)
+    """Parse treebank content held in a string, split into lines as a file is."""
+    return _parse_blocks(io.StringIO(text, newline=None), source)
 
 
 def dumps_treebank(sentences) -> str:

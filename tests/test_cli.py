@@ -195,6 +195,53 @@ def test_duplicate_sent_id_is_an_input_error(tmp_path, caplog):
     assert not (tmp_path / "out" / "candidates.jsonl").exists()
 
 
+@pytest.mark.parametrize("name, spoil, reason", [
+    ("candidates.jsonl", lambda line: line[:-1], "Expecting ',' delimiter"),
+    ("candidates.jsonl",
+     lambda line: json.dumps({k: v for k, v in json.loads(line).items() if k != "tokens"}),
+     "missing field 'tokens'"),
+    ("candidates.jsonl", lambda line: json.dumps({**json.loads(line), "rule": "R_X"}),
+     "'R_X' is not a valid RuleId"),
+    ("verdicts.jsonl", lambda line: "not json", "Expecting value"),
+], ids=["truncated", "no-tokens", "unknown-rule", "verdicts-not-json"])
+def test_malformed_jsonl_line_is_an_input_error(tmp_path, caplog, name, spoil, reason):
+    src = write_input(tmp_path)
+    out = tmp_path / "out"
+    assert main(["pipeline", "--input", str(src), "--out", str(out)]) == 0
+    path = out / name
+    lines = path.read_text(encoding="utf-8").splitlines()
+    lines[1] = spoil(lines[1])
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    ratings = tmp_path / "ratings.csv"
+    write_ratings(ratings, [("e001:R_K1:2:0", "a1", 5, 4)])
+    command = (["filter", "--input", str(src)] if name == "candidates.jsonl"
+               else ["eval", "--ratings", str(ratings)])
+    with caplog.at_level(logging.ERROR, logger="karaka_qg"):
+        rc = main(command + ["--out", str(out)])
+    assert rc == 1
+    message = caplog.records[-1].getMessage()
+    assert message.startswith(f"{path}:2: ")
+    assert reason in message
+
+
+@pytest.mark.parametrize("name", ["candidates.jsonl", "verdicts.jsonl"])
+def test_repeated_candidate_id_is_an_input_error(tmp_path, caplog, name):
+    src = write_input(tmp_path)
+    out = tmp_path / "out"
+    assert main(["pipeline", "--input", str(src), "--out", str(out)]) == 0
+    path = out / name
+    lines = path.read_text(encoding="utf-8").splitlines()
+    path.write_text("\n".join(lines + lines[:1]) + "\n", encoding="utf-8")
+    ratings = tmp_path / "ratings.csv"
+    write_ratings(ratings, [("e001:R_K1:2:0", "a1", 5, 4)])
+    with caplog.at_level(logging.ERROR, logger="karaka_qg"):
+        rc = main(["eval", "--out", str(out), "--ratings", str(ratings)])
+    assert rc == 1
+    first_id = json.loads(lines[0])["candidate_id"]
+    assert (f"{path}:{len(lines) + 1}: duplicate candidate_id {first_id!r}, "
+            f"first used at {path}:1") in caplog.text
+
+
 def test_missing_lexicon_file_is_an_input_error(tmp_path):
     src = write_input(tmp_path)
     assert main(["generate", "--input", str(src), "--out", str(tmp_path),

@@ -102,6 +102,27 @@ def test_metadata_without_tokens_rejected():
         loads_treebank("# sent_id = d009\n\n")
 
 
+def test_empty_sent_id_rejected_with_its_line():
+    text = SAMPLE.replace("# sent_id = d001", "# sent_id =")
+    with pytest.raises(TreebankError, match=r"^x:1: empty sent_id$"):
+        loads_treebank(text, source="x")
+
+
+def test_string_splits_lines_as_a_file_does(tmp_path):
+    # str.splitlines would also break at U+2028, U+0085 and form feed.
+    text = (
+        "# sent_id = u001\n"
+        "1\tra\u2028m\traam\tPROPN\t_\t3\tk1\r\n"
+        "2\tgh\x85ar\tghar\tNOUN\t_\t3\tk2p\n"
+        "3\tga\x0cya\tja\tVERB\t_\t0\troot\n"
+    )
+    path = tmp_path / "u.conllu"
+    path.write_text(text, encoding="utf-8", newline="")
+    sentences = load_treebank(path)
+    assert [t.form for t in sentences[0].tokens] == ["ra\u2028m", "gh\x85ar", "ga\x0cya"]
+    assert load_treebank(path) == loads_treebank(text)
+
+
 def test_duplicate_sent_id_names_both_lines():
     text = SAMPLE.replace("1\tbilli", "# sent_id = d001\n1\tbilli")
     with pytest.raises(TreebankError, match=(
