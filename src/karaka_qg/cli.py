@@ -19,11 +19,13 @@ from pathlib import Path
 
 from .evaluation import (
     RatingsError,
+    UnknownCandidateError,
     aggregate,
     before_after,
     before_after_to_dict,
     eval_table_to_dict,
     load_ratings,
+    rating_line,
     render_before_after,
     render_eval_table,
 )
@@ -31,6 +33,7 @@ from .filters import (
     FilterConfig,
     FilterError,
     FilterId,
+    UnknownSentenceError,
     read_verdicts_jsonl,
     run_filters,
     write_verdicts_jsonl,
@@ -40,6 +43,7 @@ from .morphology import DEFAULT_MARKERS, MarkerTableError, load_marker_table
 from .rule_engine import (
     JsonlError,
     RuleId,
+    candidate_line,
     generate_all,
     read_candidates_jsonl,
     write_candidates_jsonl,
@@ -173,7 +177,11 @@ def _write_filter_outputs(cfg: PipelineConfig, candidates, kept, verdicts) -> No
 def cmd_filter(cfg: PipelineConfig) -> int:
     sentences = load_treebank(cfg.input_path)
     candidates = read_candidates_jsonl(cfg.candidates_path)
-    kept, verdicts = _filter(cfg, _load_markers(cfg), sentences, candidates)
+    try:
+        kept, verdicts = _filter(cfg, _load_markers(cfg), sentences, candidates)
+    except UnknownSentenceError as exc:
+        line = candidate_line(cfg.candidates_path, exc.candidate_id)
+        raise FilterError(f"{cfg.candidates_path}:{line}: {exc}") from None
     cfg.output_dir.mkdir(parents=True, exist_ok=True)
     _write_filter_outputs(cfg, candidates, kept, verdicts)
     _write_run_meta(cfg)
@@ -183,7 +191,11 @@ def cmd_filter(cfg: PipelineConfig) -> int:
 def _evaluate(cfg: PipelineConfig, candidates, verdicts) -> None:
     """Print the ratings table, and the before/after block when there are verdicts."""
     ratings = load_ratings(cfg.ratings_path)
-    table = aggregate(ratings, candidates)
+    try:
+        table = aggregate(ratings, candidates)
+    except UnknownCandidateError as exc:
+        line = rating_line(cfg.ratings_path, exc.candidate_id)
+        raise RatingsError(f"{cfg.ratings_path}:{line}: {exc}") from None
     ba = before_after(ratings, candidates, verdicts) if verdicts is not None else None
     if cfg.fmt == "json":
         payload = {

@@ -13,6 +13,7 @@ import csv
 import statistics
 from dataclasses import asdict, dataclass
 
+from .textfile import open_utf8
 from .treebank_io import KARAKA_ORDER
 
 # Rows follow the canonical karaka order; unexpected labels sort after.
@@ -23,6 +24,14 @@ RATING_COLUMNS = ("candidate_id", "annotator_id", "syntax", "semantic")
 
 class RatingsError(ValueError):
     """Raised for malformed rating files or unmatched candidate ids."""
+
+
+class UnknownCandidateError(RatingsError):
+    """Raised for a rating whose candidate_id no candidate has."""
+
+    def __init__(self, candidate_id: str):
+        super().__init__(f"rating references unknown candidate_id {candidate_id!r}")
+        self.candidate_id = candidate_id
 
 
 @dataclass(frozen=True)
@@ -65,16 +74,23 @@ def load_ratings(path) -> list[RatingRecord]:
     """Read a ratings CSV with header candidate_id,annotator_id,syntax,semantic."""
     records: list[RatingRecord] = []
     seen: set[tuple[str, str]] = set()
-    with open(path, encoding="utf-8", newline="") as fh:
-        reader = csv.DictReader(fh)
-        if reader.fieldnames is None or tuple(reader.fieldnames) != RATING_COLUMNS:
+    with open_utf8(path, RatingsError, newline="") as fh:
+        reader = csv.reader(fh)
+        header = next(reader, None)
+        if header is None or tuple(header) != RATING_COLUMNS:
             raise RatingsError(
-                f"{path}: expected header {','.join(RATING_COLUMNS)}, "
-                f"got {reader.fieldnames}"
+                f"{path}: expected header {','.join(RATING_COLUMNS)}, got {header}"
             )
         for row in reader:
+            if not row:
+                continue
             line_no = reader.line_num
-            key = (row["candidate_id"], row["annotator_id"])
+            if len(row) != len(RATING_COLUMNS):
+                raise RatingsError(
+                    f"{path}:{line_no}: expected {len(RATING_COLUMNS)} columns, got {len(row)}"
+                )
+            candidate_id, annotator_id, syntax_s, semantic_s = row
+            key = (candidate_id, annotator_id)
             if key in seen:
                 raise RatingsError(
                     f"{path}:{line_no}: duplicate rating for candidate "
@@ -82,9 +98,9 @@ def load_ratings(path) -> list[RatingRecord]:
                 )
             seen.add(key)
             try:
-                syntax = int(row["syntax"])
-                semantic = int(row["semantic"])
-            except (TypeError, ValueError):
+                syntax = int(syntax_s)
+                semantic = int(semantic_s)
+            except ValueError:
                 raise RatingsError(
                     f"{path}:{line_no}: scores must be integers"
                 ) from None
@@ -93,8 +109,19 @@ def load_ratings(path) -> list[RatingRecord]:
                     raise RatingsError(
                         f"{path}:{line_no}: {name} score {score} outside 1..5"
                     )
-            records.append(RatingRecord(key[0], key[1], syntax, semantic))
+            records.append(RatingRecord(candidate_id, annotator_id, syntax, semantic))
     return records
+
+
+def rating_line(path, candidate_id: str) -> int | None:
+    """The line of the first row of a ratings CSV that rates candidate_id."""
+    with open(path, encoding="utf-8", newline="") as fh:
+        reader = csv.reader(fh)
+        next(reader, None)
+        for row in reader:
+            if row and row[0] == candidate_id:
+                return reader.line_num
+    return None
 
 
 def _mean(scores):
@@ -115,9 +142,7 @@ def _candidates_by_id(ratings, candidates) -> dict:
     by_id = {c.candidate_id: c for c in candidates}
     for r in ratings:
         if r.candidate_id not in by_id:
-            raise RatingsError(
-                f"rating references unknown candidate_id {r.candidate_id!r}"
-            )
+            raise UnknownCandidateError(r.candidate_id)
     return by_id
 
 

@@ -39,6 +39,14 @@ class FilterError(ValueError):
     """Raised when candidates cannot be matched to their source sentences."""
 
 
+class UnknownSentenceError(FilterError):
+    """Raised for a candidate whose sentence_id no sentence has."""
+
+    def __init__(self, candidate_id: str, sentence_id: str):
+        super().__init__(f"candidate {candidate_id}: unknown sentence_id {sentence_id!r}")
+        self.candidate_id = candidate_id
+
+
 @dataclass(frozen=True)
 class FilterConfig:
     theta: int = 5
@@ -56,6 +64,9 @@ class FilterVerdict:
     kept: bool
     dropped_by: FilterId | None = None
     detail: str = ""
+
+    # The JSON type of each field in verdicts.jsonl (not a dataclass field).
+    JSON_TYPES = {"candidate_id": str, "kept": bool, "dropped_by": (str, type(None)), "detail": str}
 
     def to_json_dict(self) -> dict:
         return {
@@ -190,9 +201,7 @@ def run_filters(candidates, sentences, cfg: FilterConfig = FilterConfig()):
     for c in candidates:
         source = by_id.get(c.sentence_id)
         if source is None:
-            raise FilterError(
-                f"candidate {c.candidate_id}: unknown sentence_id {c.sentence_id!r}"
-            )
+            raise UnknownSentenceError(c.candidate_id, c.sentence_id)
         verdict = None
         for fid in FILTER_ORDER:
             if fid not in cfg.enabled:
@@ -213,4 +222,4 @@ def write_verdicts_jsonl(verdicts, path) -> None:
 
 
 def read_verdicts_jsonl(path) -> list[FilterVerdict]:
-    return _read_jsonl(path, FilterVerdict.from_json_dict)
+    return _read_jsonl(path, FilterVerdict)

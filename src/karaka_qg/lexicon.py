@@ -11,6 +11,8 @@ from dataclasses import dataclass, field
 from enum import Enum
 from importlib import resources
 
+from .textfile import open_utf8
+
 
 class SemanticCategory(str, Enum):
     HUMAN = "HUMAN"
@@ -47,7 +49,7 @@ def read_pairs(path, error):
     Blank lines and lines starting with "#" are skipped and both columns
     are stripped. A row with another number of columns raises ``error``.
     """
-    with open(path, encoding="utf-8") as fh:
+    with open_utf8(path, error) as fh:
         for line_no, raw in enumerate(fh, start=1):
             line = raw.rstrip("\n")
             if not line.strip() or line.startswith("#"):

@@ -8,6 +8,7 @@ string comparison against token forms; nothing is transliterated.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import cache
 
 from .lexicon import read_pairs
 from .treebank_io import PSP, ParsedSentence
@@ -155,6 +156,19 @@ def is_interrogative_form(form: str, m: MarkerTable = DEFAULT_MARKERS) -> bool:
     return form in m.interrogatives
 
 
+@cache
+def _phrases_by_first_token(interrogatives: frozenset) -> dict:
+    """Each inventory item split into a token tuple, keyed by its first
+    token, longest first. One entry per inventory, so a marker table with
+    its own interrogatives gets its own."""
+    by_first: dict[str, list] = {}
+    for item in interrogatives:
+        phrase = tuple(item.split(" "))
+        by_first.setdefault(phrase[0], []).append(phrase)
+    return {first: tuple(sorted(phrases, key=len, reverse=True))
+            for first, phrases in by_first.items()}
+
+
 def interrogative_spans(forms, m: MarkerTable = DEFAULT_MARKERS) -> list[tuple[int, int]]:
     """Disjoint (start, end) spans of inventory items in a form sequence.
 
@@ -162,16 +176,13 @@ def interrogative_spans(forms, m: MarkerTable = DEFAULT_MARKERS) -> list[tuple[i
     position the longest match wins, so "kaun si" is one span, not "kaun"
     plus a stray token.
     """
-    phrases = sorted(
-        (item.split(" ") for item in m.interrogatives),
-        key=len, reverse=True,
-    )
-    forms = list(forms)
+    phrases_at = _phrases_by_first_token(m.interrogatives)
+    forms = tuple(forms)
     spans = []
     i = 0
     while i < len(forms):
         hit = 0
-        for phrase in phrases:
+        for phrase in phrases_at.get(forms[i], ()):
             if forms[i:i + len(phrase)] == phrase:
                 hit = len(phrase)
                 break

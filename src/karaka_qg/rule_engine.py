@@ -30,6 +30,7 @@ from .morphology import (
     case_of,
     genitive_interrogative,
 )
+from .textfile import open_utf8
 from .treebank_io import ParsedSentence, Token
 
 log = logging.getLogger(__name__)
@@ -68,6 +69,13 @@ class QuestionCandidate:
     variation_group: str
     target_token_id: int
     notes: tuple[str, ...] = ()
+
+    # The JSON type of each field in candidates.jsonl (not a dataclass field).
+    JSON_TYPES = {
+        "candidate_id": str, "sentence_id": str, "rule": str, "karaka": str,
+        "interrogative": str, "tokens": list, "variation_group": str,
+        "target_token_id": int, "notes": list,
+    }
 
     @property
     def text(self) -> str:
@@ -443,17 +451,42 @@ def _write_jsonl(records, path) -> None:
             fh.write(json.dumps(r.to_json_dict(), ensure_ascii=False) + "\n")
 
 
-def _read_jsonl(path, from_json_dict) -> list:
-    """One record per non-blank line; a malformed or repeated line raises JsonlError."""
+_JSON_NAMES = {str: "a string", int: "an integer", bool: "true or false",
+               list: "a list of strings", type(None): "null"}
+
+
+def _check_json_types(fields, json_types: dict) -> None:
+    """Raise TypeError unless fields is a JSON object whose fields have the
+    types json_types names, each one type or a tuple of them. A list must
+    hold strings. Types must match exactly, so true is not an integer."""
+    if type(fields) is not dict:
+        raise TypeError(f"expected a JSON object, got {json.dumps(fields, ensure_ascii=False)}")
+    for name, kind in json_types.items():
+        if name not in fields:
+            continue
+        value = fields[name]
+        if type(value) is kind or (type(kind) is tuple and type(value) in kind):
+            if kind is not list or all(isinstance(v, str) for v in value):
+                continue
+        kinds = kind if type(kind) is tuple else (kind,)
+        raise TypeError(f"field {name!r} must be {' or '.join(_JSON_NAMES[k] for k in kinds)}, "
+                        f"got {json.dumps(value, ensure_ascii=False)}")
+
+
+def _read_jsonl(path, record_type) -> list:
+    """One record_type per non-blank line; a malformed, mistyped or repeated
+    line raises JsonlError."""
     records = []
     first_line_of: dict[str, int] = {}
-    with open(path, encoding="utf-8") as fh:
+    with open_utf8(path, JsonlError) as fh:
         for line_no, line in enumerate(fh, start=1):
             if not line.strip():
                 continue
             where = f"{path}:{line_no}"
             try:
-                record = from_json_dict(json.loads(line))
+                fields = json.loads(line)
+                _check_json_types(fields, record_type.JSON_TYPES)
+                record = record_type.from_json_dict(fields)
             except KeyError as exc:
                 raise JsonlError(f"{where}: missing field {exc}") from None
             except (ValueError, TypeError) as exc:
@@ -468,9 +501,18 @@ def _read_jsonl(path, from_json_dict) -> list:
     return records
 
 
+def candidate_line(path, candidate_id: str) -> int | None:
+    """The line of a candidates or verdicts file that holds candidate_id."""
+    with open(path, encoding="utf-8") as fh:
+        for line_no, line in enumerate(fh, start=1):
+            if line.strip() and json.loads(line)["candidate_id"] == candidate_id:
+                return line_no
+    return None
+
+
 def write_candidates_jsonl(candidates, path) -> None:
     _write_jsonl(candidates, path)
 
 
 def read_candidates_jsonl(path) -> list[QuestionCandidate]:
-    return _read_jsonl(path, QuestionCandidate.from_json_dict)
+    return _read_jsonl(path, QuestionCandidate)

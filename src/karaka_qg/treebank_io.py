@@ -16,6 +16,8 @@ import io
 from dataclasses import dataclass
 from itertools import groupby
 
+from .textfile import open_utf8
+
 # Karaka labels in their canonical order, which generate summaries and
 # evaluation rows follow.
 KARAKA_ORDER = (
@@ -197,7 +199,7 @@ def _parse_blocks(lines, source: str) -> list[ParsedSentence]:
 
 def load_treebank(path) -> list[ParsedSentence]:
     """Read a treebank file into a list of validated sentences."""
-    with open(path, encoding="utf-8") as fh:
+    with open_utf8(path, TreebankError) as fh:
         return _parse_blocks(fh, str(path))
 
 

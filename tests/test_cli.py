@@ -203,7 +203,22 @@ def test_duplicate_sent_id_is_an_input_error(tmp_path, caplog):
     ("candidates.jsonl", lambda line: json.dumps({**json.loads(line), "rule": "R_X"}),
      "'R_X' is not a valid RuleId"),
     ("verdicts.jsonl", lambda line: "not json", "Expecting value"),
-], ids=["truncated", "no-tokens", "unknown-rule", "verdicts-not-json"])
+    ("candidates.jsonl", lambda line: json.dumps({**json.loads(line), "tokens": "kaun y ?"}),
+     "field 'tokens' must be a list of strings, got \"kaun y ?\""),
+    ("candidates.jsonl", lambda line: json.dumps({**json.loads(line), "target_token_id": "one"}),
+     "field 'target_token_id' must be an integer, got \"one\""),
+    ("candidates.jsonl", lambda line: json.dumps({**json.loads(line), "target_token_id": True}),
+     "field 'target_token_id' must be an integer, got true"),
+    ("candidates.jsonl", lambda line: json.dumps({**json.loads(line), "notes": [1]}),
+     "field 'notes' must be a list of strings, got [1]"),
+    ("candidates.jsonl", lambda line: json.dumps([json.loads(line)]), "expected a JSON object"),
+    ("verdicts.jsonl", lambda line: json.dumps({**json.loads(line), "kept": "yes"}),
+     "field 'kept' must be true or false, got \"yes\""),
+    ("verdicts.jsonl", lambda line: json.dumps({**json.loads(line), "dropped_by": 3}),
+     "field 'dropped_by' must be a string or null, got 3"),
+], ids=["truncated", "no-tokens", "unknown-rule", "verdicts-not-json", "tokens-string",
+        "target-id-string", "target-id-bool", "notes-not-strings", "not-an-object",
+        "kept-string", "dropped-by-number"])
 def test_malformed_jsonl_line_is_an_input_error(tmp_path, caplog, name, spoil, reason):
     src = write_input(tmp_path)
     out = tmp_path / "out"
@@ -256,6 +271,63 @@ def test_orphan_rating_is_an_input_error(tmp_path):
     write_ratings(ratings, [("ghost:R_K1:1:0", "a1", 5, 4)])
     assert main(["eval", "--candidates", str(out / "candidates.jsonl"),
                  "--ratings", str(ratings)]) == 1
+
+
+def test_cross_file_reference_names_the_referring_line(tmp_path, caplog):
+    src = write_input(tmp_path)
+    out = tmp_path / "out"
+    assert main(["generate", "--input", str(src), "--out", str(out)]) == 0
+    candidates = out / "candidates.jsonl"
+    ratings = tmp_path / "ratings.csv"
+    write_ratings(ratings, [("e001:R_K1:2:0", "a1", 5, 4), ("ghost", "a1", 3, 3),
+                            ("ghost", "a2", 3, 3)])
+    with caplog.at_level(logging.ERROR, logger="karaka_qg"):
+        assert main(["eval", "--candidates", str(candidates), "--ratings", str(ratings)]) == 1
+    assert caplog.records[-1].getMessage() == (
+        f"{ratings}:3: rating references unknown candidate_id 'ghost'")
+    one = tmp_path / "one.conllu"
+    one.write_text(TREEBANK.split("\n\n")[0] + "\n", encoding="utf-8")
+    ids = [row["candidate_id"] for row in read_jsonl(candidates)]
+    orphan = next(cid for cid in ids if cid.startswith("e002:"))
+    with caplog.at_level(logging.ERROR, logger="karaka_qg"):
+        assert main(["filter", "--input", str(one), "--candidates", str(candidates),
+                     "--out", str(tmp_path / "filtered")]) == 1
+    assert caplog.records[-1].getMessage() == (
+        f"{candidates}:{ids.index(orphan) + 1}: candidate {orphan}: unknown sentence_id 'e002'")
+
+
+def _spoil_line(path, line_no):
+    """Put a byte that is not UTF-8 into the given line of a text file."""
+    lines = path.read_bytes().split(b"\n")
+    lines[line_no - 1] += b"\xff"
+    path.write_bytes(b"\n".join(lines))
+
+
+@pytest.mark.parametrize("name", ["treebank", "lexicon", "markers", "candidates",
+                                  "verdicts", "ratings"])
+def test_non_utf8_input_is_an_input_error(tmp_path, caplog, name):
+    src = write_input(tmp_path)
+    out = tmp_path / "out"
+    assert main(["pipeline", "--input", str(src), "--out", str(out)]) == 0
+    lexicon = tmp_path / "lexicon.tsv"
+    lexicon.write_text("# lemma\tcategory\nraam\tHUMAN\n", encoding="utf-8")
+    markers = tmp_path / "markers.tsv"
+    markers.write_text("erg\tne\nacc\tko\n", encoding="utf-8")
+    ratings = tmp_path / "ratings.csv"
+    write_ratings(ratings, [("e001:R_K1:2:0", "a1", 5, 4), ("e001:R_K2:4:0", "a1", 4, 4)])
+    path, command = {
+        "treebank": (src, ["generate", "--input", str(src)]),
+        "lexicon": (lexicon, ["generate", "--input", str(src), "--lexicon", str(lexicon)]),
+        "markers": (markers, ["generate", "--input", str(src), "--markers", str(markers)]),
+        "candidates": (out / "candidates.jsonl", ["filter", "--input", str(src)]),
+        "verdicts": (out / "verdicts.jsonl", ["eval", "--ratings", str(ratings)]),
+        "ratings": (ratings, ["eval", "--ratings", str(ratings)]),
+    }[name]
+    _spoil_line(path, 2)
+    with caplog.at_level(logging.ERROR, logger="karaka_qg"):
+        rc = main(command + ["--out", str(out)])
+    assert rc == 1
+    assert caplog.records[-1].getMessage() == f"{path}:2: not valid UTF-8"
 
 
 def test_unknown_rule_is_a_config_error(tmp_path):

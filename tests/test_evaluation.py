@@ -49,6 +49,17 @@ def test_load_ratings_rejects_non_integer_scores(tmp_path):
         load_ratings(path)
 
 
+def test_load_ratings_rejects_rows_with_another_column_count(tmp_path):
+    path = tmp_path / "ratings.csv"
+    path.write_text("candidate_id,annotator_id,syntax,semantic\n"
+                    "c1,a1,3,4\nc2,a1,3,4,EXTRA\n", encoding="utf-8")
+    with pytest.raises(RatingsError, match=r"ratings\.csv:3: expected 4 columns, got 5"):
+        load_ratings(path)
+    path.write_text("candidate_id,annotator_id,syntax,semantic\nc1,a1,3\n", encoding="utf-8")
+    with pytest.raises(RatingsError, match=r"ratings\.csv:2: expected 4 columns, got 3"):
+        load_ratings(path)
+
+
 def test_load_ratings_rejects_out_of_range_scores(tmp_path):
     path = tmp_path / "ratings.csv"
     write_ratings(path, [("c1", "a1", 6, 4)])

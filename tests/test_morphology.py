@@ -147,6 +147,17 @@ def test_interrogative_spans_are_disjoint():
     assert spans == [(0, 2), (2, 3)]
 
 
+def test_interrogative_spans_follow_each_marker_tables_inventory():
+    forms = ["kis", "din", "kaun", "si"]
+    words = MarkerTable(interrogatives=frozenset({"kis", "kaun"}))
+    phrases = MarkerTable(interrogatives=frozenset({"kis din", "kaun si"}))
+    assert interrogative_spans(forms, words) == [(0, 1), (2, 3)]
+    assert interrogative_spans(forms, phrases) == [(0, 2), (2, 4)]
+    assert interrogative_spans(forms, words) == [(0, 1), (2, 3)]
+    assert interrogative_spans(forms) == [(0, 2), (2, 4)]
+    assert interrogative_spans(forms, MarkerTable(interrogatives=frozenset({"mein"}))) == []
+
+
 def test_case_markers_union_excludes_non_case_roles():
     markers = DEFAULT_MARKERS.case_markers()
     for form in ("ne", "ko", "se", "ka", "mein", "ke liye"):

@@ -8,7 +8,7 @@ from helpers import load_bundled_corpus, make_rated_candidate
 from karaka_qg.evaluation import RatingRecord, aggregate, before_after
 from karaka_qg.filters import FilterConfig, FilterId, FilterVerdict, run_filters
 from karaka_qg.lexicon import SemanticCategory, SemanticLexicon, default_lexicon
-from karaka_qg.morphology import interrogative_spans
+from karaka_qg.morphology import MarkerTable, interrogative_spans
 from karaka_qg.rule_engine import generate_all
 from karaka_qg.treebank_io import ParsedSentence, Token, dumps_treebank, loads_treebank
 
@@ -129,6 +129,46 @@ def test_variation_group_members_differ_only_in_the_span(sentence):
             start, end = interrogative_spans(list(c.tokens))[0]
             remainders.append(c.tokens[:start] + c.tokens[end:])
         assert len(set(remainders)) == 1
+
+
+def reference_interrogative_spans(forms, inventory):
+    """The matcher as first written: every phrase, longest first, at every position."""
+    phrases = sorted((item.split(" ") for item in inventory), key=len, reverse=True)
+    forms = list(forms)
+    spans = []
+    i = 0
+    while i < len(forms):
+        hit = 0
+        for phrase in phrases:
+            if forms[i:i + len(phrase)] == phrase:
+                hit = len(phrase)
+                break
+        if hit:
+            spans.append((i, i + hit))
+            i += hit
+        else:
+            i += 1
+    return spans
+
+
+# Items sharing a first token, so the longest-first order inside one
+# first token decides the match.
+SPAN_ITEMS = ("kis", "kis din", "kis mein", "kis din se", "kisse", "kisse hokar",
+              "kaun", "kaun si", "kya", "din", "hokar", "", "kis ", " kya")
+span_items = st.sampled_from(SPAN_ITEMS) | word
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    inventory=st.frozensets(span_items, max_size=10),
+    # Forms are whole items cut into tokens, so multi-word items and
+    # their prefixes line up often.
+    chunks=st.lists(span_items, max_size=8),
+)
+def test_compiled_interrogative_spans_equal_the_reference(inventory, chunks):
+    forms = [form for chunk in chunks for form in chunk.split(" ")]
+    table = MarkerTable(interrogatives=inventory)
+    assert interrogative_spans(forms, table) == reference_interrogative_spans(forms, inventory)
 
 
 NOUN_POOL = ("ghar", "saamaan", "kitaab", "mohan", "darwaaza")

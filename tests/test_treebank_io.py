@@ -1,5 +1,7 @@
 """Tests for the treebank column format reader and writer."""
 
+import re
+
 import pytest
 
 from helpers import make_sentence
@@ -121,6 +123,16 @@ def test_string_splits_lines_as_a_file_does(tmp_path):
     sentences = load_treebank(path)
     assert [t.form for t in sentences[0].tokens] == ["ra\u2028m", "gh\x85ar", "ga\x0cya"]
     assert load_treebank(path) == loads_treebank(text)
+
+
+@pytest.mark.parametrize("newline", ["\n", "\r\n", "\r"])
+def test_non_utf8_byte_names_its_line_as_text_mode_counts_it(tmp_path, newline):
+    path = tmp_path / "bad.conllu"
+    rows = ["# sent_id = a", "1\traam\traam\tPROPN\t_\t2\tk1", "2\tgaya\tja\tVERB\t_\t0\troot",
+            "", "# sent_id = b", "1\tgay\xffa\tja\tVERB\t_\t0\troot"]
+    path.write_bytes(newline.join(rows).encode("latin-1"))
+    with pytest.raises(TreebankError, match=rf"^{re.escape(str(path))}:6: not valid UTF-8$"):
+        load_treebank(path)
 
 
 def test_duplicate_sent_id_names_both_lines():
