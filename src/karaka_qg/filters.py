@@ -6,8 +6,10 @@ them. A dropped candidate records the first filter that rejected it.
 
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass
 from enum import Enum
+from json.encoder import encode_basestring
 
 from .morphology import (
     DEFAULT_MARKERS,
@@ -76,13 +78,26 @@ class FilterVerdict:
             "detail": self.detail,
         }
 
+    def to_json_line(self) -> str:
+        """json.dumps(self.to_json_dict(), ensure_ascii=False), built directly."""
+        dropped = encode_basestring(self.dropped_by.value) if self.dropped_by else "null"
+        return (f'{{"candidate_id": {encode_basestring(self.candidate_id)}, '
+                f'"kept": {"true" if self.kept else "false"}, "dropped_by": {dropped}, '
+                f'"detail": {encode_basestring(self.detail)}}}')
+
     @classmethod
     def from_json_dict(cls, d: dict) -> "FilterVerdict":
+        """Raises ValueError for a verdict that is kept yet names a filter, or
+        dropped yet names none."""
+        kept = d["kept"]
         dropped = d.get("dropped_by")
+        if kept != (dropped is None):
+            raise ValueError(f"kept is {json.dumps(kept)} "
+                             f"but dropped_by is {json.dumps(dropped)}")
         return cls(
             candidate_id=d["candidate_id"],
-            kept=d["kept"],
-            dropped_by=FilterId(dropped) if dropped else None,
+            kept=kept,
+            dropped_by=None if kept else FilterId(dropped),
             detail=d.get("detail", ""),
         )
 

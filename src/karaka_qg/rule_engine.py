@@ -21,6 +21,7 @@ import logging
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import partial
+from json.encoder import encode_basestring
 
 from .lexicon import SemanticCategory, SemanticLexicon
 from .morphology import (
@@ -93,6 +94,17 @@ class QuestionCandidate:
             "target_token_id": self.target_token_id,
             "notes": list(self.notes),
         }
+
+    def to_json_line(self) -> str:
+        """json.dumps(self.to_json_dict(), ensure_ascii=False), built directly."""
+        s = encode_basestring
+        return (f'{{"candidate_id": {s(self.candidate_id)}, '
+                f'"sentence_id": {s(self.sentence_id)}, "rule": {s(self.rule.value)}, '
+                f'"karaka": {s(self.karaka)}, "interrogative": {s(self.interrogative)}, '
+                f'"tokens": [{", ".join(map(s, self.tokens))}], '
+                f'"variation_group": {s(self.variation_group)}, '
+                f'"target_token_id": {int.__repr__(self.target_token_id)}, '
+                f'"notes": [{", ".join(map(s, self.notes))}]}}')
 
     @classmethod
     def from_json_dict(cls, d: dict) -> "QuestionCandidate":
@@ -448,7 +460,7 @@ def _write_jsonl(records, path) -> None:
     """One record per line, UTF-8, stable key order."""
     with open(path, "w", encoding="utf-8") as fh:
         for r in records:
-            fh.write(json.dumps(r.to_json_dict(), ensure_ascii=False) + "\n")
+            fh.write(r.to_json_line() + "\n")
 
 
 _JSON_NAMES = {str: "a string", int: "an integer", bool: "true or false",
@@ -474,8 +486,8 @@ def _check_json_types(fields, json_types: dict) -> None:
 
 
 def _read_jsonl(path, record_type) -> list:
-    """One record_type per non-blank line; a malformed, mistyped or repeated
-    line raises JsonlError."""
+    """One record_type per non-blank line; a malformed, too deeply nested,
+    mistyped or repeated line raises JsonlError."""
     records = []
     first_line_of: dict[str, int] = {}
     with open_utf8(path, JsonlError) as fh:
@@ -489,7 +501,7 @@ def _read_jsonl(path, record_type) -> list:
                 record = record_type.from_json_dict(fields)
             except KeyError as exc:
                 raise JsonlError(f"{where}: missing field {exc}") from None
-            except (ValueError, TypeError) as exc:
+            except (ValueError, TypeError, RecursionError) as exc:
                 raise JsonlError(f"{where}: {exc}") from None
             if record.candidate_id in first_line_of:
                 raise JsonlError(

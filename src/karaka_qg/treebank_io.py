@@ -99,29 +99,28 @@ def _feats_to_str(feats: dict) -> str:
     return "|".join(f"{k}={feats[k]}" for k in sorted(feats))
 
 
-def _validate(sentence_id: str, tokens: list[Token]) -> None:
+def _validate(sentence_id: str, tokens: list[Token], source: str,
+              line_nos: list[int], id_line: int) -> None:
+    """Raise TreebankError for an invalid tree, prefixed with the PATH:LINE of
+    the offending token (line_nos[i] is the line of tokens[i]) or, for the
+    root count, of the line naming the sentence. Past the first check, token
+    ids are positions."""
+    def error(line_no: int, message: str) -> TreebankError:
+        return TreebankError(f"{source}:{line_no}: sentence {sentence_id}: {message}")
+
     for pos, tok in enumerate(tokens, start=1):
         if tok.id != pos:
-            raise TreebankError(
-                f"sentence {sentence_id}: token ids not contiguous from 1 "
-                f"(found id {tok.id} at position {pos})"
-            )
+            raise error(line_nos[pos - 1], f"token ids not contiguous from 1 "
+                                           f"(found id {tok.id} at position {pos})")
     n = len(tokens)
     roots = [t for t in tokens if t.head == 0]
     for tok in tokens:
         if tok.head == tok.id:
-            raise TreebankError(
-                f"sentence {sentence_id}: self-loop at token {tok.id}"
-            )
+            raise error(line_nos[tok.id - 1], f"self-loop at token {tok.id}")
         if tok.head != 0 and not 1 <= tok.head <= n:
-            raise TreebankError(
-                f"sentence {sentence_id}: token {tok.id} has head {tok.head} "
-                f"outside 1..{n}"
-            )
+            raise error(line_nos[tok.id - 1], f"token {tok.id} has head {tok.head} outside 1..{n}")
     if len(roots) != 1:
-        raise TreebankError(
-            f"sentence {sentence_id}: expected exactly one root, found {len(roots)}"
-        )
+        raise error(id_line, f"expected exactly one root, found {len(roots)}")
     # A single root plus no self-loops does not rule out cycles among the
     # remaining tokens, so walk up from every node.
     heads = {t.id: t.head for t in tokens}
@@ -130,9 +129,7 @@ def _validate(sentence_id: str, tokens: list[Token]) -> None:
         cur = tok.id
         while cur != 0:
             if cur in seen:
-                raise TreebankError(
-                    f"sentence {sentence_id}: cyclic head chain at token {tok.id}"
-                )
+                raise error(line_nos[tok.id - 1], f"cyclic head chain at token {tok.id}")
             seen.add(cur)
             cur = heads[cur]
 
@@ -164,6 +161,7 @@ def _parse_blocks(lines, source: str) -> list[ParsedSentence]:
         if not in_block:
             continue
         rows: list[Token] = []
+        row_lines: list[int] = []
         sent_id: str | None = None
         raw_text: str | None = None
         # Line naming the sentence: its sent_id comment, else its first token.
@@ -171,6 +169,7 @@ def _parse_blocks(lines, source: str) -> list[ParsedSentence]:
         for line_no, line in block:
             if not line.startswith("#"):
                 rows.append(_parse_token(line, f"{source}:{line_no}"))
+                row_lines.append(line_no)
                 id_line = id_line or line_no
                 continue
             key, eq, value = line[1:].partition("=")
@@ -192,7 +191,7 @@ def _parse_blocks(lines, source: str) -> list[ParsedSentence]:
                 f"first used at {source}:{first_line_of[sid]}"
             )
         first_line_of[sid] = id_line
-        _validate(sid, rows)
+        _validate(sid, rows, source, row_lines, id_line)
         sentences.append(ParsedSentence(sid, tuple(rows), raw_text))
     return sentences
 

@@ -4,7 +4,8 @@ Each test here pins one released behavior, so `pytest -v` reports one
 pass or fail line per criterion:
 
 1. golden question strings for all twelve substitution rules,
-2. a five-candidate end-to-end run with byte-identical reruns,
+2. a five-candidate end-to-end run with byte-identical reruns, and the
+   pinned bytes of the bundled corpus's data files,
 3. drop attribution for the order, agreement, repetition, and length filters,
 4. overgeneration and pruning volume on the bundled corpus,
 5. aggregation statistics reproduced from frozen rating fixtures,
@@ -15,13 +16,14 @@ do not regenerate them from the code under test. Mean comparisons allow
 an absolute tolerance of 0.001, medians and counts are exact.
 """
 
+import hashlib
 import json
 import subprocess
 import sys
 import time
 from pathlib import Path
 
-from helpers import load_bundled_corpus, make_lexicon, make_rated_candidate, make_sentence, texts, write_ratings
+from helpers import bundled_corpus_text, load_bundled_corpus, make_lexicon, make_rated_candidate, make_sentence, texts, write_ratings
 from karaka_qg.cli import main
 from karaka_qg.evaluation import KARAKA_ROW_ORDER, aggregate, before_after, load_ratings
 from karaka_qg.filters import FilterConfig, FilterId, FilterVerdict, run_filters
@@ -292,6 +294,24 @@ def test_criterion_2_five_candidates_with_byte_identical_reruns(tmp_path):
     assert {r["rule"] for r in rows} == {"R_K1", "R_K2", "R_K7T"}
     assert lines[0] == FROZEN_FIRST_LINE
     assert (first / "candidates.jsonl").read_bytes() == (second / "candidates.jsonl").read_bytes()
+
+
+# sha256 of the data files of `pipeline` over the bundled corpus with default
+# flags, recorded from the seed commit (perfbench/checks.py BASE_SHA256).
+BUNDLED_SHA256 = {
+    "candidates.jsonl": "3607d2a42d4403839d522c84eaf99008743823366a5607c68f3b53ee1655f9ff",
+    "kept.jsonl": "067cea7065a5dadcbeae054d18273fd8d0a249f15042231faf7ca76827c5c79b",
+    "verdicts.jsonl": "e3039c51f26d9a779a52df7037c30a0b2ae066a21ab49a770589578a7076a58f",
+}
+
+
+def test_criterion_2_bundled_corpus_data_files_keep_their_bytes(tmp_path):
+    src = tmp_path / "corpus.conllu"
+    src.write_text(bundled_corpus_text(), encoding="utf-8")
+    assert main(["pipeline", "--input", str(src), "--out", str(tmp_path / "out")]) == 0
+    digests = {name: hashlib.sha256((tmp_path / "out" / name).read_bytes()).hexdigest()
+               for name in BUNDLED_SHA256}
+    assert digests == BUNDLED_SHA256
 
 
 # --- criterion 3: filter drop attribution ----------------------------------

@@ -216,9 +216,17 @@ def test_duplicate_sent_id_is_an_input_error(tmp_path, caplog):
      "field 'kept' must be true or false, got \"yes\""),
     ("verdicts.jsonl", lambda line: json.dumps({**json.loads(line), "dropped_by": 3}),
      "field 'dropped_by' must be a string or null, got 3"),
+    ("candidates.jsonl", lambda line: "[" * 100000, "maximum recursion depth exceeded"),
+    ("verdicts.jsonl", lambda line: "[" * 100000, "maximum recursion depth exceeded"),
+    ("verdicts.jsonl",
+     lambda line: json.dumps({**json.loads(line), "kept": True, "dropped_by": "F_ANAPHORA"}),
+     'kept is true but dropped_by is "F_ANAPHORA"'),
+    ("verdicts.jsonl", lambda line: json.dumps({**json.loads(line), "kept": False, "dropped_by": None}),
+     "kept is false but dropped_by is null"),
 ], ids=["truncated", "no-tokens", "unknown-rule", "verdicts-not-json", "tokens-string",
         "target-id-string", "target-id-bool", "notes-not-strings", "not-an-object",
-        "kept-string", "dropped-by-number"])
+        "kept-string", "dropped-by-number", "candidates-nested", "verdicts-nested",
+        "kept-names-a-filter", "dropped-names-none"])
 def test_malformed_jsonl_line_is_an_input_error(tmp_path, caplog, name, spoil, reason):
     src = write_input(tmp_path)
     out = tmp_path / "out"

@@ -1,5 +1,6 @@
 """Randomized and exhaustive properties. The whole module stays under 10s."""
 
+import json
 from collections import Counter, defaultdict
 
 from hypothesis import given, settings, strategies as st
@@ -9,7 +10,7 @@ from karaka_qg.evaluation import RatingRecord, aggregate, before_after
 from karaka_qg.filters import FilterConfig, FilterId, FilterVerdict, run_filters
 from karaka_qg.lexicon import SemanticCategory, SemanticLexicon, default_lexicon
 from karaka_qg.morphology import MarkerTable, interrogative_spans
-from karaka_qg.rule_engine import generate_all
+from karaka_qg.rule_engine import QuestionCandidate, RuleId, generate_all
 from karaka_qg.treebank_io import ParsedSentence, Token, dumps_treebank, loads_treebank
 
 EMPTY = SemanticLexicon()
@@ -281,3 +282,38 @@ def test_aggregation_is_permutation_invariant(rows, rng):
         for i, c in enumerate(RATED)
     ]
     assert before_after(shuffled, RATED, verdicts) == before_after(ratings, RATED, verdicts)
+
+
+# Characters that json.dumps(..., ensure_ascii=False) escapes or passes
+# through unusually: quotes, backslashes, control characters, U+2028, lone
+# surrogates and characters outside the BMP, beside plain ones. A sampled
+# alphabet keeps 200 examples well inside the module's time budget.
+json_text = st.text(st.sampled_from(
+    'a \u0915"\\/\x00\x08\t\n\r\x1f\x7f\x85\u2028\u2029'
+    '\ud800\udbff\udc00\udfff\U0001f600\U0010ffff'
+), max_size=6)
+json_texts = st.lists(json_text, max_size=3).map(tuple)
+
+
+@st.composite
+def json_records(draw):
+    """A QuestionCandidate and a FilterVerdict, any field text, every id."""
+    candidate = QuestionCandidate(
+        candidate_id=draw(json_text), sentence_id=draw(json_text),
+        rule=draw(st.sampled_from(RuleId)), karaka=draw(json_text),
+        interrogative=draw(json_text), tokens=draw(json_texts),
+        variation_group=draw(json_text), target_token_id=draw(st.integers()),
+        notes=draw(json_texts),
+    )
+    dropped_by = draw(st.none() | st.sampled_from(FilterId))
+    verdict = FilterVerdict(draw(json_text), dropped_by is None, dropped_by, draw(json_text))
+    return candidate, verdict
+
+
+@settings(max_examples=200, deadline=None)
+@given(records=json_records())
+def test_json_line_equals_json_dumps_and_reads_back(records):
+    for record in records:
+        line = record.to_json_line()
+        assert line == json.dumps(record.to_json_dict(), ensure_ascii=False)
+        assert type(record).from_json_dict(json.loads(line)) == record

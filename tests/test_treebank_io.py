@@ -197,6 +197,28 @@ def test_non_contiguous_ids_rejected():
         loads_treebank(text)
 
 
+def tree_row(token_id, head):
+    return f"{token_id}\tw\tw\tNOUN\t_\t{head}\tk1\n"
+
+
+@pytest.mark.parametrize("block, line, message", [
+    ("# sent_id = b\n" + tree_row(1, 0) + tree_row(3, 1), 7,
+     "sentence b: token ids not contiguous from 1 (found id 3 at position 2)"),
+    ("# sent_id = b\n" + tree_row(1, 0) + tree_row(2, 2), 7, "sentence b: self-loop at token 2"),
+    ("# sent_id = b\n" + tree_row(1, 0) + tree_row(2, 9), 7,
+     "sentence b: token 2 has head 9 outside 1..2"),
+    ("# sent_id = b\n" + tree_row(1, 0) + tree_row(2, 0), 5,
+     "sentence b: expected exactly one root, found 2"),
+    (tree_row(1, 2) + tree_row(2, 1), 5, "sentence s002: expected exactly one root, found 0"),
+    ("# sent_id = b\n" + tree_row(1, 0) + tree_row(2, 3) + tree_row(3, 2), 7,
+     "sentence b: cyclic head chain at token 2"),
+], ids=["ids", "self-loop", "head-outside", "two-roots-id-line", "no-root-first-token", "cycle"])
+def test_tree_error_names_the_offending_line(block, line, message):
+    text = "# sent_id = a\n" + tree_row(1, 2) + tree_row(2, 0) + "\n" + block
+    with pytest.raises(TreebankError, match=rf"^x:{line}: {re.escape(message)}$"):
+        loads_treebank(text, source="x")
+
+
 def test_token_lookup_by_id():
     s = make_sentence([
         ("raam", "raam", "PROPN", "_", 2, "k1"),
