@@ -19,6 +19,7 @@ from pathlib import Path
 
 from .evaluation import (
     RatingsError,
+    UncoveredCandidateError,
     UnknownCandidateError,
     aggregate,
     before_after,
@@ -196,7 +197,11 @@ def _evaluate(cfg: PipelineConfig, candidates, verdicts) -> None:
     except UnknownCandidateError as exc:
         line = rating_line(cfg.ratings_path, exc.candidate_id)
         raise RatingsError(f"{cfg.ratings_path}:{line}: {exc}") from None
-    ba = before_after(ratings, candidates, verdicts) if verdicts is not None else None
+    try:
+        ba = before_after(ratings, candidates, verdicts) if verdicts is not None else None
+    except UncoveredCandidateError as exc:
+        line = candidate_line(cfg.candidates_path, exc.candidate_id)
+        raise RatingsError(f"{cfg.candidates_path}:{line}: {exc}") from None
     if cfg.fmt == "json":
         payload = {
             "table": eval_table_to_dict(table),

@@ -34,6 +34,15 @@ class UnknownCandidateError(RatingsError):
         self.candidate_id = candidate_id
 
 
+class UncoveredCandidateError(RatingsError):
+    """Raised for a candidate that no filter verdict covers."""
+
+    def __init__(self, candidate_id: str, uncovered: int):
+        super().__init__(f"no filter verdict for candidate {candidate_id!r} "
+                         f"({uncovered} candidates uncovered)")
+        self.candidate_id = candidate_id
+
+
 @dataclass(frozen=True)
 class RatingRecord:
     candidate_id: str
@@ -70,47 +79,58 @@ class BeforeAfter:
     after: SplitStats
 
 
+# The canonical spelling of each score; others go through int().
+_SCORE_OF = {str(score): score for score in range(1, 6)}
+
+
 def load_ratings(path) -> list[RatingRecord]:
     """Read a ratings CSV with header candidate_id,annotator_id,syntax,semantic."""
     records: list[RatingRecord] = []
     seen: set[tuple[str, str]] = set()
     with open_utf8(path, RatingsError, newline="") as fh:
         reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None or tuple(header) != RATING_COLUMNS:
-            raise RatingsError(
-                f"{path}: expected header {','.join(RATING_COLUMNS)}, got {header}"
-            )
-        for row in reader:
-            if not row:
-                continue
-            line_no = reader.line_num
-            if len(row) != len(RATING_COLUMNS):
+        try:
+            header = next(reader, None)
+            if header is None or tuple(header) != RATING_COLUMNS:
                 raise RatingsError(
-                    f"{path}:{line_no}: expected {len(RATING_COLUMNS)} columns, got {len(row)}"
+                    f"{path}:1: expected header {','.join(RATING_COLUMNS)}, got {header}"
                 )
-            candidate_id, annotator_id, syntax_s, semantic_s = row
-            key = (candidate_id, annotator_id)
-            if key in seen:
-                raise RatingsError(
-                    f"{path}:{line_no}: duplicate rating for candidate "
-                    f"{key[0]!r} by annotator {key[1]!r}"
-                )
-            seen.add(key)
-            try:
-                syntax = int(syntax_s)
-                semantic = int(semantic_s)
-            except ValueError:
-                raise RatingsError(
-                    f"{path}:{line_no}: scores must be integers"
-                ) from None
-            for name, score in (("syntax", syntax), ("semantic", semantic)):
-                if not 1 <= score <= 5:
+            for row in reader:
+                if not row:
+                    continue
+                if len(row) != len(RATING_COLUMNS):
+                    raise RatingsError(f"{path}:{reader.line_num}: expected "
+                                       f"{len(RATING_COLUMNS)} columns, got {len(row)}")
+                candidate_id, annotator_id, syntax_s, semantic_s = row
+                key = (candidate_id, annotator_id)
+                if key in seen:
                     raise RatingsError(
-                        f"{path}:{line_no}: {name} score {score} outside 1..5"
+                        f"{path}:{reader.line_num}: duplicate rating for candidate "
+                        f"{key[0]!r} by annotator {key[1]!r}"
                     )
-            records.append(RatingRecord(candidate_id, annotator_id, syntax, semantic))
+                seen.add(key)
+                syntax = _SCORE_OF.get(syntax_s)
+                semantic = _SCORE_OF.get(semantic_s)
+                if syntax is None or semantic is None:
+                    syntax, semantic = _parse_scores(f"{path}:{reader.line_num}",
+                                                     syntax_s, semantic_s)
+                records.append(RatingRecord(candidate_id, annotator_id, syntax, semantic))
+        except csv.Error as exc:
+            raise RatingsError(f"{path}:{reader.line_num}: {exc}") from None
     return records
+
+
+def _parse_scores(where: str, syntax_s: str, semantic_s: str) -> tuple[int, int]:
+    """The two scores of a row, each an integer in 1..5."""
+    try:
+        syntax = int(syntax_s)
+        semantic = int(semantic_s)
+    except ValueError:
+        raise RatingsError(f"{where}: scores must be integers") from None
+    for name, score in (("syntax", syntax), ("semantic", semantic)):
+        if not 1 <= score <= 5:
+            raise RatingsError(f"{where}: {name} score {score} outside 1..5")
+    return syntax, semantic
 
 
 def rating_line(path, candidate_id: str) -> int | None:
@@ -132,66 +152,61 @@ def _median(scores):
     return int(statistics.median_low(scores)) if scores else None
 
 
-def _row_stats(candidate_ids, syntax_scores, semantic_scores) -> RowStats:
+def _row_stats(count, syntax_scores, semantic_scores) -> RowStats:
     return RowStats(_mean(syntax_scores), _median(syntax_scores),
-                    _mean(semantic_scores), _median(semantic_scores), len(candidate_ids))
-
-
-def _candidates_by_id(ratings, candidates) -> dict:
-    """Candidates keyed by id; every rating must name one of them."""
-    by_id = {c.candidate_id: c for c in candidates}
-    for r in ratings:
-        if r.candidate_id not in by_id:
-            raise UnknownCandidateError(r.candidate_id)
-    return by_id
+                    _mean(semantic_scores), _median(semantic_scores), count)
 
 
 def aggregate(ratings, candidates) -> EvalTable:
     """Per-karaka means, lower medians, and candidate counts, plus totals."""
-    by_id = _candidates_by_id(ratings, candidates)
-    groups: dict[str, dict] = {}
+    karaka_of = {}
+    ids_of: dict[str, set] = {}  # karaka -> its distinct candidate ids
     for c in candidates:
-        group = groups.setdefault(
-            c.karaka, {"ids": set(), "syntax": [], "semantic": []}
-        )
-        group["ids"].add(c.candidate_id)
+        karaka_of[c.candidate_id] = c.karaka
+        ids_of.setdefault(c.karaka, set()).add(c.candidate_id)
+    scores = {karaka: ([], []) for karaka in ids_of}
     for r in ratings:
-        group = groups[by_id[r.candidate_id].karaka]
-        group["syntax"].append(r.syntax)
-        group["semantic"].append(r.semantic)
+        try:
+            syntax, semantic = scores[karaka_of[r.candidate_id]]
+        except KeyError:
+            raise UnknownCandidateError(r.candidate_id) from None
+        syntax.append(r.syntax)
+        semantic.append(r.semantic)
     rows = {
-        karaka: _row_stats(g["ids"], g["syntax"], g["semantic"])
-        for karaka, g in groups.items()
+        karaka: _row_stats(len(ids_of[karaka]), syntax, semantic)
+        for karaka, (syntax, semantic) in scores.items()
     }
+    # The totals pool every group's scores: the same multisets as the ratings.
     totals = _row_stats(
-        {c.candidate_id for c in candidates},
-        [r.syntax for r in ratings],
-        [r.semantic for r in ratings],
+        len(karaka_of),
+        [x for syntax, _ in scores.values() for x in syntax],
+        [x for _, semantic in scores.values() for x in semantic],
     )
     return EvalTable(rows, totals)
 
 
-def _split_stats(candidate_ids, ratings) -> SplitStats:
-    syntax = [r.syntax for r in ratings if r.candidate_id in candidate_ids]
-    semantic = [r.semantic for r in ratings if r.candidate_id in candidate_ids]
-    return SplitStats(_mean(syntax), _mean(semantic), len(candidate_ids))
+def _split_stats(ratings, count) -> SplitStats:
+    return SplitStats(_mean([r.syntax for r in ratings]),
+                      _mean([r.semantic for r in ratings]), count)
 
 
 def before_after(ratings, candidates, verdicts) -> BeforeAfter:
     """Mean quality over all candidates versus the ones kept by filtering."""
-    by_id = _candidates_by_id(ratings, candidates)
-    verdict_map = {v.candidate_id: v for v in verdicts}
-    missing = [c.candidate_id for c in candidates if c.candidate_id not in verdict_map]
+    kept_of = {v.candidate_id: v.kept for v in verdicts}
+    ids = {c.candidate_id for c in candidates}
+    kept_ids = {cid for cid in ids if kept_of.get(cid)}
+    kept_ratings = []
+    for r in ratings:
+        if r.candidate_id in kept_ids:
+            kept_ratings.append(r)
+        elif r.candidate_id not in ids:
+            raise UnknownCandidateError(r.candidate_id)
+    missing = [c.candidate_id for c in candidates if c.candidate_id not in kept_of]
     if missing:
-        raise RatingsError(
-            f"no filter verdict for candidate {missing[0]!r} "
-            f"({len(missing)} candidates uncovered)"
-        )
-    all_ids = set(by_id)
-    kept_ids = {cid for cid in all_ids if verdict_map[cid].kept}
+        raise UncoveredCandidateError(missing[0], len(missing))
     return BeforeAfter(
-        before=_split_stats(all_ids, ratings),
-        after=_split_stats(kept_ids, ratings),
+        before=_split_stats(ratings, len(ids)),
+        after=_split_stats(kept_ratings, len(kept_ids)),
     )
 
 

@@ -97,9 +97,13 @@ class FilterVerdict:
         return cls(
             candidate_id=d["candidate_id"],
             kept=kept,
-            dropped_by=None if kept else FilterId(dropped),
+            dropped_by=None if kept else _FILTER_OF.get(dropped) or FilterId(dropped),
             detail=d.get("detail", ""),
         )
+
+
+# Member of each value; an unknown value goes through FilterId() for its error.
+_FILTER_OF = {f.value: f for f in FilterId}
 
 
 def _kept(c: QuestionCandidate) -> FilterVerdict:

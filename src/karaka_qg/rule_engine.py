@@ -111,7 +111,7 @@ class QuestionCandidate:
         return cls(
             candidate_id=d["candidate_id"],
             sentence_id=d["sentence_id"],
-            rule=RuleId(d["rule"]),
+            rule=_RULE_OF.get(d["rule"]) or RuleId(d["rule"]),
             karaka=d["karaka"],
             interrogative=d["interrogative"],
             tokens=tuple(d["tokens"]),
@@ -119,6 +119,10 @@ class QuestionCandidate:
             target_token_id=d["target_token_id"],
             notes=tuple(d.get("notes", ())),
         )
+
+
+# Member of each value; an unknown value goes through RuleId() for its error.
+_RULE_OF = {r.value: r for r in RuleId}
 
 
 def _build_tokens(s: ParsedSentence, delete_ids: set[int], insert_at: int,
@@ -485,27 +489,49 @@ def _check_json_types(fields, json_types: dict) -> None:
                         f"got {json.dumps(value, ensure_ascii=False)}")
 
 
+# The decoder's scanner, without json.loads's Python wrapper around it.
+_scan_json = json.JSONDecoder().scan_once
+
+
+def _decode_json_line(line: str):
+    """json.loads(line), through the scanner. json.loads runs only for a
+    line the scanner cannot take whole, so that it raises its own error."""
+    try:
+        value, end = _scan_json(line, 0)
+    except StopIteration:  # leading whitespace, a BOM, or no value at all
+        return json.loads(line)
+    if line[end:].strip(" \t\n\r"):  # extra data after the value
+        return json.loads(line)
+    return value
+
+
 def _read_jsonl(path, record_type) -> list:
     """One record_type per non-blank line; a malformed, too deeply nested,
-    mistyped or repeated line raises JsonlError."""
+    mistyped or repeated line, or one that escapes a lone surrogate, raises
+    JsonlError."""
     records = []
     first_line_of: dict[str, int] = {}
     with open_utf8(path, JsonlError) as fh:
         for line_no, line in enumerate(fh, start=1):
             if not line.strip():
                 continue
-            where = f"{path}:{line_no}"
             try:
-                fields = json.loads(line)
+                fields = _decode_json_line(line)
                 _check_json_types(fields, record_type.JSON_TYPES)
                 record = record_type.from_json_dict(fields)
+                # UTF-8 text holds no surrogate; only a \u escape makes one.
+                if "\\u" in line:
+                    record.to_json_line().encode("utf-8")
             except KeyError as exc:
-                raise JsonlError(f"{where}: missing field {exc}") from None
+                raise JsonlError(f"{path}:{line_no}: missing field {exc}") from None
+            except UnicodeEncodeError as exc:
+                raise JsonlError(f"{path}:{line_no}: lone surrogate "
+                                 f"{exc.object[exc.start]!r} is not text") from None
             except (ValueError, TypeError, RecursionError) as exc:
-                raise JsonlError(f"{where}: {exc}") from None
+                raise JsonlError(f"{path}:{line_no}: {exc}") from None
             if record.candidate_id in first_line_of:
                 raise JsonlError(
-                    f"{where}: duplicate candidate_id {record.candidate_id!r}, "
+                    f"{path}:{line_no}: duplicate candidate_id {record.candidate_id!r}, "
                     f"first used at {path}:{first_line_of[record.candidate_id]}"
                 )
             first_line_of[record.candidate_id] = line_no

@@ -223,10 +223,15 @@ def test_duplicate_sent_id_is_an_input_error(tmp_path, caplog):
      'kept is true but dropped_by is "F_ANAPHORA"'),
     ("verdicts.jsonl", lambda line: json.dumps({**json.loads(line), "kept": False, "dropped_by": None}),
      "kept is false but dropped_by is null"),
+    ("candidates.jsonl", lambda line: json.dumps({**json.loads(line), "karaka": "\ud800"}),
+     "lone surrogate '\\ud800' is not text"),
+    ("verdicts.jsonl", lambda line: json.dumps({**json.loads(line), "detail": "x\udfff"}),
+     "lone surrogate '\\udfff' is not text"),
 ], ids=["truncated", "no-tokens", "unknown-rule", "verdicts-not-json", "tokens-string",
         "target-id-string", "target-id-bool", "notes-not-strings", "not-an-object",
         "kept-string", "dropped-by-number", "candidates-nested", "verdicts-nested",
-        "kept-names-a-filter", "dropped-names-none"])
+        "kept-names-a-filter", "dropped-names-none", "candidates-surrogate",
+        "verdicts-surrogate"])
 def test_malformed_jsonl_line_is_an_input_error(tmp_path, caplog, name, spoil, reason):
     src = write_input(tmp_path)
     out = tmp_path / "out"
@@ -263,6 +268,51 @@ def test_repeated_candidate_id_is_an_input_error(tmp_path, caplog, name):
     first_id = json.loads(lines[0])["candidate_id"]
     assert (f"{path}:{len(lines) + 1}: duplicate candidate_id {first_id!r}, "
             f"first used at {path}:1") in caplog.text
+
+
+def test_lone_surrogate_escape_stops_eval_and_filter_before_any_output(tmp_path, capsys, caplog):
+    src = write_input(tmp_path)
+    out = tmp_path / "out"
+    assert main(["generate", "--input", str(src), "--out", str(out)]) == 0
+    candidates = out / "candidates.jsonl"
+    lines = candidates.read_text(encoding="utf-8").splitlines()
+    lines[0] = json.dumps({**json.loads(lines[0]), "karaka": "\ud800"})
+    candidates.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    ratings = tmp_path / "ratings.csv"
+    write_ratings(ratings, [("e001:R_K1:2:0", "a1", 5, 4)])
+    filtered = tmp_path / "filtered"
+    with caplog.at_level(logging.ERROR, logger="karaka_qg"):
+        assert main(["eval", "--out", str(out), "--ratings", str(ratings)]) == 1
+        assert caplog.records[-1].getMessage() == (
+            f"{candidates}:1: lone surrogate '\\ud800' is not text")
+        assert main(["filter", "--input", str(src), "--candidates", str(candidates),
+                     "--out", str(filtered)]) == 1
+    assert caplog.records[-1].getMessage().startswith(f"{candidates}:1: ")
+    assert capsys.readouterr().out == ""
+    assert not filtered.exists()
+
+
+def test_uncovered_candidate_names_its_candidates_line(tmp_path, caplog, capsys):
+    src = write_input(tmp_path)
+    out = tmp_path / "out"
+    assert main(["pipeline", "--input", str(src), "--out", str(out)]) == 0
+    candidates = out / "candidates.jsonl"
+    verdicts = out / "verdicts.jsonl"
+    ratings = tmp_path / "ratings.csv"
+    write_ratings(ratings, [("e001:R_K1:2:0", "a1", 5, 4)])
+    # More verdicts than candidates is fine: the kept candidates against all verdicts.
+    assert main(["eval", "--candidates", str(out / "kept.jsonl"), "--verdicts", str(verdicts),
+                 "--ratings", str(ratings)]) == 0
+    capsys.readouterr()
+    lines = verdicts.read_text(encoding="utf-8").splitlines()
+    verdicts.write_text("\n".join(lines[:2] + lines[3:5]) + "\n", encoding="utf-8")
+    ids = [row["candidate_id"] for row in read_jsonl(candidates)]
+    with caplog.at_level(logging.ERROR, logger="karaka_qg"):
+        assert main(["eval", "--out", str(out), "--ratings", str(ratings)]) == 1
+    assert caplog.records[-1].getMessage() == (
+        f"{candidates}:3: no filter verdict for candidate {ids[2]!r} "
+        f"({len(ids) - 4} candidates uncovered)")
+    assert capsys.readouterr().out == ""
 
 
 def test_missing_lexicon_file_is_an_input_error(tmp_path):

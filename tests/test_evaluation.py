@@ -1,5 +1,7 @@
 """Tests for rating ingestion and aggregation."""
 
+import sys
+
 import pytest
 
 from helpers import make_rated_candidate as make_candidate
@@ -33,6 +35,44 @@ def test_load_ratings_rejects_wrong_header(tmp_path):
     path.write_text("id,annotator,syntax,semantic\nc1,a1,5,4\n", encoding="utf-8")
     with pytest.raises(RatingsError, match="expected header candidate_id,annotator_id,syntax,semantic"):
         load_ratings(path)
+
+
+def test_load_ratings_names_line_one_for_a_wrong_or_missing_header(tmp_path):
+    path = tmp_path / "ratings.csv"
+    path.write_text("id,annotator,syntax,semantic\nc1,a1,5,4\n", encoding="utf-8")
+    with pytest.raises(RatingsError, match=r"ratings\.csv:1: expected header "):
+        load_ratings(path)
+    path.write_text("", encoding="utf-8")
+    with pytest.raises(RatingsError, match=r"ratings\.csv:1: expected header .*, got None"):
+        load_ratings(path)
+
+
+def test_load_ratings_reads_scores_as_int_does(tmp_path):
+    path = tmp_path / "ratings.csv"
+    write_ratings(path, [("c1", "a1", " 5", "+4"), ("c1", "a2", "05", "3 ")])
+    assert load_ratings(path) == [RatingRecord("c1", "a1", 5, 4), RatingRecord("c1", "a2", 5, 3)]
+    for syntax, semantic, reason in (("0", "3", "syntax score 0 outside 1..5"),
+                                     ("3", "+6", "semantic score 6 outside 1..5"),
+                                     ("3", "", "scores must be integers"),
+                                     ("4.0", "3", "scores must be integers")):
+        write_ratings(path, [("c1", "a1", 3, 3), ("c2", "a1", syntax, semantic)])
+        with pytest.raises(RatingsError, match=rf"ratings\.csv:3: {reason}"):
+            load_ratings(path)
+
+
+def test_load_ratings_turns_csv_errors_into_line_errors(tmp_path):
+    path = tmp_path / "ratings.csv"
+    path.write_text("candidate_id,annotator_id,syntax,semantic\nc1,a1,3,4\n"
+                    f"c2,{'a' * 200_000},3,4\n", encoding="utf-8")
+    with pytest.raises(RatingsError, match=r"ratings\.csv:3: field larger than field limit"):
+        load_ratings(path)
+    path.write_text("candidate_id,annotator_id,syntax,semantic\nc1,a1,3,4\nc2,a\x001,3,4\n",
+                    encoding="utf-8")
+    if sys.version_info < (3, 11):  # csv reads a NUL byte from 3.11 on
+        with pytest.raises(RatingsError, match=r"ratings\.csv:3: line contains NUL"):
+            load_ratings(path)
+    else:
+        assert load_ratings(path)[1] == RatingRecord("c2", "a\x001", 3, 4)
 
 
 def test_load_ratings_rejects_duplicate_pair_with_line(tmp_path):

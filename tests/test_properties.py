@@ -1,16 +1,41 @@
 """Randomized and exhaustive properties. The whole module stays under 10s."""
 
 import json
+import re
+import statistics
 from collections import Counter, defaultdict
+from dataclasses import astuple
 
 from hypothesis import given, settings, strategies as st
 
 from helpers import load_bundled_corpus, make_rated_candidate
-from karaka_qg.evaluation import RatingRecord, aggregate, before_after
-from karaka_qg.filters import FilterConfig, FilterId, FilterVerdict, run_filters
+from karaka_qg.evaluation import (
+    RatingRecord,
+    RatingsError,
+    aggregate,
+    before_after,
+    load_ratings,
+)
+from karaka_qg.filters import (
+    FilterConfig,
+    FilterId,
+    FilterVerdict,
+    read_verdicts_jsonl,
+    run_filters,
+)
 from karaka_qg.lexicon import SemanticCategory, SemanticLexicon, default_lexicon
 from karaka_qg.morphology import MarkerTable, interrogative_spans
-from karaka_qg.rule_engine import QuestionCandidate, RuleId, generate_all
+from karaka_qg.rule_engine import (
+    JsonlError,
+    QuestionCandidate,
+    RuleId,
+    _check_json_types,
+    _decode_json_line,
+    _read_jsonl,
+    generate_all,
+    read_candidates_jsonl,
+)
+from karaka_qg.textfile import open_utf8
 from karaka_qg.treebank_io import ParsedSentence, Token, dumps_treebank, loads_treebank
 
 EMPTY = SemanticLexicon()
@@ -317,3 +342,262 @@ def test_json_line_equals_json_dumps_and_reads_back(records):
         line = record.to_json_line()
         assert line == json.dumps(record.to_json_dict(), ensure_ascii=False)
         assert type(record).from_json_dict(json.loads(line)) == record
+
+
+def reference_read_jsonl(path, record_type) -> list:
+    """The JSONL reader decoding each line with json.loads, checking every
+    record for lone surrogates."""
+    records = []
+    first_line_of = {}
+    with open_utf8(path, JsonlError) as fh:
+        for line_no, line in enumerate(fh, start=1):
+            if not line.strip():
+                continue
+            where = f"{path}:{line_no}"
+            try:
+                fields = json.loads(line)
+                _check_json_types(fields, record_type.JSON_TYPES)
+                record = record_type.from_json_dict(fields)
+            except KeyError as exc:
+                raise JsonlError(f"{where}: missing field {exc}") from None
+            except (ValueError, TypeError, RecursionError) as exc:
+                raise JsonlError(f"{where}: {exc}") from None
+            try:
+                record.to_json_line().encode("utf-8")
+            except UnicodeEncodeError as exc:
+                raise JsonlError(f"{where}: lone surrogate {exc.object[exc.start]!r} "
+                                 "is not text") from None
+            if record.candidate_id in first_line_of:
+                raise JsonlError(
+                    f"{where}: duplicate candidate_id {record.candidate_id!r}, "
+                    f"first used at {path}:{first_line_of[record.candidate_id]}"
+                )
+            first_line_of[record.candidate_id] = line_no
+            records.append(record)
+    return records
+
+
+def outcome(read, *args):
+    """What a reader returns, or the text of the JsonlError it raises."""
+    try:
+        return read(*args)
+    except JsonlError as exc:
+        return "error", str(exc)
+
+
+# Characters that JSON, str.strip and text-mode line splitting treat
+# specially, beside plain ones.
+HOSTILE = ' \t\n\r\x0b\x0c\x1c\x85\u2028\ufeff{}[]":,\\/0159-+.eEtrufalsnNI\u0915'
+hostile_text = st.text(st.sampled_from(HOSTILE), max_size=12)
+# Space that is JSON's, or only str.strip's, or a byte order mark.
+padding = st.sampled_from([' ', '\t\r', '\x0c', ' \x1c', '\u2028', '\ufeff'])
+
+
+@st.composite
+def mutated(draw, texts):
+    """A text as it is, cut, with hostile text inserted, or with space around it."""
+    text = draw(texts)
+    at = draw(st.integers(0, len(text)))
+    how = draw(st.sampled_from(["keep", "insert", "cut", "before", "after", "after-line"]))
+    if how == "insert":
+        return text[:at] + draw(hostile_text) + text[at:]
+    if how == "cut":
+        return text[:at] + text[at + draw(st.integers(1, 4)):]
+    if how == "before":
+        return draw(padding) + text
+    if how != "keep":
+        text += draw(padding) + ("\n" if how == "after-line" else "")
+    return text
+
+
+# JSON texts whose decoding takes each branch of the scanner: objects,
+# arrays, strings with escapes, numbers the float parser or int() treats
+# specially, and the constants.
+JSON_VALUES = ('{"a": [1, -2.5e3, null, true, false]}', '[]', '{}', '"\\u0915\\ud800\\n"',
+               '1e999', '-0', '0123', 'NaN', '-Infinity', '[{"k": {}}]', '"\\"', '1' * 5000)
+
+
+@settings(max_examples=200, deadline=None)
+@given(line=mutated(st.sampled_from(JSON_VALUES)) | hostile_text)
+def test_scanner_decode_equals_json_loads(line):
+    def decoded(decode):
+        try:
+            return "value", repr(decode(line))
+        except (ValueError, RecursionError) as exc:
+            return type(exc), str(exc)
+
+    assert decoded(_decode_json_line) == decoded(json.loads)
+
+
+# Candidates and verdicts, plain and with text that JSON escapes, lone
+# surrogates among it; each as written and ASCII-escaped.
+JSONL_RECORDS = (
+    QuestionCandidate("c1", "s1", RuleId.R_K2, "k2", "kya", ("kya", "?"), "c1:g0", 2),
+    QuestionCandidate('c"2\\', "s\u2028", RuleId.R_R6, "\ud800", "\x00",
+                      ("\U0001f600", "\udc80"), "g", -7, ("\n",)),
+    FilterVerdict("c1", True),
+    FilterVerdict("c\udfff", False, FilterId.F_ANAPHORA, 'd\n"'),
+)
+JSONL_LINES = tuple(json.dumps(r.to_json_dict(), ensure_ascii=escaped)
+                    for r in JSONL_RECORDS for escaped in (True, False))
+
+
+@st.composite
+def jsonl_files(draw):
+    line = st.sampled_from(JSONL_LINES)
+    lines = draw(st.lists(line | mutated(line) | hostile_text, min_size=1, max_size=4))
+    if draw(st.booleans()):
+        lines.insert(draw(st.integers(1, len(lines))), lines[0])
+    return "\n".join(lines)
+
+
+@settings(max_examples=40, deadline=None)
+@given(text=jsonl_files(), record_type=st.sampled_from([QuestionCandidate, FilterVerdict]))
+def test_scanner_reader_equals_the_json_loads_reader(tmp_path_factory, text, record_type):
+    path = tmp_path_factory.getbasetemp() / "lines.jsonl"
+    # Unescaped lone surrogates become bytes that are not UTF-8.
+    path.write_bytes(text.encode("utf-8", "surrogatepass"))
+    assert (outcome(_read_jsonl, path, record_type)
+            == outcome(reference_read_jsonl, path, record_type))
+
+
+def reference_aggregate(ratings, candidates):
+    """aggregate as first written: candidates by id, then ratings per group."""
+    by_id = {c.candidate_id: c for c in candidates}
+    for r in ratings:
+        if r.candidate_id not in by_id:
+            raise RatingsError(f"rating references unknown candidate_id {r.candidate_id!r}")
+    groups = {}
+    for c in candidates:
+        group = groups.setdefault(c.karaka, {"ids": set(), "syntax": [], "semantic": []})
+        group["ids"].add(c.candidate_id)
+    for r in ratings:
+        group = groups[by_id[r.candidate_id].karaka]
+        group["syntax"].append(r.syntax)
+        group["semantic"].append(r.semantic)
+
+    def row(ids, syntax, semantic):
+        return (statistics.fmean(syntax) if syntax else None,
+                statistics.median_low(syntax) if syntax else None,
+                statistics.fmean(semantic) if semantic else None,
+                statistics.median_low(semantic) if semantic else None, len(ids))
+
+    rows = {k: row(g["ids"], g["syntax"], g["semantic"]) for k, g in groups.items()}
+    totals = row({c.candidate_id for c in candidates},
+                 [r.syntax for r in ratings], [r.semantic for r in ratings])
+    return rows, totals
+
+
+def reference_before_after(ratings, candidates, verdicts):
+    """before_after as first written: two filtered passes over the ratings per split."""
+    ids = {c.candidate_id for c in candidates}
+    for r in ratings:
+        if r.candidate_id not in ids:
+            raise RatingsError(f"rating references unknown candidate_id {r.candidate_id!r}")
+    verdict_map = {v.candidate_id: v for v in verdicts}
+    missing = [c.candidate_id for c in candidates if c.candidate_id not in verdict_map]
+    if missing:
+        raise RatingsError(f"no filter verdict for candidate {missing[0]!r} "
+                           f"({len(missing)} candidates uncovered)")
+    kept_ids = {cid for cid in ids if verdict_map[cid].kept}
+
+    def split(split_ids):
+        syntax = [r.syntax for r in ratings if r.candidate_id in split_ids]
+        semantic = [r.semantic for r in ratings if r.candidate_id in split_ids]
+        return (statistics.fmean(syntax) if syntax else None,
+                statistics.fmean(semantic) if semantic else None, len(split_ids))
+
+    return split(ids), split(kept_ids)
+
+
+EVAL_IDS = ("c1", "c2", "c3", "c4", "c5", "c6")
+
+
+@st.composite
+def eval_inputs(draw):
+    """Candidates over karakas in and outside KARAKA_ORDER (a repeated id may
+    change karaka), ratings that rarely name an unknown id, and verdicts that
+    may miss a candidate or cover ids no candidate has."""
+    karakas = st.sampled_from(["k1", "k2", "k7t", "r6", "aaa", "zzz"])
+    candidates = [make_rated_candidate(cid, draw(karakas))
+                  for cid in draw(st.lists(st.sampled_from(EVAL_IDS[:5]), max_size=8))]
+    rated = [c.candidate_id for c in candidates] * 9 + ["c6"]
+    ratings = [RatingRecord(*row) for row in draw(st.lists(st.tuples(
+        st.sampled_from(rated), st.sampled_from(["a1", "a2"]),
+        st.integers(1, 5), st.integers(1, 5)), max_size=12))]
+    verdicts = [FilterVerdict(cid, kept, None if kept else FilterId.F_WORD_ORDER)
+                for cid, kept in draw(st.lists(st.tuples(st.sampled_from(EVAL_IDS),
+                                                         st.booleans()), max_size=9))]
+    if draw(st.integers(0, 3)):
+        verdicts += [FilterVerdict(c.candidate_id, True) for c in candidates]
+    return ratings, candidates, verdicts
+
+
+def result_or_error(compute):
+    try:
+        return compute()
+    except RatingsError as exc:
+        return "error", str(exc)
+
+
+@settings(max_examples=60, deadline=None)
+@given(inputs=eval_inputs())
+def test_one_pass_aggregation_equals_the_two_pass_reference(inputs):
+    ratings, candidates, verdicts = inputs
+
+    def table():
+        t = aggregate(ratings, candidates)
+        return ([(k, astuple(r)) for k, r in t.rows.items()], astuple(t.totals))
+
+    def reference_table():
+        rows, totals = reference_aggregate(ratings, candidates)
+        return list(rows.items()), totals
+
+    def split():
+        ba = before_after(ratings, candidates, verdicts)
+        return astuple(ba.before), astuple(ba.after)
+
+    assert result_or_error(table) == result_or_error(reference_table)
+    assert result_or_error(split) == result_or_error(
+        lambda: reference_before_after(ratings, candidates, verdicts))
+
+
+RATINGS_HEADER = b"candidate_id,annotator_id,syntax,semantic\n"
+CSV_PIECES = (RATINGS_HEADER, b"c1,a1,5,4\n", b"c2,a2,3,1\r\n", b"c1,a1,2,2\n", b",", b'"',
+              b"\x00", b"\r", b"\n", b" 5", b"06", b"x", b"\xff", b"\xe0\xa4", b"\xef\xbb\xbf")
+
+
+def spliced(pieces):
+    """Byte strings that are mostly pieces of a valid file, with stray bytes spliced in."""
+    return st.lists(st.sampled_from(pieces) | st.binary(max_size=3), max_size=8).map(b"".join)
+
+
+CANDIDATE = QuestionCandidate("c1", "s1", RuleId.R_K2, "k2", "kya", ("kya", "?"), "c1:g0", 2)
+JSONL_PIECES = (
+    CANDIDATE.to_json_line().encode() + b"\n",
+    FilterVerdict("c1", False, FilterId.F_ANAPHORA, "d").to_json_line().encode() + b"\n",
+    json.dumps({**CANDIDATE.to_json_dict(), "karaka": "\udc80"}).encode() + b"\n",
+    b"{", b"}", b'"', b"\\ud800", b" ", b"\n", b"\xff", b"[", b"1e999",
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.binary(max_size=40) | spliced(CSV_PIECES) | spliced(JSONL_PIECES),
+       reader=st.sampled_from([(load_ratings, RatingsError),
+                               (read_candidates_jsonl, JsonlError),
+                               (read_verdicts_jsonl, JsonlError)]))
+def test_eval_readers_parse_any_bytes_or_name_the_line(tmp_path_factory, data, reader):
+    read, error = reader
+    path = tmp_path_factory.getbasetemp() / "input.bin"
+    path.write_bytes(data)
+    try:
+        records = read(path)
+    except error as exc:
+        assert re.match(rf"{re.escape(str(path))}:\d+: ", str(exc)), str(exc)
+        return
+    for record in records:
+        if read is load_ratings:
+            (record.candidate_id + record.annotator_id).encode("utf-8")
+            assert 1 <= record.syntax <= 5 and 1 <= record.semantic <= 5
+        else:
+            record.to_json_line().encode("utf-8")
