@@ -84,39 +84,44 @@ _SCORE_OF = {str(score): score for score in range(1, 6)}
 
 
 def load_ratings(path) -> list[RatingRecord]:
-    """Read a ratings CSV with header candidate_id,annotator_id,syntax,semantic."""
+    """Read a ratings CSV with header candidate_id,annotator_id,syntax,semantic.
+
+    An error names the first line of its row: a quoted field may span lines.
+    """
     records: list[RatingRecord] = []
     seen: set[tuple[str, str]] = set()
     with open_utf8(path, RatingsError, newline="") as fh:
         reader = csv.reader(fh)
+        end = 0  # the last line of the last row read
         try:
             header = next(reader, None)
             if header is None or tuple(header) != RATING_COLUMNS:
                 raise RatingsError(
                     f"{path}:1: expected header {','.join(RATING_COLUMNS)}, got {header}"
                 )
+            end = reader.line_num
             for row in reader:
+                line_no, end = end + 1, reader.line_num
                 if not row:
                     continue
                 if len(row) != len(RATING_COLUMNS):
-                    raise RatingsError(f"{path}:{reader.line_num}: expected "
+                    raise RatingsError(f"{path}:{line_no}: expected "
                                        f"{len(RATING_COLUMNS)} columns, got {len(row)}")
                 candidate_id, annotator_id, syntax_s, semantic_s = row
                 key = (candidate_id, annotator_id)
                 if key in seen:
                     raise RatingsError(
-                        f"{path}:{reader.line_num}: duplicate rating for candidate "
+                        f"{path}:{line_no}: duplicate rating for candidate "
                         f"{key[0]!r} by annotator {key[1]!r}"
                     )
                 seen.add(key)
                 syntax = _SCORE_OF.get(syntax_s)
                 semantic = _SCORE_OF.get(semantic_s)
                 if syntax is None or semantic is None:
-                    syntax, semantic = _parse_scores(f"{path}:{reader.line_num}",
-                                                     syntax_s, semantic_s)
+                    syntax, semantic = _parse_scores(f"{path}:{line_no}", syntax_s, semantic_s)
                 records.append(RatingRecord(candidate_id, annotator_id, syntax, semantic))
         except csv.Error as exc:
-            raise RatingsError(f"{path}:{reader.line_num}: {exc}") from None
+            raise RatingsError(f"{path}:{end + 1}: {exc}") from None
     return records
 
 
@@ -134,13 +139,15 @@ def _parse_scores(where: str, syntax_s: str, semantic_s: str) -> tuple[int, int]
 
 
 def rating_line(path, candidate_id: str) -> int | None:
-    """The line of the first row of a ratings CSV that rates candidate_id."""
+    """The first line of the first row of a ratings CSV that rates candidate_id."""
     with open(path, encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
         next(reader, None)
+        end = reader.line_num
         for row in reader:
             if row and row[0] == candidate_id:
-                return reader.line_num
+                return end + 1
+            end = reader.line_num
     return None
 
 
@@ -223,21 +230,15 @@ def _fmt_median(value) -> str:
     return str(value) if value is not None else "-"
 
 
+def _table_line(name: str, r: RowStats) -> str:
+    return (f"{name:<8}{_fmt_mean(r.syntax_mean):>10}{_fmt_median(r.syntax_median):>9}"
+            f"{_fmt_mean(r.semantic_mean):>10}{_fmt_median(r.semantic_median):>9}{r.count:>7}")
+
+
 def render_eval_table(table: EvalTable) -> str:
     header = f"{'karaka':<8}{'syn_mean':>10}{'syn_med':>9}{'sem_mean':>10}{'sem_med':>9}{'count':>7}"
-    lines = [header]
-    for karaka in _sorted_rows(table.rows):
-        r = table.rows[karaka]
-        lines.append(
-            f"{karaka:<8}{_fmt_mean(r.syntax_mean):>10}{_fmt_median(r.syntax_median):>9}"
-            f"{_fmt_mean(r.semantic_mean):>10}{_fmt_median(r.semantic_median):>9}{r.count:>7}"
-        )
-    t = table.totals
-    lines.append(
-        f"{'total':<8}{_fmt_mean(t.syntax_mean):>10}{_fmt_median(t.syntax_median):>9}"
-        f"{_fmt_mean(t.semantic_mean):>10}{_fmt_median(t.semantic_median):>9}{t.count:>7}"
-    )
-    return "\n".join(lines)
+    rows = [_table_line(karaka, table.rows[karaka]) for karaka in _sorted_rows(table.rows)]
+    return "\n".join([header, *rows, _table_line("total", table.totals)])
 
 
 def render_before_after(ba: BeforeAfter) -> str:

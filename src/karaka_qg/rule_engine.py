@@ -26,10 +26,10 @@ from json.encoder import encode_basestring
 from .lexicon import SemanticCategory, SemanticLexicon
 from .morphology import (
     DEFAULT_MARKERS,
+    GENITIVE_INTERROGATIVES,
     MarkerTable,
     case_marker_tokens,
     case_of,
-    genitive_interrogative,
 )
 from .textfile import open_utf8
 from .treebank_io import ParsedSentence, Token
@@ -176,16 +176,6 @@ class _Emitter:
         return cand
 
 
-def _karaka_targets(s: ParsedSentence, labels: tuple[str, ...]) -> list[Token]:
-    verb = s.main_verb()
-    return [t for t in s.children(verb.id) if t.deprel in labels]
-
-
-def _substitute(s: ParsedSentence, target: Token, wh: str) -> tuple[str, ...]:
-    """Standard substitution: drop the target chunk, insert the interrogative."""
-    return _build_tokens(s, s.subtree_ids(target.id), target.id, wh.split(" "))
-
-
 UNKNOWN = SemanticCategory.UNKNOWN
 # Key of a category entry covering every category the row does not name.
 OTHER = None
@@ -199,37 +189,43 @@ def _unknown_note(lemma: str) -> tuple[str, ...]:
 
 @dataclass(frozen=True)
 class Role:
-    """Case key matching any marker of one MarkerTable field, e.g. ergative."""
+    """Case key matching any marker of one MarkerTable field, e.g. ergative,
+    or only ``marker`` when the field lists it."""
 
     name: str
+    marker: str | None = None
 
 
 @dataclass(frozen=True)
 class Substitution:
     """A rule that swaps a target chunk for interrogatives read from tables.
 
-    ``asks`` is a tuple of interrogatives, or a dict from lexicon category
-    to one, where OTHER covers the categories not named and UNKNOWN is
-    always named. A ``by_case`` row first keys ``asks`` by the target's
-    case: DIRECT, a literal postposition, or a MarkerTable ``Role``. A case
-    not listed skips the target, logged when the row names the kind of
-    marker it ``skip``s. One ask's interrogatives share a variation group
-    unless ``shared_group`` is false. ``notes`` is a note per label.
+    A leaf of ``asks`` is a tuple of interrogatives, which share a
+    variation group, or a list of such tuples, one group each. ``asks`` is
+    a leaf, or a dict from lexicon category to one, where OTHER covers the
+    categories not named and UNKNOWN is always named. A ``by_case`` row
+    first keys ``asks`` by the target's case: DIRECT, a literal
+    postposition, or a MarkerTable ``Role``. A case not listed skips the
+    target, logged when the row says how it ``skip``s (formatted with the
+    marker). Targets are the tokens with one of ``labels``, only the main
+    verb's children when ``on_verb``. Interrogatives in ``keeps_marker``
+    leave the case marker in place. ``notes`` is a note per label.
     """
 
     rule: RuleId
     labels: tuple[str, ...]
-    asks: tuple | dict
+    asks: tuple | list | dict
     by_case: bool = False
     skip: str = ""
-    shared_group: bool = True
+    on_verb: bool = True
+    keeps_marker: frozenset = frozenset()
     notes: dict = field(default_factory=dict)
 
 
 SUBSTITUTIONS = (
     # Agents. The case decides alone; an agent marked with some other
     # postposition is outside the rule.
-    Substitution(RuleId.R_K1, ("k1",), by_case=True, skip="non-ergative",
+    Substitution(RuleId.R_K1, ("k1",), by_case=True, skip="carries non-ergative marker {!r}",
                  asks={DIRECT: ("kaun",), Role("ergative"): ("kisne",)}),
     # Copula complements: kaun for people, kaisa for properties.
     Substitution(RuleId.R_K1S, ("k1s",), asks={
@@ -239,7 +235,7 @@ SUBSTITUTIONS = (
         OTHER: ("kaisa",),
     }),
     # Patients: ko-marked ones ask kisko, direct ones kya.
-    Substitution(RuleId.R_K2, ("k2",), by_case=True, skip="unexpected",
+    Substitution(RuleId.R_K2, ("k2",), by_case=True, skip="carries unexpected marker {!r}",
                  asks={DIRECT: ("kya",), Role("accusative"): ("kisko",)}),
     # Goal locations.
     Substitution(RuleId.R_K2P, ("k2p",), asks=("kidhar", "kahan")),
@@ -254,11 +250,23 @@ SUBSTITUTIONS = (
     }),
     # Purpose: kiske liye for human beneficiaries, kyon otherwise. The two
     # readings differ in meaning, so they never share a variation group.
-    Substitution(RuleId.R_RT, ("rt",), shared_group=False, asks={
+    Substitution(RuleId.R_RT, ("rt",), asks={
         SemanticCategory.HUMAN: ("kiske liye",),
-        UNKNOWN: ("kiske liye", "kyon"),
+        UNKNOWN: [("kiske liye",), ("kyon",)],
         OTHER: ("kyon",),
     }),
+    # Sources: a place keeps the se and asks kahan se / kidhar se, anything
+    # else asks kisse. The two readings differ in meaning.
+    Substitution(RuleId.R_K5, ("k5",), by_case=True, keeps_marker=frozenset({"kahan", "kidhar"}),
+                 asks={"se": {
+                     SemanticCategory.PLACE: ("kahan", "kidhar"),
+                     UNKNOWN: [("kisse",), ("kahan", "kidhar")],
+                     OTHER: ("kisse",),
+                 }}),
+    # Possessors of any noun: the genitive marker picks kiska/kiske/kiski.
+    Substitution(RuleId.R_R6, ("r6",), on_verb=False, by_case=True, skip="lacks a genitive marker",
+                 asks={Role("genitive", marker): (wh,)
+                       for marker, wh in GENITIVE_INTERROGATIVES.items()}),
     # Spatial locatives: kahan and kidhar drop the marker, kis mein / kis
     # par re-express it. k7p has no rule of its own and is routed here.
     Substitution(
@@ -285,14 +293,14 @@ def _case_asks(row: Substitution, s: ParsedSentence, target: Token, m: MarkerTab
         if key is DIRECT:
             hit = not case.is_oblique
         elif isinstance(key, Role):
-            hit = case.marker in getattr(m, key.name)
+            hit = case.marker in getattr(m, key.name) and key.marker in (None, case.marker)
         else:
             hit = case.marker == key
         if hit:
             return asks
     if row.skip:
-        log.info("%s token %r carries %s marker %r; skipped",
-                 target.deprel, target.form, row.skip, case.marker)
+        log.info("%s token %r %s; skipped",
+                 target.deprel, target.form, row.skip.format(case.marker))
     return None
 
 
@@ -300,7 +308,8 @@ def apply_substitution(row: Substitution, s: ParsedSentence, lex: SemanticLexico
                        m: MarkerTable) -> list[QuestionCandidate]:
     """The candidates of one SUBSTITUTIONS row for one sentence."""
     out = []
-    for target in _karaka_targets(s, row.labels):
+    pool = s.children(s.main_verb().id) if row.on_verb else s.tokens
+    for target in [t for t in pool if t.deprel in row.labels]:
         asks = _case_asks(row, s, target, m) if row.by_case else row.asks
         if asks is None:
             continue
@@ -312,17 +321,16 @@ def apply_substitution(row: Substitution, s: ParsedSentence, lex: SemanticLexico
             asks = asks[cat] if cat in asks else asks[OTHER]
         if target.deprel in row.notes:
             notes += (row.notes[target.deprel],)
+        chunk = unmarked = s.subtree_ids(target.id)
+        if row.keeps_marker:
+            unmarked = chunk - {t.id for t in case_marker_tokens(s, target.id, m)}
         emitter = _Emitter(s, row.rule, target)
-        for index, wh in enumerate(asks):
-            group = 0 if row.shared_group else index
-            out.append(emitter.emit(target.deprel, wh, _substitute(s, target, wh), group, notes))
+        for group, whs in enumerate(asks if isinstance(asks, list) else [asks]):
+            for wh in whs:
+                delete = unmarked if wh in row.keeps_marker else chunk
+                tokens = _build_tokens(s, delete, target.id, wh.split(" "))
+                out.append(emitter.emit(target.deprel, wh, tokens, group, notes))
     return out
-
-
-# The table's rules as (s, lex, m) functions, in table order.
-gen_k1, gen_k1s, gen_k2, gen_k2p, gen_k3, gen_rt, gen_k7s, gen_k7t = (
-    partial(apply_substitution, row) for row in SUBSTITUTIONS
-)
 
 
 def gen_rh(s: ParsedSentence, lex: SemanticLexicon, m: MarkerTable) -> list[QuestionCandidate]:
@@ -343,60 +351,6 @@ def gen_rh(s: ParsedSentence, lex: SemanticLexicon, m: MarkerTable) -> list[Ques
     return out
 
 
-def gen_k5(s: ParsedSentence, lex: SemanticLexicon, m: MarkerTable) -> list[QuestionCandidate]:
-    """Source questions for se-marked nouns.
-
-    A place source keeps the marker and asks kahan se / kidhar se; any
-    other known source asks kisse. The place pair and kisse differ in
-    meaning, so under an unknown category all three come out with the
-    pair in its own variation group.
-    """
-    out = []
-    for target in _karaka_targets(s, ("k5",)):
-        case = case_of(s, target.id, m)
-        if case.marker != "se":
-            continue
-        marker_ids = {t.id for t in case_marker_tokens(s, target.id, m)}
-        keep_marker = s.subtree_ids(target.id) - marker_ids
-        cat = lex.lookup(target.lemma)
-        emitter = _Emitter(s, RuleId.R_K5, target)
-        if cat is SemanticCategory.PLACE:
-            variants = [("kahan", 0, False, ()), ("kidhar", 0, False, ())]
-        elif cat is UNKNOWN:
-            note = _unknown_note(target.lemma)
-            variants = [("kisse", 0, True, note),
-                        ("kahan", 1, False, note), ("kidhar", 1, False, note)]
-        else:
-            variants = [("kisse", 0, True, ())]
-        for wh, group, drop_marker, notes in variants:
-            delete = s.subtree_ids(target.id) if drop_marker else keep_marker
-            tokens = _build_tokens(s, delete, target.id, [wh])
-            out.append(emitter.emit("k5", wh, tokens, group, notes))
-    return out
-
-
-def _possessors(s: ParsedSentence) -> list[Token]:
-    return [t for t in s.tokens if t.deprel == "r6"]
-
-
-def gen_r6(s: ParsedSentence, lex: SemanticLexicon, m: MarkerTable) -> list[QuestionCandidate]:
-    """Possessor questions: the genitive marker picks kiska/kiske/kiski."""
-    out = []
-    for target in _possessors(s):
-        case = case_of(s, target.id, m)
-        if not case.is_oblique or case.marker not in m.genitive:
-            log.info("r6 token %r lacks a genitive marker; skipped", target.form)
-            continue
-        try:
-            wh = genitive_interrogative(case.marker)
-        except ValueError:
-            log.info("no interrogative for genitive marker %r; skipped", case.marker)
-            continue
-        emitter = _Emitter(s, RuleId.R_R6, target)
-        out.append(emitter.emit("r6", wh, _substitute(s, target, wh), 0))
-    return out
-
-
 def gen_r6_nonliving(s: ParsedSentence, lex: SemanticLexicon, m: MarkerTable) -> list[QuestionCandidate]:
     """Possessed-thing questions: replace a nonliving possessed noun.
 
@@ -410,8 +364,8 @@ def gen_r6_nonliving(s: ParsedSentence, lex: SemanticLexicon, m: MarkerTable) ->
     verb = s.main_verb()
     # Possessors of one noun share its emitter, so their ids stay distinct.
     emitters = {}
-    for possessor in _possessors(s):
-        if possessor.head == 0:
+    for possessor in s.tokens:
+        if possessor.deprel != "r6" or possessor.head == 0:
             continue
         target = s.token(possessor.head)
         if lex.lookup(target.lemma) is not SemanticCategory.NONLIVING:
@@ -431,19 +385,15 @@ def gen_r6_nonliving(s: ParsedSentence, lex: SemanticLexicon, m: MarkerTable) ->
     return out
 
 
-RULE_FUNCTIONS = (
-    (RuleId.R_K1, gen_k1),
-    (RuleId.R_K1S, gen_k1s),
-    (RuleId.R_K2, gen_k2),
-    (RuleId.R_K2P, gen_k2p),
-    (RuleId.R_K3, gen_k3),
-    (RuleId.R_RT, gen_rt),
-    (RuleId.R_RH, gen_rh),
-    (RuleId.R_K5, gen_k5),
-    (RuleId.R_R6, gen_r6),
-    (RuleId.R_R6_NONLIVING, gen_r6_nonliving),
-    (RuleId.R_K7S, gen_k7s),
-    (RuleId.R_K7T, gen_k7t),
+# R_RH and R_R6_NONLIVING reshape the sentence in ways no other rule
+# does, so they stay code rather than rows.
+_FUNCTION_OF = ({row.rule: partial(apply_substitution, row) for row in SUBSTITUTIONS}
+                | {RuleId.R_RH: gen_rh, RuleId.R_R6_NONLIVING: gen_r6_nonliving})
+# Every rule as an (s, lex, m) function, in RuleId order.
+RULE_FUNCTIONS = tuple((rule, _FUNCTION_OF[rule]) for rule in RuleId)
+# The table's rules under their own names, in table order.
+gen_k1, gen_k1s, gen_k2, gen_k2p, gen_k3, gen_rt, gen_k5, gen_r6, gen_k7s, gen_k7t = (
+    _FUNCTION_OF[row.rule] for row in SUBSTITUTIONS
 )
 
 

@@ -1,5 +1,6 @@
 """Tests for rating ingestion and aggregation."""
 
+import re
 import sys
 
 import pytest
@@ -14,6 +15,7 @@ from karaka_qg.evaluation import (
     before_after_to_dict,
     eval_table_to_dict,
     load_ratings,
+    rating_line,
     render_before_after,
     render_eval_table,
 )
@@ -222,3 +224,29 @@ def test_render_before_after_layout():
     payload = before_after_to_dict(ba)
     assert payload["before"]["count"] == 1
     assert payload["after"]["syntax_mean"] == pytest.approx(4.0)
+
+
+# The header, a row on line 2, and a row whose quoted candidate_id opens on
+# line 3 and closes on line 4, where the test writes the rest of the row.
+MULTI_LINE_ROWS = "candidate_id,annotator_id,syntax,semantic\nc0,a1,5,4\n\"c1\nx\","
+
+
+@pytest.mark.parametrize("rest, line, reason", [
+    ("a1,9,4\n", 3, "syntax score 9 outside 1..5"),
+    ("a1,x,4\n", 3, "scores must be integers"),
+    ("a1,5\n", 3, "expected 4 columns, got 3"),
+    ("a1,5,4\n\"c1\nx\",a1,3,3\n", 5, "duplicate rating for candidate 'c1\\nx' by annotator 'a1'"),
+    (f"{'a' * 200_000},3,4\n", 3, "field larger than field limit"),
+], ids=["score", "not-an-integer", "columns", "duplicate", "csv-error"])
+def test_load_ratings_names_the_first_line_of_a_multi_line_row(tmp_path, rest, line, reason):
+    path = tmp_path / "ratings.csv"
+    path.write_text(MULTI_LINE_ROWS + rest, encoding="utf-8")
+    with pytest.raises(RatingsError, match=re.escape(f"ratings.csv:{line}: {reason}")):
+        load_ratings(path)
+
+
+def test_rating_line_names_the_first_line_of_a_multi_line_row(tmp_path):
+    path = tmp_path / "ratings.csv"
+    path.write_text(MULTI_LINE_ROWS + "a1,5,4\nc2,a1,3,3\n\"c3\nx\",a1,3,3\n", encoding="utf-8")
+    assert [rating_line(path, cid) for cid in ("c0", "c1\nx", "c2", "c3\nx", "c4")] == [
+        2, 3, 5, 6, None]

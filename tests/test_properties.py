@@ -4,7 +4,7 @@ import json
 import re
 import statistics
 from collections import Counter, defaultdict
-from dataclasses import astuple
+from dataclasses import astuple, replace
 
 from hypothesis import given, settings, strategies as st
 
@@ -24,14 +24,26 @@ from karaka_qg.filters import (
     run_filters,
 )
 from karaka_qg.lexicon import SemanticCategory, SemanticLexicon, default_lexicon
-from karaka_qg.morphology import MarkerTable, interrogative_spans
+from karaka_qg.morphology import (
+    DEFAULT_MARKERS,
+    MarkerTable,
+    case_marker_tokens,
+    case_of,
+    genitive_interrogative,
+    interrogative_spans,
+)
 from karaka_qg.rule_engine import (
     JsonlError,
     QuestionCandidate,
     RuleId,
+    _build_tokens,
     _check_json_types,
     _decode_json_line,
+    _Emitter,
     _read_jsonl,
+    _unknown_note,
+    gen_k5,
+    gen_r6,
     generate_all,
     read_candidates_jsonl,
 )
@@ -237,6 +249,99 @@ def test_candidate_ids_are_unique(sentence):
     )
     ids = [c.candidate_id for c in generate_all(sentence, everything_nonliving)]
     assert len(ids) == len(set(ids))
+
+
+def reference_gen_k5(s, lex, m):
+    """R_K5 as coded before it became a SUBSTITUTIONS row."""
+    out = []
+    for target in [t for t in s.children(s.main_verb().id) if t.deprel == "k5"]:
+        case = case_of(s, target.id, m)
+        if case.marker != "se":
+            continue
+        marker_ids = {t.id for t in case_marker_tokens(s, target.id, m)}
+        keep_marker = s.subtree_ids(target.id) - marker_ids
+        cat = lex.lookup(target.lemma)
+        emitter = _Emitter(s, RuleId.R_K5, target)
+        if cat is SemanticCategory.PLACE:
+            variants = [("kahan", 0, False, ()), ("kidhar", 0, False, ())]
+        elif cat is SemanticCategory.UNKNOWN:
+            note = _unknown_note(target.lemma)
+            variants = [("kisse", 0, True, note),
+                        ("kahan", 1, False, note), ("kidhar", 1, False, note)]
+        else:
+            variants = [("kisse", 0, True, ())]
+        for wh, group, drop_marker, notes in variants:
+            delete = s.subtree_ids(target.id) if drop_marker else keep_marker
+            tokens = _build_tokens(s, delete, target.id, [wh])
+            out.append(emitter.emit("k5", wh, tokens, group, notes))
+    return out
+
+
+def reference_gen_r6(s, lex, m):
+    """R_R6 as coded before it became a SUBSTITUTIONS row."""
+    out = []
+    for target in [t for t in s.tokens if t.deprel == "r6"]:
+        case = case_of(s, target.id, m)
+        if not case.is_oblique or case.marker not in m.genitive:
+            continue
+        try:
+            wh = genitive_interrogative(case.marker)
+        except ValueError:
+            continue
+        emitter = _Emitter(s, RuleId.R_R6, target)
+        tokens = _build_tokens(s, s.subtree_ids(target.id), target.id, wh.split(" "))
+        out.append(emitter.emit("r6", wh, tokens, 0))
+    return out
+
+
+@st.composite
+def source_trees(draw):
+    """Verb-final clauses of nouns, some with a modifier, most with a marker
+    (se, a genitive or ko); k5 nouns hang off the verb or off an earlier noun."""
+    rows = []  # (form, deprel, head id or None for the verb)
+    nouns = []
+    for _ in range(draw(st.integers(1, 4))):
+        if draw(st.booleans()):
+            rows.append(("bada", "nmod", len(rows) + 2))
+        head = draw(st.sampled_from([None, None, *nouns]))
+        deprel = draw(st.sampled_from(["k5", "r6", "k1"]))
+        rows.append((draw(st.sampled_from(NOUN_POOL)), deprel, head))
+        nouns.append(len(rows))
+        marker = draw(st.sampled_from(["se", "ka", "ki", "ko", None]))
+        if marker is not None:
+            rows.append((marker, "psp", len(rows)))
+    verb_id = len(rows) + 1
+    lines = ["# sent_id = q001"]
+    for token_id, (form, deprel, head) in enumerate(rows, start=1):
+        lines.append(f"{token_id}\t{form}\t{form}\tX\t_\t{head or verb_id}\t{deprel}")
+    lines.append(f"{verb_id}\tbhaagaa\tbhaag\tVERB\t_\t0\troot")
+    return loads_treebank("\n".join(lines) + "\n")[0]
+
+
+# Marker tables that override gen and ins, among them ones that move ka out
+# of gen, to ins or loc, or give gen a marker no interrogative matches.
+marker_tables = st.builds(
+    lambda gen, ins, loc: replace(DEFAULT_MARKERS, genitive=frozenset(gen),
+                                  instrumental=frozenset(ins),
+                                  locative=DEFAULT_MARKERS.locative | {loc}),
+    st.sampled_from([("ka", "ke", "ki"), ("ke", "ki"), ("kaa", "ki"), ("ka", "kaa"), ()]),
+    st.sampled_from([("se", "ke dwaaraa"), ("se", "ka"), ("se",), ("ke dwaaraa", "ka")]),
+    st.sampled_from(["mein", "ka"]),
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(sentences=st.tuples(source_trees(), possessive_trees()),
+       categories=st.lists(st.sampled_from(SemanticCategory), min_size=len(NOUN_POOL)),
+       markers=marker_tables)
+def test_k5_and_r6_rows_equal_the_coded_rules(sentences, categories, markers):
+    # Every noun unknown, every noun a place, and a random category per noun.
+    lexicons = (EMPTY, SemanticLexicon(dict.fromkeys(NOUN_POOL, SemanticCategory.PLACE)),
+                SemanticLexicon(dict(zip(NOUN_POOL, categories))))
+    for s in sentences:
+        for lex in lexicons:
+            assert gen_k5(s, lex, markers) == reference_gen_k5(s, lex, markers)
+            assert gen_r6(s, lex, markers) == reference_gen_r6(s, lex, markers)
 
 
 def corpus_candidates():

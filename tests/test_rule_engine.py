@@ -282,21 +282,26 @@ def test_rule_order_is_fixed():
     assert [rule for rule, _ in RULE_FUNCTIONS] == list(RuleId)
 
 
-def _table_interrogatives(asks):
-    """Every interrogative an ``asks`` entry can emit, at any nesting."""
+def _table_groups(asks):
+    """Every variation group an ``asks`` entry can emit, at any nesting."""
     if isinstance(asks, dict):
-        return {wh for inner in asks.values() for wh in _table_interrogatives(inner)}
-    return set(asks)
+        return [group for inner in asks.values() for group in _table_groups(inner)]
+    if isinstance(asks, list):
+        return list(asks)
+    return [asks]
 
 
 def test_substitution_table_stays_inside_the_label_and_interrogative_inventories():
     # F_WORD_ORDER and F_ALREADY_QUESTION only see interrogatives that the
     # marker table lists, so a table row must not emit any other.
     for row in SUBSTITUTIONS:
-        emitted = _table_interrogatives(row.asks)
+        groups = _table_groups(row.asks)
+        assert all(isinstance(group, tuple) and group for group in groups), row.rule
+        emitted = {wh for group in groups for wh in group}
         assert emitted, row.rule
         assert emitted <= DEFAULT_MARKERS.interrogatives, (
             row.rule, emitted - DEFAULT_MARKERS.interrogatives)
+        assert row.keeps_marker <= emitted, (row.rule, row.keeps_marker - emitted)
         assert set(row.labels) <= set(KARAKA_LABELS), row.rule
         assert set(row.notes) <= set(row.labels), row.rule
         # The generator reads UNKNOWN and OTHER from every category table.
