@@ -110,9 +110,10 @@ def load_ratings(path) -> list[RatingRecord]:
                 candidate_id, annotator_id, syntax_s, semantic_s = row
                 key = (candidate_id, annotator_id)
                 if key in seen:
+                    first = next(n for n, other in _numbered_rows(path) if tuple(other[:2]) == key)
                     raise RatingsError(
                         f"{path}:{line_no}: duplicate rating for candidate "
-                        f"{key[0]!r} by annotator {key[1]!r}"
+                        f"{key[0]!r} by annotator {key[1]!r}, first used at {path}:{first}"
                     )
                 seen.add(key)
                 syntax = _SCORE_OF.get(syntax_s)
@@ -138,17 +139,20 @@ def _parse_scores(where: str, syntax_s: str, semantic_s: str) -> tuple[int, int]
     return syntax, semantic
 
 
-def rating_line(path, candidate_id: str) -> int | None:
-    """The first line of the first row of a ratings CSV that rates candidate_id."""
+def _numbered_rows(path):
+    """Each row of a ratings CSV after the header, with the first line it spans."""
     with open(path, encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
         next(reader, None)
         end = reader.line_num
         for row in reader:
-            if row and row[0] == candidate_id:
-                return end + 1
+            yield end + 1, row
             end = reader.line_num
-    return None
+
+
+def rating_line(path, candidate_id: str) -> int | None:
+    """The first line of the first row of a ratings CSV that rates candidate_id."""
+    return next((n for n, row in _numbered_rows(path) if row and row[0] == candidate_id), None)
 
 
 def _mean(scores):

@@ -140,7 +140,7 @@ def filter_gender_agreement(c: QuestionCandidate, s: ParsedSentence, cfg: Filter
         return _kept(c)
     if c.rule is RuleId.R_K2 and c.interrogative == "kya" and gender == "Fem":
         subject = next((t for t in s.children(verb.id) if t.deprel == "k1"), None)
-        if subject is not None and case_of(s, subject.id, cfg.markers).is_oblique:
+        if subject is not None and case_of(s, subject.id, cfg.markers) is not None:
             return _dropped(c, FilterId.F_GENDER_AGREEMENT,
                             "kya is masculine but the verb group agrees feminine")
     if c.rule is RuleId.R_K1:

@@ -13,7 +13,7 @@ from functools import cache
 from .lexicon import read_pairs
 from .treebank_io import PSP, ParsedSentence
 
-# Genitive postposition to possessive interrogative. The interrogative
+# Builtin genitive postposition to possessive interrogative. The interrogative
 # inherits the gender/number suffix of the marker it replaces.
 GENITIVE_INTERROGATIVES = {"ka": "kiska", "ke": "kiske", "ki": "kiski"}
 
@@ -43,7 +43,7 @@ class MarkerTable:
     ergative: frozenset = frozenset({"ne"})
     accusative: frozenset = frozenset({"ko"})
     instrumental: frozenset = frozenset({"se", "ke dwaaraa"})
-    genitive: frozenset = frozenset({"ka", "ke", "ki"})
+    genitive: frozenset = frozenset(GENITIVE_INTERROGATIVES)
     locative: frozenset = frozenset({"mein", "par"})
     benefactive: frozenset = frozenset({"ke liye"})
     because: frozenset = frozenset({"kyunki"})
@@ -75,17 +75,6 @@ def load_marker_table(path) -> MarkerTable:
     return replace(DEFAULT_MARKERS, **{name: frozenset(forms) for name, forms in by_field.items()})
 
 
-@dataclass(frozen=True)
-class CaseStatus:
-    """Direct case (no marker) or oblique with the marker surface form."""
-
-    marker: str | None = None
-
-    @property
-    def is_oblique(self) -> bool:
-        return self.marker is not None
-
-
 def case_marker_tokens(s: ParsedSentence, token_id: int, m: MarkerTable) -> list:
     """The psp child tokens realizing the noun's case marker, if any.
 
@@ -113,19 +102,10 @@ def case_marker_tokens(s: ParsedSentence, token_id: int, m: MarkerTable) -> list
     return []
 
 
-def case_of(s: ParsedSentence, token_id: int, m: MarkerTable) -> CaseStatus:
-    """Oblique with the marker found among psp children, else Direct."""
+def case_of(s: ParsedSentence, token_id: int, m: MarkerTable) -> str | None:
+    """The case marker found among psp children, or None for direct case."""
     window = case_marker_tokens(s, token_id, m)
-    if not window:
-        return CaseStatus()
-    return CaseStatus(" ".join(t.form for t in window))
-
-
-def genitive_interrogative(marker: str) -> str:
-    try:
-        return GENITIVE_INTERROGATIVES[marker]
-    except KeyError:
-        raise ValueError(f"not a genitive marker: {marker!r}") from None
+    return " ".join(t.form for t in window) if window else None
 
 
 def _verb_feature(s: ParsedSentence, verb_id: int, feat: str, by_aux: dict) -> str | None:

@@ -149,37 +149,19 @@ def _build_tokens(s: ParsedSentence, delete_ids: set[int], insert_at: int,
     return tuple(out)
 
 
-class _Emitter:
-    """Assigns deterministic candidate ids and variation groups per target."""
-
-    def __init__(self, s: ParsedSentence, rule: RuleId, target: Token):
-        self.s = s
-        self.rule = rule
-        self.target = target
-        self.next_index = 0
-
-    def emit(self, karaka: str, interrogative: str, tokens: tuple[str, ...],
-             group: int, notes: tuple[str, ...] = ()) -> QuestionCandidate:
-        base = f"{self.s.sentence_id}:{self.rule.value}:{self.target.id}"
-        cand = QuestionCandidate(
-            candidate_id=f"{base}:{self.next_index}",
-            sentence_id=self.s.sentence_id,
-            rule=self.rule,
-            karaka=karaka,
-            interrogative=interrogative,
-            tokens=tokens,
-            variation_group=f"{base}:g{group}",
-            target_token_id=self.target.id,
-            notes=notes,
-        )
-        self.next_index += 1
-        return cand
+def _candidate(s: ParsedSentence, rule: RuleId, target: Token, index: int, group: int,
+               karaka: str, interrogative: str, tokens: tuple[str, ...],
+               notes: tuple[str, ...] = ()) -> QuestionCandidate:
+    """The rule's index-th candidate for target, in the target's group-th variation group."""
+    base = f"{s.sentence_id}:{rule.value}:{target.id}"
+    return QuestionCandidate(f"{base}:{index}", s.sentence_id, rule, karaka, interrogative,
+                             tokens, f"{base}:g{group}", target.id, notes)
 
 
 UNKNOWN = SemanticCategory.UNKNOWN
 # Key of a category entry covering every category the row does not name.
 OTHER = None
-# Case key of a target that carries no postposition.
+# Case key of a target that carries no postposition, for which case_of gives None.
 DIRECT = None
 
 
@@ -288,19 +270,17 @@ SUBSTITUTIONS = (
 
 def _case_asks(row: Substitution, s: ParsedSentence, target: Token, m: MarkerTable):
     """The row's ask for the target's case, or None if the row lists no such case."""
-    case = case_of(s, target.id, m)
+    marker = case_of(s, target.id, m)
     for key, asks in row.asks.items():
-        if key is DIRECT:
-            hit = not case.is_oblique
-        elif isinstance(key, Role):
-            hit = case.marker in getattr(m, key.name) and key.marker in (None, case.marker)
+        if isinstance(key, Role):
+            hit = marker in getattr(m, key.name) and key.marker in (None, marker)
         else:
-            hit = case.marker == key
+            hit = marker == key
         if hit:
             return asks
     if row.skip:
         log.info("%s token %r %s; skipped",
-                 target.deprel, target.form, row.skip.format(case.marker))
+                 target.deprel, target.form, row.skip.format(marker))
     return None
 
 
@@ -324,12 +304,14 @@ def apply_substitution(row: Substitution, s: ParsedSentence, lex: SemanticLexico
         chunk = unmarked = s.subtree_ids(target.id)
         if row.keeps_marker:
             unmarked = chunk - {t.id for t in case_marker_tokens(s, target.id, m)}
-        emitter = _Emitter(s, row.rule, target)
+        index = 0
         for group, whs in enumerate(asks if isinstance(asks, list) else [asks]):
             for wh in whs:
                 delete = unmarked if wh in row.keeps_marker else chunk
                 tokens = _build_tokens(s, delete, target.id, wh.split(" "))
-                out.append(emitter.emit(target.deprel, wh, tokens, group, notes))
+                out.append(_candidate(s, row.rule, target, index, group,
+                                      target.deprel, wh, tokens, notes))
+                index += 1
     return out
 
 
@@ -346,8 +328,7 @@ def gen_rh(s: ParsedSentence, lex: SemanticLexicon, m: MarkerTable) -> list[Ques
         if target.form not in m.because or target.id == verb.id:
             continue
         tokens = _build_tokens(s, s.subtree_ids(target.id), verb.id, ["kyon"])
-        emitter = _Emitter(s, RuleId.R_RH, target)
-        out.append(emitter.emit("rh", "kyon", tokens, 0))
+        out.append(_candidate(s, RuleId.R_RH, target, 0, 0, "rh", "kyon", tokens))
     return out
 
 
@@ -362,8 +343,8 @@ def gen_r6_nonliving(s: ParsedSentence, lex: SemanticLexicon, m: MarkerTable) ->
     """
     out = []
     verb = s.main_verb()
-    # Possessors of one noun share its emitter, so their ids stay distinct.
-    emitters = {}
+    # Possessors of one noun share its count, so their ids stay distinct.
+    made: dict[int, int] = {}
     for possessor in s.tokens:
         if possessor.deprel != "r6" or possessor.head == 0:
             continue
@@ -380,8 +361,10 @@ def gen_r6_nonliving(s: ParsedSentence, lex: SemanticLexicon, m: MarkerTable) ->
             if t.form in ("raha", "rahe"):
                 replacements[t.id] = "rahi"
         tokens = _build_tokens(s, {target.id}, target.id, ["kaun", "si", "vastu"], replacements)
-        emitter = emitters.setdefault(target.id, _Emitter(s, RuleId.R_R6_NONLIVING, target))
-        out.append(emitter.emit("r6", "kaun si", tokens, emitter.next_index))
+        index = made.get(target.id, 0)
+        made[target.id] = index + 1
+        out.append(_candidate(s, RuleId.R_R6_NONLIVING, target, index, index,
+                              "r6", "kaun si", tokens))
     return out
 
 

@@ -160,6 +160,7 @@ def _parse_blocks(lines, source: str) -> list[ParsedSentence]:
     for in_block, block in groupby(numbered, key=lambda item: bool(item[1].strip())):
         if not in_block:
             continue
+        block = list(block)
         rows: list[Token] = []
         row_lines: list[int] = []
         sent_id: str | None = None
@@ -183,7 +184,7 @@ def _parse_blocks(lines, source: str) -> list[ParsedSentence]:
         if not rows:
             if sent_id is None and raw_text is None:
                 continue
-            raise TreebankError(f"{source}: sentence metadata without token lines")
+            raise TreebankError(f"{source}:{block[0][0]}: sentence metadata without token lines")
         sid = sent_id or f"s{len(sentences) + 1:03d}"
         if sid in first_line_of:
             raise TreebankError(

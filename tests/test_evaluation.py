@@ -80,7 +80,12 @@ def test_load_ratings_turns_csv_errors_into_line_errors(tmp_path):
 def test_load_ratings_rejects_duplicate_pair_with_line(tmp_path):
     path = tmp_path / "ratings.csv"
     write_ratings(path, [("c1", "a1", 5, 4), ("c1", "a1", 3, 2)])
-    with pytest.raises(RatingsError, match=r"ratings\.csv:3: duplicate rating for candidate 'c1' by annotator 'a1'"):
+    with pytest.raises(RatingsError, match=r"ratings\.csv:3: duplicate rating for candidate 'c1' "
+                       r"by annotator 'a1', first used at .*ratings\.csv:2$"):
+        load_ratings(path)
+    # The first use is the pair's first row, not the candidate's.
+    write_ratings(path, [("c1", "a2", 5, 4), ("c1", "a1", 5, 4), ("c1", "a1", 3, 2)])
+    with pytest.raises(RatingsError, match=r"ratings\.csv:4: .*, first used at .*ratings\.csv:3$"):
         load_ratings(path)
 
 
@@ -235,13 +240,14 @@ MULTI_LINE_ROWS = "candidate_id,annotator_id,syntax,semantic\nc0,a1,5,4\n\"c1\nx
     ("a1,9,4\n", 3, "syntax score 9 outside 1..5"),
     ("a1,x,4\n", 3, "scores must be integers"),
     ("a1,5\n", 3, "expected 4 columns, got 3"),
-    ("a1,5,4\n\"c1\nx\",a1,3,3\n", 5, "duplicate rating for candidate 'c1\\nx' by annotator 'a1'"),
+    ("a1,5,4\n\"c1\nx\",a1,3,3\n", 5,
+     "duplicate rating for candidate 'c1\\nx' by annotator 'a1', first used at {path}:3"),
     (f"{'a' * 200_000},3,4\n", 3, "field larger than field limit"),
 ], ids=["score", "not-an-integer", "columns", "duplicate", "csv-error"])
 def test_load_ratings_names_the_first_line_of_a_multi_line_row(tmp_path, rest, line, reason):
     path = tmp_path / "ratings.csv"
     path.write_text(MULTI_LINE_ROWS + rest, encoding="utf-8")
-    with pytest.raises(RatingsError, match=re.escape(f"ratings.csv:{line}: {reason}")):
+    with pytest.raises(RatingsError, match=re.escape(f"ratings.csv:{line}: {reason.format(path=path)}")):
         load_ratings(path)
 
 

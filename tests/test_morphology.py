@@ -9,7 +9,6 @@ from karaka_qg.morphology import (
     MarkerTableError,
     case_marker_tokens,
     case_of,
-    genitive_interrogative,
     interrogative_spans,
     is_interrogative_form,
     load_marker_table,
@@ -24,9 +23,7 @@ def test_case_of_single_marker():
         ("ne", "ne", "ADP", "_", 1, "psp"),
         ("gaya", "ja", "VERB", "_", 0, "root"),
     ])
-    status = case_of(s, 1, DEFAULT_MARKERS)
-    assert status.is_oblique
-    assert status.marker == "ne"
+    assert case_of(s, 1, DEFAULT_MARKERS) == "ne"
 
 
 def test_case_of_unmarked_token_is_direct():
@@ -34,9 +31,7 @@ def test_case_of_unmarked_token_is_direct():
         ("raam", "raam", "PROPN", "_", 2, "k1"),
         ("gaya", "ja", "VERB", "_", 0, "root"),
     ])
-    status = case_of(s, 1, DEFAULT_MARKERS)
-    assert not status.is_oblique
-    assert status.marker is None
+    assert case_of(s, 1, DEFAULT_MARKERS) is None
 
 
 def test_case_of_multiword_marker():
@@ -46,7 +41,7 @@ def test_case_of_multiword_marker():
         ("dwaaraa", "dwaaraa", "ADP", "_", 1, "psp"),
         ("gaya", "ja", "VERB", "_", 0, "root"),
     ])
-    assert case_of(s, 1, DEFAULT_MARKERS).marker == "ke dwaaraa"
+    assert case_of(s, 1, DEFAULT_MARKERS) == "ke dwaaraa"
     window = case_marker_tokens(s, 1, DEFAULT_MARKERS)
     assert [t.form for t in window] == ["ke", "dwaaraa"]
 
@@ -61,7 +56,7 @@ def test_multiword_marker_requires_adjacent_tokens():
     ])
     # "ke" and "dwaaraa" are split by another token, so the two-token
     # instrumental never matches; the lone "ke" falls back to genitive.
-    assert case_of(s, 1, DEFAULT_MARKERS).marker == "ke"
+    assert case_of(s, 1, DEFAULT_MARKERS) == "ke"
 
 
 def test_longest_marker_match_wins():
@@ -71,15 +66,7 @@ def test_longest_marker_match_wins():
         ("liye", "liye", "ADP", "_", 1, "psp"),
         ("likha", "likh", "VERB", "_", 0, "root"),
     ])
-    assert case_of(s, 1, DEFAULT_MARKERS).marker == "ke liye"
-
-
-def test_genitive_interrogative_mapping():
-    assert genitive_interrogative("ka") == "kiska"
-    assert genitive_interrogative("ke") == "kiske"
-    assert genitive_interrogative("ki") == "kiski"
-    with pytest.raises(ValueError, match="not a genitive marker: 'ko'"):
-        genitive_interrogative("ko")
+    assert case_of(s, 1, DEFAULT_MARKERS) == "ke liye"
 
 
 def test_verb_gender_prefers_feats():

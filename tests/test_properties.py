@@ -6,7 +6,7 @@ import statistics
 from collections import Counter, defaultdict
 from dataclasses import astuple, replace
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from helpers import load_bundled_corpus, make_rated_candidate
 from karaka_qg.evaluation import (
@@ -23,23 +23,31 @@ from karaka_qg.filters import (
     read_verdicts_jsonl,
     run_filters,
 )
-from karaka_qg.lexicon import SemanticCategory, SemanticLexicon, default_lexicon
+from karaka_qg.lexicon import (
+    LexiconError,
+    SemanticCategory,
+    SemanticLexicon,
+    default_lexicon,
+    load_lexicon,
+)
 from karaka_qg.morphology import (
     DEFAULT_MARKERS,
+    GENITIVE_INTERROGATIVES,
     MarkerTable,
+    MarkerTableError,
     case_marker_tokens,
     case_of,
-    genitive_interrogative,
     interrogative_spans,
+    load_marker_table,
 )
 from karaka_qg.rule_engine import (
     JsonlError,
     QuestionCandidate,
     RuleId,
     _build_tokens,
+    _candidate,
     _check_json_types,
     _decode_json_line,
-    _Emitter,
     _read_jsonl,
     _unknown_note,
     gen_k5,
@@ -48,7 +56,14 @@ from karaka_qg.rule_engine import (
     read_candidates_jsonl,
 )
 from karaka_qg.textfile import open_utf8
-from karaka_qg.treebank_io import ParsedSentence, Token, dumps_treebank, loads_treebank
+from karaka_qg.treebank_io import (
+    ParsedSentence,
+    Token,
+    TreebankError,
+    dumps_treebank,
+    load_treebank,
+    loads_treebank,
+)
 
 EMPTY = SemanticLexicon()
 
@@ -255,13 +270,11 @@ def reference_gen_k5(s, lex, m):
     """R_K5 as coded before it became a SUBSTITUTIONS row."""
     out = []
     for target in [t for t in s.children(s.main_verb().id) if t.deprel == "k5"]:
-        case = case_of(s, target.id, m)
-        if case.marker != "se":
+        if case_of(s, target.id, m) != "se":
             continue
         marker_ids = {t.id for t in case_marker_tokens(s, target.id, m)}
         keep_marker = s.subtree_ids(target.id) - marker_ids
         cat = lex.lookup(target.lemma)
-        emitter = _Emitter(s, RuleId.R_K5, target)
         if cat is SemanticCategory.PLACE:
             variants = [("kahan", 0, False, ()), ("kidhar", 0, False, ())]
         elif cat is SemanticCategory.UNKNOWN:
@@ -270,10 +283,10 @@ def reference_gen_k5(s, lex, m):
                         ("kahan", 1, False, note), ("kidhar", 1, False, note)]
         else:
             variants = [("kisse", 0, True, ())]
-        for wh, group, drop_marker, notes in variants:
+        for index, (wh, group, drop_marker, notes) in enumerate(variants):
             delete = s.subtree_ids(target.id) if drop_marker else keep_marker
             tokens = _build_tokens(s, delete, target.id, [wh])
-            out.append(emitter.emit("k5", wh, tokens, group, notes))
+            out.append(_candidate(s, RuleId.R_K5, target, index, group, "k5", wh, tokens, notes))
     return out
 
 
@@ -281,16 +294,15 @@ def reference_gen_r6(s, lex, m):
     """R_R6 as coded before it became a SUBSTITUTIONS row."""
     out = []
     for target in [t for t in s.tokens if t.deprel == "r6"]:
-        case = case_of(s, target.id, m)
-        if not case.is_oblique or case.marker not in m.genitive:
+        marker = case_of(s, target.id, m)
+        if marker is None or marker not in m.genitive:
             continue
         try:
-            wh = genitive_interrogative(case.marker)
-        except ValueError:
+            wh = GENITIVE_INTERROGATIVES[marker]
+        except KeyError:
             continue
-        emitter = _Emitter(s, RuleId.R_R6, target)
         tokens = _build_tokens(s, s.subtree_ids(target.id), target.id, wh.split(" "))
-        out.append(emitter.emit("r6", wh, tokens, 0))
+        out.append(_candidate(s, RuleId.R_R6, target, 0, 0, "r6", wh, tokens))
     return out
 
 
@@ -706,3 +718,34 @@ def test_eval_readers_parse_any_bytes_or_name_the_line(tmp_path_factory, data, r
             assert 1 <= record.syntax <= 5 and 1 <= record.semantic <= 5
         else:
             record.to_json_line().encode("utf-8")
+
+
+# Treebank rows and two-column table rows, valid and broken, with the bytes
+# that split lines or columns, start comments, or are not UTF-8.
+TREEBANK_PIECES = (b"# sent_id = d1\n", b"# text = orphan\n", b"1\traam\traam\tPROPN\tGender=Masc\t2\tk1\n",
+                   b"2\tgaya\tja\tVERB\t_\t0\troot\n", b"3\tne\tne\tADP\t_\t1\tpsp\n", b"\n", b"\t",
+                   b"#", b"=", b"|", b"0", b"2", b"\r", b"\xff", b"\xe0\xa4", b"\xef\xbb\xbf")
+TABLE_PIECES = (b"ghar\tPLACE\n", b"gen\tkaa\n", b"wh\tkaun si\n", b"# note\n", b"\t", b"\n", b" ",
+                b"#", b"erg", b"PLACE", b"\r", b"\xff", b"\xe0\xa4", b"\xef\xbb\xbf")
+
+
+# Each reader with its error, over bytes shaped like its own input.
+table_inputs = st.one_of(*(
+    st.tuples(st.just(read), st.just(error), st.binary(max_size=40) | spliced(pieces))
+    for read, error, pieces in ((load_treebank, TreebankError, TREEBANK_PIECES),
+                                (load_lexicon, LexiconError, TABLE_PIECES),
+                                (load_marker_table, MarkerTableError, TABLE_PIECES))
+))
+
+
+@settings(max_examples=60, deadline=None)
+@given(table_inputs)
+@example((load_treebank, TreebankError, b"# text = orphan\n"))
+def test_table_readers_parse_any_bytes_or_name_the_line(tmp_path_factory, table_input):
+    read, error, data = table_input
+    path = tmp_path_factory.getbasetemp() / "table.bin"
+    path.write_bytes(data)
+    try:
+        read(path)
+    except error as exc:
+        assert re.match(rf"{re.escape(str(path))}:\d+: ", str(exc)), str(exc)

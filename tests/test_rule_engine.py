@@ -150,15 +150,17 @@ def test_two_possessors_of_one_nonliving_noun_get_distinct_ids():
 
 
 def test_possessor_question_keeps_possessed_noun():
-    s = make_sentence([
-        ("mohan", "mohan", "PROPN", "_", 3, "r6"),
-        ("ka", "ka", "ADP", "_", 1, "psp"),
-        ("saamaan", "saamaan", "NOUN", "_", 4, "k1"),
-        ("kho", "kho", "VERB", "_", 0, "root"),
-        ("gaya", "ja", "AUX", "_", 4, "aux"),
-    ])
-    cands = gen_r6(s, EMPTY, M)
-    assert texts(cands) == ["kiska saamaan kho gaya ?"]
+    # Each genitive marker asks the interrogative with its own gender/number ending.
+    for marker, wh in (("ka", "kiska"), ("ke", "kiske"), ("ki", "kiski")):
+        s = make_sentence([
+            ("mohan", "mohan", "PROPN", "_", 3, "r6"),
+            (marker, marker, "ADP", "_", 1, "psp"),
+            ("saamaan", "saamaan", "NOUN", "_", 4, "k1"),
+            ("kho", "kho", "VERB", "_", 0, "root"),
+            ("gaya", "ja", "AUX", "_", 4, "aux"),
+        ])
+        cands = gen_r6(s, EMPTY, M)
+        assert texts(cands) == [f"{wh} saamaan kho gaya ?"]
 
 
 def test_possessor_without_genitive_marker_is_skipped(caplog):

@@ -100,8 +100,10 @@ def test_bad_feats_item_rejected():
 
 
 def test_metadata_without_tokens_rejected():
-    with pytest.raises(TreebankError, match="sentence metadata without token lines"):
+    with pytest.raises(TreebankError, match="^<string>:1: sentence metadata without token lines$"):
         loads_treebank("# sent_id = d009\n\n")
+    with pytest.raises(TreebankError, match="^<string>:3: sentence metadata without token lines$"):
+        loads_treebank("\n\n# text = orphan\n")
 
 
 def test_empty_sent_id_rejected_with_its_line():
