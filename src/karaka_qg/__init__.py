@@ -48,7 +48,6 @@ from .treebank_io import (
     ParsedSentence,
     Token,
     TreebankError,
-    dump_treebank,
     dumps_treebank,
     load_treebank,
     loads_treebank,
@@ -82,7 +81,6 @@ __all__ = [
     "before_after",
     "case_of",
     "default_lexicon",
-    "dump_treebank",
     "dumps_treebank",
     "generate_all",
     "interrogative_spans",

@@ -9,6 +9,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from enum import Enum
+from functools import partial
 from json.encoder import encode_basestring
 
 from .morphology import (
@@ -20,7 +21,7 @@ from .morphology import (
     verb_gender,
     verb_number,
 )
-from .rule_engine import QuestionCandidate, RuleId, _read_jsonl, _write_jsonl
+from .rule_engine import QuestionCandidate, RuleId, _jsonl_record, _read_jsonl, _write_jsonl
 from .treebank_io import ParsedSentence
 
 
@@ -60,6 +61,15 @@ class FilterConfig:
             raise ValueError(f"theta must be >= 1, got {self.theta}")
 
 
+def _check_kept(d: dict) -> None:
+    """Raise ValueError for a verdict that is kept yet names a filter, or
+    dropped yet names none."""
+    kept, dropped = d["kept"], d.get("dropped_by")
+    if kept != (dropped is None):
+        raise ValueError(f"kept is {json.dumps(kept)} but dropped_by is {json.dumps(dropped)}")
+
+
+@partial(_jsonl_record, check=_check_kept)
 @dataclass(frozen=True)
 class FilterVerdict:
     candidate_id: str
@@ -67,43 +77,12 @@ class FilterVerdict:
     dropped_by: FilterId | None = None
     detail: str = ""
 
-    # The JSON type of each field in verdicts.jsonl (not a dataclass field).
-    JSON_TYPES = {"candidate_id": str, "kept": bool, "dropped_by": (str, type(None)), "detail": str}
-
-    def to_json_dict(self) -> dict:
-        return {
-            "candidate_id": self.candidate_id,
-            "kept": self.kept,
-            "dropped_by": self.dropped_by.value if self.dropped_by else None,
-            "detail": self.detail,
-        }
-
     def to_json_line(self) -> str:
         """json.dumps(self.to_json_dict(), ensure_ascii=False), built directly."""
         dropped = encode_basestring(self.dropped_by.value) if self.dropped_by else "null"
         return (f'{{"candidate_id": {encode_basestring(self.candidate_id)}, '
                 f'"kept": {"true" if self.kept else "false"}, "dropped_by": {dropped}, '
                 f'"detail": {encode_basestring(self.detail)}}}')
-
-    @classmethod
-    def from_json_dict(cls, d: dict) -> "FilterVerdict":
-        """Raises ValueError for a verdict that is kept yet names a filter, or
-        dropped yet names none."""
-        kept = d["kept"]
-        dropped = d.get("dropped_by")
-        if kept != (dropped is None):
-            raise ValueError(f"kept is {json.dumps(kept)} "
-                             f"but dropped_by is {json.dumps(dropped)}")
-        return cls(
-            candidate_id=d["candidate_id"],
-            kept=kept,
-            dropped_by=None if kept else _FILTER_OF.get(dropped) or FilterId(dropped),
-            detail=d.get("detail", ""),
-        )
-
-
-# Member of each value; an unknown value goes through FilterId() for its error.
-_FILTER_OF = {f.value: f for f in FilterId}
 
 
 def _kept(c: QuestionCandidate) -> FilterVerdict:
@@ -178,6 +157,9 @@ def filter_already_question(c: QuestionCandidate, s: ParsedSentence, cfg: Filter
         return _dropped(c, FilterId.F_ALREADY_QUESTION,
                         f"source sentence already contains an interrogative "
                         f"at position {start + 1}")
+    if s.tokens[-1].form == "?":
+        return _dropped(c, FilterId.F_ALREADY_QUESTION,
+                        f"source sentence already ends in '?' at position {len(s.tokens)}")
     spans = interrogative_spans(list(c.tokens), cfg.markers)
     if len(spans) >= 2:
         return _dropped(c, FilterId.F_ALREADY_QUESTION,

@@ -18,7 +18,8 @@ from __future__ import annotations
 
 import json
 import logging
-from dataclasses import dataclass, field
+import typing
+from dataclasses import MISSING, dataclass, field, fields as dataclass_fields
 from enum import Enum
 from functools import partial
 from json.encoder import encode_basestring
@@ -37,11 +38,135 @@ from .treebank_io import ParsedSentence, Token
 log = logging.getLogger(__name__)
 
 # Terminal punctuation replaced by the appended question mark.
-TERMINAL_PUNCT = {"।", ".", "|"}
+TERMINAL_PUNCT = {"।", ".", "|", "?", "!"}
 
 
 class JsonlError(ValueError):
     """Raised for a malformed or repeated line in a candidates or verdicts file."""
+
+
+def _write_jsonl(records, path) -> None:
+    """One record per line, UTF-8, stable key order."""
+    with open(path, "w", encoding="utf-8") as fh:
+        for r in records:
+            fh.write(r.to_json_line() + "\n")
+
+
+_JSON_NAMES = {str: "a string", int: "an integer", bool: "true or false",
+               list: "a list of strings", type(None): "null"}
+
+
+def _check_json_types(fields, json_types: dict) -> None:
+    """Raise TypeError unless fields is a JSON object whose fields have the
+    types json_types names, each one type or a tuple of them. A list must
+    hold strings. Types must match exactly, so true is not an integer."""
+    if type(fields) is not dict:
+        raise TypeError(f"expected a JSON object, got {json.dumps(fields, ensure_ascii=False)}")
+    for name, kind in json_types.items():
+        if name not in fields:
+            continue
+        value = fields[name]
+        if type(value) is kind or (type(kind) is tuple and type(value) in kind):
+            if kind is not list or all(isinstance(v, str) for v in value):
+                continue
+        kinds = kind if type(kind) is tuple else (kind,)
+        raise TypeError(f"field {name!r} must be {' or '.join(_JSON_NAMES[k] for k in kinds)}, "
+                        f"got {json.dumps(value, ensure_ascii=False)}")
+
+
+# The decoder's scanner, without json.loads's Python wrapper around it.
+_scan_json = json.JSONDecoder().scan_once
+
+
+def _decode_json_line(line: str):
+    """json.loads(line), through the scanner. json.loads runs only for a
+    line the scanner cannot take whole, so that it raises its own error."""
+    try:
+        value, end = _scan_json(line, 0)
+    except StopIteration:  # leading whitespace, a BOM, or no value at all
+        return json.loads(line)
+    if line[end:].strip(" \t\n\r"):  # extra data after the value
+        return json.loads(line)
+    return value
+
+
+def _read_jsonl(path, record_type) -> list:
+    """One record_type per non-blank line; a malformed, too deeply nested,
+    mistyped or repeated line, or one that escapes a lone surrogate, raises
+    JsonlError."""
+    records = []
+    first_line_of: dict[str, int] = {}
+    with open_utf8(path, JsonlError) as fh:
+        for line_no, line in enumerate(fh, start=1):
+            if not line.strip():
+                continue
+            try:
+                fields = _decode_json_line(line)
+                _check_json_types(fields, record_type.JSON_TYPES)
+                record = record_type.from_json_dict(fields)
+                # UTF-8 text holds no surrogate; only a \u escape makes one.
+                if "\\u" in line:
+                    record.to_json_line().encode("utf-8")
+            except KeyError as exc:
+                raise JsonlError(f"{path}:{line_no}: missing field {exc}") from None
+            except UnicodeEncodeError as exc:
+                raise JsonlError(f"{path}:{line_no}: lone surrogate "
+                                 f"{exc.object[exc.start]!r} is not text") from None
+            except (ValueError, TypeError, RecursionError) as exc:
+                raise JsonlError(f"{path}:{line_no}: {exc}") from None
+            if record.candidate_id in first_line_of:
+                raise JsonlError(
+                    f"{path}:{line_no}: duplicate candidate_id {record.candidate_id!r}, "
+                    f"first used at {path}:{first_line_of[record.candidate_id]}"
+                )
+            first_line_of[record.candidate_id] = line_no
+            records.append(record)
+    return records
+
+
+def _json_form(kind):
+    """(JSON type, decode, encode) of a field annotation; a None function
+    leaves the value as it is."""
+    if kind in (str, int, bool):
+        return kind, None, None
+    if kind == tuple[str, ...]:
+        return list, tuple, list
+    if isinstance(kind, type) and issubclass(kind, Enum):
+        # Member of each value; an unknown value goes through kind() for its error.
+        member_of = {m.value: m for m in kind}
+        return str, lambda v: member_of.get(v) or kind(v), lambda v: v.value
+    args = typing.get_args(kind)
+    if len(args) == 2 and args[1] is type(None):
+        json_type, decode, encode = _json_form(args[0])
+        return ((json_type, type(None)), decode and (lambda v: None if v is None else decode(v)),
+                encode and (lambda v: None if v is None else encode(v)))
+    raise TypeError(f"no JSON form for a field of type {kind!r}")
+
+
+def _jsonl_record(cls, check=None):
+    """Class decorator deriving a dataclass's JSON_TYPES, to_json_dict and
+    from_json_dict from its fields and their annotations, once. A field
+    with a default may be absent from a line; check(d) vets a line first."""
+    hints = typing.get_type_hints(cls)
+    spec = [(f.name, f.default, *_json_form(hints[f.name])) for f in dataclass_fields(cls)]
+    cls.JSON_TYPES = {name: json_type for name, _, json_type, _, _ in spec}
+
+    def to_json_dict(self) -> dict:
+        return {name: getattr(self, name) if encode is None else encode(getattr(self, name))
+                for name, _, _, _, encode in spec}
+
+    def from_json_dict(d: dict):
+        if check is not None:
+            check(d)
+        values = []
+        for name, default, _, decode, _ in spec:
+            value = d[name] if default is MISSING else d.get(name, default)
+            values.append(value if decode is None else decode(value))
+        return cls(*values)
+
+    cls.to_json_dict = to_json_dict
+    cls.from_json_dict = staticmethod(from_json_dict)
+    return cls
 
 
 class RuleId(str, Enum):
@@ -59,6 +184,7 @@ class RuleId(str, Enum):
     R_K7T = "R_K7T"
 
 
+@_jsonl_record
 @dataclass(frozen=True)
 class QuestionCandidate:
     candidate_id: str
@@ -71,29 +197,9 @@ class QuestionCandidate:
     target_token_id: int
     notes: tuple[str, ...] = ()
 
-    # The JSON type of each field in candidates.jsonl (not a dataclass field).
-    JSON_TYPES = {
-        "candidate_id": str, "sentence_id": str, "rule": str, "karaka": str,
-        "interrogative": str, "tokens": list, "variation_group": str,
-        "target_token_id": int, "notes": list,
-    }
-
     @property
     def text(self) -> str:
         return " ".join(self.tokens)
-
-    def to_json_dict(self) -> dict:
-        return {
-            "candidate_id": self.candidate_id,
-            "sentence_id": self.sentence_id,
-            "rule": self.rule.value,
-            "karaka": self.karaka,
-            "interrogative": self.interrogative,
-            "tokens": list(self.tokens),
-            "variation_group": self.variation_group,
-            "target_token_id": self.target_token_id,
-            "notes": list(self.notes),
-        }
 
     def to_json_line(self) -> str:
         """json.dumps(self.to_json_dict(), ensure_ascii=False), built directly."""
@@ -105,24 +211,6 @@ class QuestionCandidate:
                 f'"variation_group": {s(self.variation_group)}, '
                 f'"target_token_id": {int.__repr__(self.target_token_id)}, '
                 f'"notes": [{", ".join(map(s, self.notes))}]}}')
-
-    @classmethod
-    def from_json_dict(cls, d: dict) -> "QuestionCandidate":
-        return cls(
-            candidate_id=d["candidate_id"],
-            sentence_id=d["sentence_id"],
-            rule=_RULE_OF.get(d["rule"]) or RuleId(d["rule"]),
-            karaka=d["karaka"],
-            interrogative=d["interrogative"],
-            tokens=tuple(d["tokens"]),
-            variation_group=d["variation_group"],
-            target_token_id=d["target_token_id"],
-            notes=tuple(d.get("notes", ())),
-        )
-
-
-# Member of each value; an unknown value goes through RuleId() for its error.
-_RULE_OF = {r.value: r for r in RuleId}
 
 
 def _build_tokens(s: ParsedSentence, delete_ids: set[int], insert_at: int,
@@ -374,10 +462,6 @@ _FUNCTION_OF = ({row.rule: partial(apply_substitution, row) for row in SUBSTITUT
                 | {RuleId.R_RH: gen_rh, RuleId.R_R6_NONLIVING: gen_r6_nonliving})
 # Every rule as an (s, lex, m) function, in RuleId order.
 RULE_FUNCTIONS = tuple((rule, _FUNCTION_OF[rule]) for rule in RuleId)
-# The table's rules under their own names, in table order.
-gen_k1, gen_k1s, gen_k2, gen_k2p, gen_k3, gen_rt, gen_k5, gen_r6, gen_k7s, gen_k7t = (
-    _FUNCTION_OF[row.rule] for row in SUBSTITUTIONS
-)
 
 
 def generate_all(s: ParsedSentence, lex: SemanticLexicon,
@@ -391,85 +475,6 @@ def generate_all(s: ParsedSentence, lex: SemanticLexicon,
         if rule_id in enabled:
             out.extend(fn(s, lex, m))
     return out
-
-
-def _write_jsonl(records, path) -> None:
-    """One record per line, UTF-8, stable key order."""
-    with open(path, "w", encoding="utf-8") as fh:
-        for r in records:
-            fh.write(r.to_json_line() + "\n")
-
-
-_JSON_NAMES = {str: "a string", int: "an integer", bool: "true or false",
-               list: "a list of strings", type(None): "null"}
-
-
-def _check_json_types(fields, json_types: dict) -> None:
-    """Raise TypeError unless fields is a JSON object whose fields have the
-    types json_types names, each one type or a tuple of them. A list must
-    hold strings. Types must match exactly, so true is not an integer."""
-    if type(fields) is not dict:
-        raise TypeError(f"expected a JSON object, got {json.dumps(fields, ensure_ascii=False)}")
-    for name, kind in json_types.items():
-        if name not in fields:
-            continue
-        value = fields[name]
-        if type(value) is kind or (type(kind) is tuple and type(value) in kind):
-            if kind is not list or all(isinstance(v, str) for v in value):
-                continue
-        kinds = kind if type(kind) is tuple else (kind,)
-        raise TypeError(f"field {name!r} must be {' or '.join(_JSON_NAMES[k] for k in kinds)}, "
-                        f"got {json.dumps(value, ensure_ascii=False)}")
-
-
-# The decoder's scanner, without json.loads's Python wrapper around it.
-_scan_json = json.JSONDecoder().scan_once
-
-
-def _decode_json_line(line: str):
-    """json.loads(line), through the scanner. json.loads runs only for a
-    line the scanner cannot take whole, so that it raises its own error."""
-    try:
-        value, end = _scan_json(line, 0)
-    except StopIteration:  # leading whitespace, a BOM, or no value at all
-        return json.loads(line)
-    if line[end:].strip(" \t\n\r"):  # extra data after the value
-        return json.loads(line)
-    return value
-
-
-def _read_jsonl(path, record_type) -> list:
-    """One record_type per non-blank line; a malformed, too deeply nested,
-    mistyped or repeated line, or one that escapes a lone surrogate, raises
-    JsonlError."""
-    records = []
-    first_line_of: dict[str, int] = {}
-    with open_utf8(path, JsonlError) as fh:
-        for line_no, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            try:
-                fields = _decode_json_line(line)
-                _check_json_types(fields, record_type.JSON_TYPES)
-                record = record_type.from_json_dict(fields)
-                # UTF-8 text holds no surrogate; only a \u escape makes one.
-                if "\\u" in line:
-                    record.to_json_line().encode("utf-8")
-            except KeyError as exc:
-                raise JsonlError(f"{path}:{line_no}: missing field {exc}") from None
-            except UnicodeEncodeError as exc:
-                raise JsonlError(f"{path}:{line_no}: lone surrogate "
-                                 f"{exc.object[exc.start]!r} is not text") from None
-            except (ValueError, TypeError, RecursionError) as exc:
-                raise JsonlError(f"{path}:{line_no}: {exc}") from None
-            if record.candidate_id in first_line_of:
-                raise JsonlError(
-                    f"{path}:{line_no}: duplicate candidate_id {record.candidate_id!r}, "
-                    f"first used at {path}:{first_line_of[record.candidate_id]}"
-                )
-            first_line_of[record.candidate_id] = line_no
-            records.append(record)
-    return records
 
 
 def candidate_line(path, candidate_id: str) -> int | None:

@@ -224,8 +224,3 @@ def dumps_treebank(sentences) -> str:
             )
         blocks.append("\n".join(lines))
     return "\n\n".join(blocks) + ("\n" if blocks else "")
-
-
-def dump_treebank(sentences, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(dumps_treebank(sentences))

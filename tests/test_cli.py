@@ -227,11 +227,17 @@ def test_duplicate_sent_id_is_an_input_error(tmp_path, caplog):
      "lone surrogate '\\ud800' is not text"),
     ("verdicts.jsonl", lambda line: json.dumps({**json.loads(line), "detail": "x\udfff"}),
      "lone surrogate '\\udfff' is not text"),
+    ("verdicts.jsonl",
+     lambda line: json.dumps({k: v for k, v in json.loads(line).items() if k != "kept"}),
+     "missing field 'kept'"),
+    ("verdicts.jsonl",
+     lambda line: json.dumps({**json.loads(line), "kept": False, "dropped_by": "F_X"}),
+     "'F_X' is not a valid FilterId"),
 ], ids=["truncated", "no-tokens", "unknown-rule", "verdicts-not-json", "tokens-string",
         "target-id-string", "target-id-bool", "notes-not-strings", "not-an-object",
         "kept-string", "dropped-by-number", "candidates-nested", "verdicts-nested",
         "kept-names-a-filter", "dropped-names-none", "candidates-surrogate",
-        "verdicts-surrogate"])
+        "verdicts-surrogate", "no-kept", "unknown-filter"])
 def test_malformed_jsonl_line_is_an_input_error(tmp_path, caplog, name, spoil, reason):
     src = write_input(tmp_path)
     out = tmp_path / "out"

@@ -161,6 +161,26 @@ def test_interrogative_source_blocks_every_candidate():
     assert all(v.dropped_by is FilterId.F_ALREADY_QUESTION for v in verdicts.values())
 
 
+def ends_in(punct, sentence_id):
+    return make_sentence([
+        ("raam", "raam", "PROPN", "_", 3, "k1"),
+        ("ne", "ne", "ADP", "_", 1, "psp"),
+        ("khaayi", "khaa", "VERB", "_", 0, "root"),
+        (punct, punct, "PUNCT", "_", 3, "punct"),
+    ], sentence_id)
+
+
+def test_question_and_exclamation_sources_end_in_one_question_mark():
+    sentences = [ends_in("?", "q001"), ends_in("!", "q002")]
+    candidates = [c for s in sentences for c in generate_all(s, EMPTY)]
+    assert [c.text for c in candidates] == ["kisne khaayi ?", "kisne khaayi ?"]
+    kept, verdicts = run_filters(candidates, sentences)
+    assert [c.sentence_id for c in kept] == ["q002"]
+    assert verdicts[0] == FilterVerdict(candidates[0].candidate_id, False,
+                                        FilterId.F_ALREADY_QUESTION,
+                                        "source sentence already ends in '?' at position 4")
+
+
 def test_candidate_with_two_interrogatives_dropped():
     s = make_sentence([
         ("raam", "raam", "PROPN", "_", 3, "k1"),
@@ -287,3 +307,18 @@ def test_verdicts_jsonl_round_trip(tmp_path):
     write_verdicts_jsonl(verdicts, path)
     assert read_verdicts_jsonl(path) == verdicts
     assert all(isinstance(v, FilterVerdict) for v in read_verdicts_jsonl(path))
+
+
+def test_verdict_json_types_follow_the_field_annotations():
+    assert list(FilterVerdict.JSON_TYPES.items()) == [
+        ("candidate_id", str), ("kept", bool), ("dropped_by", (str, type(None))), ("detail", str),
+    ]
+
+
+def test_verdict_lines_without_optional_fields_read_back_with_defaults(tmp_path):
+    path = tmp_path / "verdicts.jsonl"
+    path.write_text('{"candidate_id": "c1", "kept": true}\n'
+                    '{"candidate_id": "c2", "kept": false, "dropped_by": "F_ANAPHORA"}\n',
+                    encoding="utf-8")
+    assert read_verdicts_jsonl(path) == [FilterVerdict("c1", True, None, ""),
+                                         FilterVerdict("c2", False, FilterId.F_ANAPHORA, "")]

@@ -41,6 +41,7 @@ from karaka_qg.morphology import (
     load_marker_table,
 )
 from karaka_qg.rule_engine import (
+    RULE_FUNCTIONS,
     JsonlError,
     QuestionCandidate,
     RuleId,
@@ -50,8 +51,6 @@ from karaka_qg.rule_engine import (
     _decode_json_line,
     _read_jsonl,
     _unknown_note,
-    gen_k5,
-    gen_r6,
     generate_all,
     read_candidates_jsonl,
 )
@@ -66,6 +65,7 @@ from karaka_qg.treebank_io import (
 )
 
 EMPTY = SemanticLexicon()
+RULE = dict(RULE_FUNCTIONS)
 
 word = st.text(
     alphabet=st.characters(categories=("Ll", "Lu", "Lo"), include_characters="-_."),
@@ -115,13 +115,14 @@ WORD_POOL = ("alpha", "beta", "gamma", "delta", "sigma")
 
 @st.composite
 def simple_clauses(draw):
-    """Flat verb-final clauses: optional time and object, optional markers."""
+    """Flat verb-final clauses: optional time and object, optional markers,
+    optional terminal punctuation."""
     time_word, agent, patient = draw(st.permutations(WORD_POOL))[:3]
     has_time = draw(st.booleans())
     ergative = draw(st.booleans())
     has_object = draw(st.booleans())
     accusative = has_object and draw(st.booleans())
-    punct = draw(st.sampled_from([None, "।", "."]))
+    punct = draw(st.sampled_from([None, "।", ".", "?", "!"]))
 
     rows = []  # (form, deprel, head symbol), resolved once ids are known
     if has_time:
@@ -161,6 +162,14 @@ def test_candidate_token_accounting(sentence):
         expected.update(c.interrogative.split(" "))
         expected.update(["?"])
         assert Counter(c.tokens) == +expected
+
+
+@settings(max_examples=40, deadline=None)
+@given(sentence=simple_clauses())
+def test_every_candidate_ends_in_one_question_mark(sentence):
+    for c in generate_all(sentence, EMPTY):
+        assert c.tokens[-1] == "?" and c.tokens.count("?") == 1
+        assert not {"।", ".", "|", "!"} & set(c.tokens)
 
 
 @settings(max_examples=60, deadline=None)
@@ -352,8 +361,8 @@ def test_k5_and_r6_rows_equal_the_coded_rules(sentences, categories, markers):
                 SemanticLexicon(dict(zip(NOUN_POOL, categories))))
     for s in sentences:
         for lex in lexicons:
-            assert gen_k5(s, lex, markers) == reference_gen_k5(s, lex, markers)
-            assert gen_r6(s, lex, markers) == reference_gen_r6(s, lex, markers)
+            assert RULE[RuleId.R_K5](s, lex, markers) == reference_gen_k5(s, lex, markers)
+            assert RULE[RuleId.R_R6](s, lex, markers) == reference_gen_r6(s, lex, markers)
 
 
 def corpus_candidates():

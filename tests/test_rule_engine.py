@@ -14,22 +14,15 @@ from karaka_qg.rule_engine import (
     SUBSTITUTIONS,
     QuestionCandidate,
     RuleId,
-    gen_k1,
-    gen_k2,
-    gen_k2p,
-    gen_k5,
-    gen_k7s,
-    gen_k7t,
-    gen_r6,
     gen_r6_nonliving,
     gen_rh,
-    gen_rt,
     generate_all,
     read_candidates_jsonl,
     write_candidates_jsonl,
 )
 
 M = DEFAULT_MARKERS
+RULE = dict(RULE_FUNCTIONS)
 EMPTY = SemanticLexicon()
 
 
@@ -43,7 +36,7 @@ def goal_sentence(sentence_id="t001"):
 
 
 def test_candidate_ids_count_variants_within_target():
-    cands = gen_k2p(goal_sentence(), EMPTY, M)
+    cands = RULE[RuleId.R_K2P](goal_sentence(), EMPTY, M)
     assert [c.candidate_id for c in cands] == ["t001:R_K2P:2:0", "t001:R_K2P:2:1"]
     assert {c.variation_group for c in cands} == {"t001:R_K2P:2:g0"}
     assert texts(cands) == ["raam kidhar gaya ?", "raam kahan gaya ?"]
@@ -57,7 +50,7 @@ def test_two_targets_get_separate_groups():
         ("bazar", "bazar", "NOUN", "_", 5, "k2p"),
         ("gaya", "ja", "VERB", "_", 0, "root"),
     ])
-    cands = gen_k2p(s, EMPTY, M)
+    cands = RULE[RuleId.R_K2P](s, EMPTY, M)
     assert len(cands) == 4
     groups = {c.variation_group for c in cands}
     assert groups == {"t001:R_K2P:2:g0", "t001:R_K2P:4:g0"}
@@ -66,7 +59,7 @@ def test_two_targets_get_separate_groups():
 
 
 def test_terminal_punctuation_replaced_by_question_mark():
-    for cand in gen_k2p(goal_sentence(), EMPTY, M):
+    for cand in RULE[RuleId.R_K2P](goal_sentence(), EMPTY, M):
         assert cand.tokens[-1] == "?"
         assert "।" not in cand.tokens
 
@@ -80,7 +73,7 @@ def test_whole_chunk_leaves_with_its_head():
         ("ko", "ko", "ADP", "_", 4, "psp"),
         ("becha", "bech", "VERB", "_", 0, "root"),
     ])
-    cands = gen_k2(s, EMPTY, M)
+    cands = RULE[RuleId.R_K2](s, EMPTY, M)
     assert texts(cands) == ["raam ne kisko becha ?"]
 
 
@@ -103,7 +96,7 @@ def test_unknown_purpose_emits_distinct_meaning_groups():
         ("inaam", "inaam", "NOUN", "_", 4, "rt"),
         ("likha", "likh", "VERB", "_", 0, "root"),
     ])
-    cands = gen_rt(s, EMPTY, M)
+    cands = RULE[RuleId.R_RT](s, EMPTY, M)
     assert [c.interrogative for c in cands] == ["kiske liye", "kyon"]
     assert cands[0].variation_group == "t001:R_RT:3:g0"
     assert cands[1].variation_group == "t001:R_RT:3:g1"
@@ -159,7 +152,7 @@ def test_possessor_question_keeps_possessed_noun():
             ("kho", "kho", "VERB", "_", 0, "root"),
             ("gaya", "ja", "AUX", "_", 4, "aux"),
         ])
-        cands = gen_r6(s, EMPTY, M)
+        cands = RULE[RuleId.R_R6](s, EMPTY, M)
         assert texts(cands) == [f"{wh} saamaan kho gaya ?"]
 
 
@@ -170,7 +163,7 @@ def test_possessor_without_genitive_marker_is_skipped(caplog):
         ("kho", "kho", "VERB", "_", 0, "root"),
     ])
     with caplog.at_level(logging.INFO, logger="karaka_qg.rule_engine"):
-        assert gen_r6(s, EMPTY, M) == []
+        assert RULE[RuleId.R_R6](s, EMPTY, M) == []
     assert "lacks a genitive marker" in caplog.text
 
 
@@ -198,7 +191,7 @@ def test_place_source_retains_marker():
         ("se", "se", "ADP", "_", 2, "psp"),
         ("bhaagaa", "bhaag", "VERB", "_", 0, "root"),
     ])
-    cands = gen_k5(s, make_lexicon(ghar="PLACE"), M)
+    cands = RULE[RuleId.R_K5](s, make_lexicon(ghar="PLACE"), M)
     assert texts(cands) == ["chor kahan se bhaagaa ?", "chor kidhar se bhaagaa ?"]
     assert len({c.variation_group for c in cands}) == 1
 
@@ -210,7 +203,7 @@ def test_unknown_source_splits_person_and_place_groups():
         ("se", "se", "ADP", "_", 2, "psp"),
         ("bhaagaa", "bhaag", "VERB", "_", 0, "root"),
     ])
-    cands = gen_k5(s, EMPTY, M)
+    cands = RULE[RuleId.R_K5](s, EMPTY, M)
     assert texts(cands) == [
         "chor kisse bhaagaa ?",
         "chor kahan se bhaagaa ?",
@@ -229,7 +222,7 @@ def test_non_ergative_agent_marker_skipped(caplog):
         ("gaya", "ja", "VERB", "_", 0, "root"),
     ])
     with caplog.at_level(logging.INFO, logger="karaka_qg.rule_engine"):
-        assert gen_k1(s, EMPTY, M) == []
+        assert RULE[RuleId.R_K1](s, EMPTY, M) == []
     assert "non-ergative marker" in caplog.text
 
 
@@ -241,7 +234,7 @@ def test_unexpected_patient_marker_skipped(caplog):
         ("kata", "kat", "VERB", "_", 0, "root"),
     ])
     with caplog.at_level(logging.INFO, logger="karaka_qg.rule_engine"):
-        assert gen_k2(s, EMPTY, M) == []
+        assert RULE[RuleId.R_K2](s, EMPTY, M) == []
     assert "unexpected marker" in caplog.text
 
 
@@ -252,7 +245,7 @@ def test_alias_locative_label_routed_with_note():
         ("par", "par", "ADP", "_", 2, "psp"),
         ("hai", "hai", "VERB", "_", 0, "root"),
     ])
-    cands = gen_k7s(s, EMPTY, M)
+    cands = RULE[RuleId.R_K7S](s, EMPTY, M)
     assert [c.interrogative for c in cands] == ["kahan", "kidhar", "kis par"]
     assert all(c.karaka == "k7p" for c in cands)
     assert all(c.rule is RuleId.R_K7S for c in cands)
@@ -265,9 +258,9 @@ def test_known_non_date_temporal_asks_kab_only():
         ("subah", "subah", "NOUN", "_", 3, "k7t"),
         ("gaya", "ja", "VERB", "_", 0, "root"),
     ])
-    cands = gen_k7t(s, make_lexicon(subah="PROPERTY"), M)
+    cands = RULE[RuleId.R_K7T](s, make_lexicon(subah="PROPERTY"), M)
     assert [c.interrogative for c in cands] == ["kab"]
-    cands = gen_k7t(s, make_lexicon(subah="DATE"), M)
+    cands = RULE[RuleId.R_K7T](s, make_lexicon(subah="DATE"), M)
     assert [c.interrogative for c in cands] == ["kab", "kis din", "konse din"]
     assert len({c.variation_group for c in cands}) == 1
 
@@ -322,3 +315,22 @@ def test_candidates_jsonl_round_trip(tmp_path):
     assert all(isinstance(c, QuestionCandidate) for c in loaded)
     first = path.read_text(encoding="utf-8").splitlines()[0]
     assert first.startswith('{"candidate_id":')
+
+
+def test_candidate_json_types_follow_the_field_annotations():
+    assert list(QuestionCandidate.JSON_TYPES.items()) == [
+        ("candidate_id", str), ("sentence_id", str), ("rule", str), ("karaka", str),
+        ("interrogative", str), ("tokens", list), ("variation_group", str),
+        ("target_token_id", int), ("notes", list),
+    ]
+
+
+def test_candidate_line_without_notes_reads_back_with_no_notes(tmp_path):
+    path = tmp_path / "candidates.jsonl"
+    path.write_text('{"candidate_id": "t001:R_K1:1:0", "sentence_id": "t001", "rule": "R_K1", '
+                    '"karaka": "k1", "interrogative": "kaun", "tokens": ["kaun", "gaya", "?"], '
+                    '"variation_group": "t001:R_K1:1:g0", "target_token_id": 1}\n',
+                    encoding="utf-8")
+    assert read_candidates_jsonl(path) == [QuestionCandidate(
+        "t001:R_K1:1:0", "t001", RuleId.R_K1, "k1", "kaun", ("kaun", "gaya", "?"),
+        "t001:R_K1:1:g0", 1, ())]

@@ -7,7 +7,6 @@ import pytest
 from helpers import make_sentence
 from karaka_qg.treebank_io import (
     TreebankError,
-    dump_treebank,
     dumps_treebank,
     load_treebank,
     loads_treebank,
@@ -64,7 +63,7 @@ def test_file_round_trip(tmp_path):
     src.write_text(SAMPLE, encoding="utf-8")
     sentences = load_treebank(src)
     out = tmp_path / "out.conllu"
-    dump_treebank(sentences, out)
+    out.write_text(dumps_treebank(sentences), encoding="utf-8")
     assert load_treebank(out) == sentences
 
 
