@@ -20,13 +20,12 @@ from pathlib import Path
 from .evaluation import (
     RatingsError,
     UncoveredCandidateError,
-    UnknownCandidateError,
-    aggregate,
-    before_after,
+    aggregate,  # noqa: F401 -- perfbench/tracing.py wraps these three names here
+    before_after,  # noqa: F401
     before_after_to_dict,
     eval_table_to_dict,
-    load_ratings,
-    rating_line,
+    evaluate_ratings,
+    load_ratings,  # noqa: F401
     render_before_after,
     render_eval_table,
 )
@@ -189,16 +188,10 @@ def cmd_filter(cfg: PipelineConfig) -> int:
     return 0
 
 
-def _evaluate(cfg: PipelineConfig, candidates, verdicts) -> None:
+def _evaluate(cfg: PipelineConfig, karaka_of: dict, kept_of: dict | None) -> None:
     """Print the ratings table, and the before/after block when there are verdicts."""
-    ratings = load_ratings(cfg.ratings_path)
     try:
-        table = aggregate(ratings, candidates)
-    except UnknownCandidateError as exc:
-        line = rating_line(cfg.ratings_path, exc.candidate_id)
-        raise RatingsError(f"{cfg.ratings_path}:{line}: {exc}") from None
-    try:
-        ba = before_after(ratings, candidates, verdicts) if verdicts is not None else None
+        table, ba = evaluate_ratings(cfg.ratings_path, karaka_of, kept_of)
     except UncoveredCandidateError as exc:
         line = candidate_line(cfg.candidates_path, exc.candidate_id)
         raise RatingsError(f"{cfg.candidates_path}:{line}: {exc}") from None
@@ -216,15 +209,15 @@ def _evaluate(cfg: PipelineConfig, candidates, verdicts) -> None:
 
 
 def cmd_eval(cfg: PipelineConfig) -> int:
-    candidates = read_candidates_jsonl(cfg.candidates_path)
+    karaka_of = read_candidates_jsonl(cfg.candidates_path, "karaka")
     # Only the default verdicts file may be absent; a named one must be read.
     verdicts_path = cfg.verdicts_path or cfg.output_dir / "verdicts.jsonl"
-    verdicts = None
+    kept_of = None
     if cfg.verdicts_path is not None or verdicts_path.exists():
-        verdicts = read_verdicts_jsonl(verdicts_path)
+        kept_of = read_verdicts_jsonl(verdicts_path, "kept")
     else:
         log.info("no verdicts at %s; skipping the before/after block", verdicts_path)
-    _evaluate(cfg, candidates, verdicts)
+    _evaluate(cfg, karaka_of, kept_of)
     return 0
 
 
@@ -236,7 +229,8 @@ def cmd_pipeline(cfg: PipelineConfig) -> int:
     _write_filter_outputs(cfg, candidates, kept, verdicts)
     _write_run_meta(cfg)
     if cfg.ratings_path is not None:
-        _evaluate(cfg, candidates, verdicts)
+        _evaluate(cfg, {c.candidate_id: c.karaka for c in candidates},
+                  {v.candidate_id: v.kept for v in verdicts})
     return 0
 
 

@@ -11,6 +11,8 @@ from __future__ import annotations
 
 import csv
 import statistics
+from collections import Counter
+from contextlib import closing
 from dataclasses import asdict, dataclass
 
 from .textfile import open_utf8
@@ -27,10 +29,10 @@ class RatingsError(ValueError):
 
 
 class UnknownCandidateError(RatingsError):
-    """Raised for a rating whose candidate_id no candidate has."""
+    """Raised for a rating whose candidate_id no candidate has; where is a PATH:LINE: prefix."""
 
-    def __init__(self, candidate_id: str):
-        super().__init__(f"rating references unknown candidate_id {candidate_id!r}")
+    def __init__(self, candidate_id: str, where: str = ""):
+        super().__init__(f"{where}rating references unknown candidate_id {candidate_id!r}")
         self.candidate_id = candidate_id
 
 
@@ -85,10 +87,14 @@ _SCORE_OF = {str(score): score for score in range(1, 6)}
 
 def load_ratings(path) -> list[RatingRecord]:
     """Read a ratings CSV with header candidate_id,annotator_id,syntax,semantic.
+    An error names the first line of its row: a quoted field may span lines."""
+    return [RatingRecord(*row[1:]) for row in _rating_rows(path)]
 
-    An error names the first line of its row: a quoted field may span lines.
-    """
-    records: list[RatingRecord] = []
+
+def _rating_rows(path):
+    """(line, candidate_id, annotator_id, syntax, semantic) of each row of a
+    ratings CSV, read one at a time; line is the first line of the row. Of
+    the rows before, only their (candidate_id, annotator_id) pairs are kept."""
     seen: set[tuple[str, str]] = set()
     with open_utf8(path, RatingsError, newline="") as fh:
         reader = csv.reader(fh)
@@ -110,7 +116,8 @@ def load_ratings(path) -> list[RatingRecord]:
                 candidate_id, annotator_id, syntax_s, semantic_s = row
                 key = (candidate_id, annotator_id)
                 if key in seen:
-                    first = next(n for n, other in _numbered_rows(path) if tuple(other[:2]) == key)
+                    # The rows before this one are sound, so a second reader gets to the first use.
+                    first = next(n for n, *pair, _, _ in _rating_rows(path) if tuple(pair) == key)
                     raise RatingsError(
                         f"{path}:{line_no}: duplicate rating for candidate "
                         f"{key[0]!r} by annotator {key[1]!r}, first used at {path}:{first}"
@@ -120,10 +127,9 @@ def load_ratings(path) -> list[RatingRecord]:
                 semantic = _SCORE_OF.get(semantic_s)
                 if syntax is None or semantic is None:
                     syntax, semantic = _parse_scores(f"{path}:{line_no}", syntax_s, semantic_s)
-                records.append(RatingRecord(candidate_id, annotator_id, syntax, semantic))
+                yield line_no, candidate_id, annotator_id, syntax, semantic
         except csv.Error as exc:
             raise RatingsError(f"{path}:{end + 1}: {exc}") from None
-    return records
 
 
 def _parse_scores(where: str, syntax_s: str, semantic_s: str) -> tuple[int, int]:
@@ -139,22 +145,6 @@ def _parse_scores(where: str, syntax_s: str, semantic_s: str) -> tuple[int, int]
     return syntax, semantic
 
 
-def _numbered_rows(path):
-    """Each row of a ratings CSV after the header, with the first line it spans."""
-    with open(path, encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        next(reader, None)
-        end = reader.line_num
-        for row in reader:
-            yield end + 1, row
-            end = reader.line_num
-
-
-def rating_line(path, candidate_id: str) -> int | None:
-    """The first line of the first row of a ratings CSV that rates candidate_id."""
-    return next((n for n, row in _numbered_rows(path) if row and row[0] == candidate_id), None)
-
-
 def _mean(scores):
     return statistics.fmean(scores) if scores else None
 
@@ -168,57 +158,82 @@ def _row_stats(count, syntax_scores, semantic_scores) -> RowStats:
                     _mean(semantic_scores), _median(semantic_scores), count)
 
 
-def aggregate(ratings, candidates) -> EvalTable:
-    """Per-karaka means, lower medians, and candidate counts, plus totals."""
+def _fold(rows, karaka_of: dict, counts: dict, kept_of: dict | None = None, path=None):
+    """The EvalTable and, given kept_of, the BeforeAfter of rows of (line,
+    candidate_id, annotator_id, syntax, semantic), in one pass that keeps only
+    the score columns; counts holds each karaka's number of distinct candidates.
+    An id karaka_of lacks raises UnknownCandidateError, naming path:line if given."""
+    columns = {karaka: ([], []) for karaka in counts}
+    kept_syntax, kept_semantic = [], []
+    kept = kept_of or {}
+    for line, candidate_id, _, syntax, semantic in rows:
+        try:
+            syntax_scores, semantic_scores = columns[karaka_of[candidate_id]]
+        except KeyError:
+            raise UnknownCandidateError(candidate_id, f"{path}:{line}: " if path else "") from None
+        syntax_scores.append(syntax)
+        semantic_scores.append(semantic)
+        if kept.get(candidate_id):
+            kept_syntax.append(syntax)
+            kept_semantic.append(semantic)
+    # The totals pool every group's scores: the same multisets as the ratings.
+    all_syntax = [x for syntax, _ in columns.values() for x in syntax]
+    all_semantic = [x for _, semantic in columns.values() for x in semantic]
+    table = EvalTable(
+        {karaka: _row_stats(counts[karaka], syntax, semantic)
+         for karaka, (syntax, semantic) in columns.items()},
+        _row_stats(len(karaka_of), all_syntax, all_semantic),
+    )
+    if kept_of is None:
+        return table, None
+    kept_count = sum(1 for candidate_id in karaka_of if kept.get(candidate_id))
+    return table, BeforeAfter(
+        before=SplitStats(_mean(all_syntax), _mean(all_semantic), len(karaka_of)),
+        after=SplitStats(_mean(kept_syntax), _mean(kept_semantic), kept_count),
+    )
+
+
+def _check_coverage(candidate_ids, kept_of: dict) -> None:
+    """Raise UncoveredCandidateError naming the first candidate no verdict covers."""
+    missing = [candidate_id for candidate_id in candidate_ids if candidate_id not in kept_of]
+    if missing:
+        raise UncoveredCandidateError(missing[0], len(missing))
+
+
+def evaluate_ratings(path, karaka_of: dict, kept_of: dict | None = None):
+    """The EvalTable of a ratings CSV and, given kept_of (candidate id -> kept),
+    its BeforeAfter, else None; karaka_of maps candidate id -> karaka. Each row
+    is folded in as it is read. Faults come in file order, a row's load_ratings
+    checks before its candidate_id; a candidate kept_of lacks, after the last row."""
+    with closing(_rating_rows(path)) as rows:  # closes the file when a row fails the fold
+        table, ba = _fold(rows, karaka_of, Counter(karaka_of.values()), kept_of, path)
+    if kept_of is not None:
+        _check_coverage(karaka_of, kept_of)
+    return table, ba
+
+
+def _fold_records(ratings, candidates, kept_of=None):
+    """_fold over RatingRecords and candidate records, whose ids may repeat."""
     karaka_of = {}
     ids_of: dict[str, set] = {}  # karaka -> its distinct candidate ids
     for c in candidates:
         karaka_of[c.candidate_id] = c.karaka
         ids_of.setdefault(c.karaka, set()).add(c.candidate_id)
-    scores = {karaka: ([], []) for karaka in ids_of}
-    for r in ratings:
-        try:
-            syntax, semantic = scores[karaka_of[r.candidate_id]]
-        except KeyError:
-            raise UnknownCandidateError(r.candidate_id) from None
-        syntax.append(r.syntax)
-        semantic.append(r.semantic)
-    rows = {
-        karaka: _row_stats(len(ids_of[karaka]), syntax, semantic)
-        for karaka, (syntax, semantic) in scores.items()
-    }
-    # The totals pool every group's scores: the same multisets as the ratings.
-    totals = _row_stats(
-        len(karaka_of),
-        [x for syntax, _ in scores.values() for x in syntax],
-        [x for _, semantic in scores.values() for x in semantic],
-    )
-    return EvalTable(rows, totals)
+    rows = ((None, r.candidate_id, r.annotator_id, r.syntax, r.semantic) for r in ratings)
+    return _fold(rows, karaka_of, {k: len(ids) for k, ids in ids_of.items()}, kept_of)
 
 
-def _split_stats(ratings, count) -> SplitStats:
-    return SplitStats(_mean([r.syntax for r in ratings]),
-                      _mean([r.semantic for r in ratings]), count)
+def aggregate(ratings, candidates) -> EvalTable:
+    """Per-karaka means, lower medians, and candidate counts, plus totals."""
+    return _fold_records(ratings, candidates)[0]
 
 
 def before_after(ratings, candidates, verdicts) -> BeforeAfter:
     """Mean quality over all candidates versus the ones kept by filtering."""
     kept_of = {v.candidate_id: v.kept for v in verdicts}
-    ids = {c.candidate_id for c in candidates}
-    kept_ids = {cid for cid in ids if kept_of.get(cid)}
-    kept_ratings = []
-    for r in ratings:
-        if r.candidate_id in kept_ids:
-            kept_ratings.append(r)
-        elif r.candidate_id not in ids:
-            raise UnknownCandidateError(r.candidate_id)
-    missing = [c.candidate_id for c in candidates if c.candidate_id not in kept_of]
-    if missing:
-        raise UncoveredCandidateError(missing[0], len(missing))
-    return BeforeAfter(
-        before=_split_stats(ratings, len(ids)),
-        after=_split_stats(kept_ratings, len(kept_ids)),
-    )
+    ba = _fold_records(ratings, candidates, kept_of)[1]
+    _check_coverage((c.candidate_id for c in candidates), kept_of)
+    return ba
 
 
 def _sorted_rows(rows) -> list:

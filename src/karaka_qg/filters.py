@@ -222,5 +222,5 @@ def write_verdicts_jsonl(verdicts, path) -> None:
     _write_jsonl(verdicts, path)
 
 
-def read_verdicts_jsonl(path) -> list[FilterVerdict]:
-    return _read_jsonl(path, FilterVerdict)
+def read_verdicts_jsonl(path, project: str | None = None):
+    return _read_jsonl(path, FilterVerdict, project)

@@ -90,11 +90,12 @@ def _decode_json_line(line: str):
     return value
 
 
-def _read_jsonl(path, record_type) -> list:
-    """One record_type per non-blank line; a malformed, too deeply nested,
-    mistyped or repeated line, or one that escapes a lone surrogate, raises
-    JsonlError."""
-    records = []
+def _read_jsonl(path, record_type, project: str | None = None):
+    """One record_type per non-blank line, or given project, the dict of each
+    record's candidate_id to its field of that name. A malformed, too deeply
+    nested, mistyped or repeated line, or one that escapes a lone surrogate,
+    raises JsonlError."""
+    records = [] if project is None else {}
     first_line_of: dict[str, int] = {}
     with open_utf8(path, JsonlError) as fh:
         for line_no, line in enumerate(fh, start=1):
@@ -120,7 +121,10 @@ def _read_jsonl(path, record_type) -> list:
                     f"first used at {path}:{first_line_of[record.candidate_id]}"
                 )
             first_line_of[record.candidate_id] = line_no
-            records.append(record)
+            if project is None:
+                records.append(record)
+            else:
+                records[record.candidate_id] = getattr(record, project)
     return records
 
 
@@ -490,5 +494,5 @@ def write_candidates_jsonl(candidates, path) -> None:
     _write_jsonl(candidates, path)
 
 
-def read_candidates_jsonl(path) -> list[QuestionCandidate]:
-    return _read_jsonl(path, QuestionCandidate)
+def read_candidates_jsonl(path, project: str | None = None):
+    return _read_jsonl(path, QuestionCandidate, project)

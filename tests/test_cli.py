@@ -13,8 +13,9 @@ from pathlib import Path
 import pytest
 
 import karaka_qg.cli
-from helpers import write_ratings
+from helpers import bundled_corpus_text, make_rated_candidate, write_ratings
 from karaka_qg.cli import main
+from karaka_qg.rule_engine import write_candidates_jsonl
 
 TREEBANK = """\
 # sent_id = e001
@@ -358,6 +359,104 @@ def test_cross_file_reference_names_the_referring_line(tmp_path, caplog):
                      "--out", str(tmp_path / "filtered")]) == 1
     assert caplog.records[-1].getMessage() == (
         f"{candidates}:{ids.index(orphan) + 1}: candidate {orphan}: unknown sentence_id 'e002'")
+
+
+# Rows whose first lines are 2, 3, 5 and 6: the quoted ids of the second
+# and the fourth row each span two lines.
+MULTI_LINE_RATINGS = ('candidate_id,annotator_id,syntax,semantic\n{0},a1,5,4\n"{1}\nx",a1,5,4\n'
+                      '{2},a1,3,3\n"{3}\nx",a1,3,3\n')
+
+
+@pytest.mark.parametrize("row, line", [(0, 2), (1, 3), (2, 5), (3, 6)],
+                         ids=["line-2", "line-3", "line-5", "line-6"])
+def test_unknown_candidate_names_the_first_line_of_a_multi_line_row(tmp_path, caplog, capsys,
+                                                                    row, line):
+    names = ["c0", "c1", "c2", "c3"]
+    ids = [name + "\nx" if i % 2 else name for i, name in enumerate(names)]
+    candidates = tmp_path / "candidates.jsonl"
+    write_candidates_jsonl([make_rated_candidate(cid, "k1") for cid in ids], candidates)
+    ratings = tmp_path / "ratings.csv"
+    ratings.write_text(MULTI_LINE_RATINGS.format(*names), encoding="utf-8")
+    argv = ["eval", "--candidates", str(candidates), "--ratings", str(ratings)]
+    assert main(argv) == 0
+    capsys.readouterr()
+    names[row] = "ghost"
+    ratings.write_text(MULTI_LINE_RATINGS.format(*names), encoding="utf-8")
+    with caplog.at_level(logging.ERROR, logger="karaka_qg"):
+        assert main(argv) == 1
+    unknown = "ghost\nx" if row % 2 else "ghost"
+    assert caplog.records[-1].getMessage() == (
+        f"{ratings}:{line}: rating references unknown candidate_id {unknown!r}")
+    assert capsys.readouterr().out == ""
+
+
+KNOWN = "e001:R_K1:2:0"
+
+
+@pytest.mark.parametrize("rows, line, reason", [
+    # An unknown id on line 2 comes before the duplicate of its pair on line 3 ...
+    ([("ghost", "a1", 5, 4), ("ghost", "a1", 3, 3)], 2,
+     "rating references unknown candidate_id 'ghost'"),
+    # ... and before a later duplicate pair of a known id.
+    ([("ghost", "a1", 5, 4), (KNOWN, "a1", 3, 3), (KNOWN, "a1", 3, 3)], 2,
+     "rating references unknown candidate_id 'ghost'"),
+    # A duplicate pair on line 3 comes before an unknown id on line 4.
+    ([(KNOWN, "a1", 5, 4), (KNOWN, "a1", 3, 3), ("ghost", "a1", 3, 3)], 3,
+     "duplicate rating for candidate {KNOWN!r} by annotator 'a1', first used at {ratings}:2"),
+    # Within one row, its columns and scores come before its candidate_id.
+    ([(KNOWN, "a1", 5, 4), ("ghost", "a1", 9, 4)], 3, "syntax score 9 outside 1..5"),
+], ids=["unknown-then-its-duplicate", "unknown-then-duplicate", "duplicate-then-unknown",
+        "score-and-unknown-in-one-row"])
+def test_eval_reports_the_first_fault_in_file_order(tmp_path, caplog, rows, line, reason):
+    src = write_input(tmp_path)
+    out = tmp_path / "out"
+    assert main(["pipeline", "--input", str(src), "--out", str(out)]) == 0
+    ratings = tmp_path / "ratings.csv"
+    write_ratings(ratings, rows)
+    with caplog.at_level(logging.ERROR, logger="karaka_qg"):
+        assert main(["eval", "--out", str(out), "--ratings", str(ratings)]) == 1
+    assert caplog.records[-1].getMessage() == (
+        f"{ratings}:{line}: {reason.format(KNOWN=KNOWN, ratings=ratings)}")
+
+
+def test_unknown_rating_comes_before_an_uncovered_candidate(tmp_path, caplog):
+    src = write_input(tmp_path)
+    out = tmp_path / "out"
+    assert main(["pipeline", "--input", str(src), "--out", str(out)]) == 0
+    verdicts = out / "verdicts.jsonl"
+    lines = verdicts.read_text(encoding="utf-8").splitlines()
+    verdicts.write_text("\n".join(lines[1:]) + "\n", encoding="utf-8")
+    ratings = tmp_path / "ratings.csv"
+    write_ratings(ratings, [(KNOWN, "a1", 5, 4), ("ghost", "a1", 3, 3)])
+    with caplog.at_level(logging.ERROR, logger="karaka_qg"):
+        assert main(["eval", "--out", str(out), "--ratings", str(ratings)]) == 1
+    assert caplog.records[-1].getMessage() == (
+        f"{ratings}:3: rating references unknown candidate_id 'ghost'")
+    write_ratings(ratings, [(KNOWN, "a1", 5, 4)])
+    with caplog.at_level(logging.ERROR, logger="karaka_qg"):
+        assert main(["eval", "--out", str(out), "--ratings", str(ratings)]) == 1
+    assert caplog.records[-1].getMessage().startswith(
+        f"{out / 'candidates.jsonl'}:1: no filter verdict for candidate ")
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_pipeline_ratings_prints_what_the_three_commands_print(tmp_path, capsys, fmt):
+    src = tmp_path / "corpus.conllu"
+    src.write_text(bundled_corpus_text(), encoding="utf-8")
+    ratings = tmp_path / "ratings.csv"
+    write_ratings(ratings, [("c001:R_K1:1:0", "a1", 5, 4), ("c001:R_K2:3:0", "a2", 3, 2),
+                            ("c006:R_K3:2:0", "a1", 1, 2)])
+    piped, stepped = tmp_path / "piped", tmp_path / "stepped"
+    assert main(["pipeline", "--input", str(src), "--out", str(piped),
+                 "--ratings", str(ratings), "--format", fmt]) == 0
+    pipeline_out = capsys.readouterr().out
+    assert main(["generate", "--input", str(src), "--out", str(stepped)]) == 0
+    assert main(["filter", "--input", str(src), "--out", str(stepped)]) == 0
+    assert capsys.readouterr().out == ""
+    assert main(["eval", "--out", str(stepped), "--ratings", str(ratings), "--format", fmt]) == 0
+    eval_out = capsys.readouterr().out
+    assert "before" in eval_out and "after" in eval_out
+    assert pipeline_out == eval_out
 
 
 def _spoil_line(path, line_no):

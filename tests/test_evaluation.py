@@ -15,7 +15,6 @@ from karaka_qg.evaluation import (
     before_after_to_dict,
     eval_table_to_dict,
     load_ratings,
-    rating_line,
     render_before_after,
     render_eval_table,
 )
@@ -249,10 +248,3 @@ def test_load_ratings_names_the_first_line_of_a_multi_line_row(tmp_path, rest, l
     path.write_text(MULTI_LINE_ROWS + rest, encoding="utf-8")
     with pytest.raises(RatingsError, match=re.escape(f"ratings.csv:{line}: {reason.format(path=path)}")):
         load_ratings(path)
-
-
-def test_rating_line_names_the_first_line_of_a_multi_line_row(tmp_path):
-    path = tmp_path / "ratings.csv"
-    path.write_text(MULTI_LINE_ROWS + "a1,5,4\nc2,a1,3,3\n\"c3\nx\",a1,3,3\n", encoding="utf-8")
-    assert [rating_line(path, cid) for cid in ("c0", "c1\nx", "c2", "c3\nx", "c4")] == [
-        2, 3, 5, 6, None]

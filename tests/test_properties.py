@@ -8,12 +8,13 @@ from dataclasses import astuple, replace
 
 from hypothesis import example, given, settings, strategies as st
 
-from helpers import load_bundled_corpus, make_rated_candidate
+from helpers import load_bundled_corpus, make_rated_candidate, write_ratings
 from karaka_qg.evaluation import (
     RatingRecord,
     RatingsError,
     aggregate,
     before_after,
+    evaluate_ratings,
     load_ratings,
 )
 from karaka_qg.filters import (
@@ -654,8 +655,8 @@ def eval_inputs(draw):
     verdicts = [FilterVerdict(cid, kept, None if kept else FilterId.F_WORD_ORDER)
                 for cid, kept in draw(st.lists(st.tuples(st.sampled_from(EVAL_IDS),
                                                          st.booleans()), max_size=9))]
-    if draw(st.integers(0, 3)):
-        verdicts += [FilterVerdict(c.candidate_id, True) for c in candidates]
+    if draw(st.integers(0, 3)):  # cover every candidate; the drawn verdicts come later and win
+        verdicts[:0] = [FilterVerdict(c.candidate_id, True) for c in candidates]
     return ratings, candidates, verdicts
 
 
@@ -666,9 +667,25 @@ def result_or_error(compute):
         return "error", str(exc)
 
 
+def reference_file_faults(path, ratings, candidates):
+    """Raise the first fault of a ratings file in file order: a repeated
+    (candidate, annotator) pair or a candidate_id no candidate has."""
+    ids = {c.candidate_id for c in candidates}
+    first_line = {}
+    for line, r in enumerate(ratings, start=2):
+        key = (r.candidate_id, r.annotator_id)
+        if key in first_line:
+            raise RatingsError(f"{path}:{line}: duplicate rating for candidate {key[0]!r} "
+                               f"by annotator {key[1]!r}, first used at {path}:{first_line[key]}")
+        first_line[key] = line
+        if r.candidate_id not in ids:
+            raise RatingsError(f"{path}:{line}: rating references unknown "
+                               f"candidate_id {r.candidate_id!r}")
+
+
 @settings(max_examples=60, deadline=None)
 @given(inputs=eval_inputs())
-def test_one_pass_aggregation_equals_the_two_pass_reference(inputs):
+def test_one_pass_aggregation_equals_the_two_pass_reference(tmp_path_factory, inputs):
     ratings, candidates, verdicts = inputs
 
     def table():
@@ -686,6 +703,36 @@ def test_one_pass_aggregation_equals_the_two_pass_reference(inputs):
     assert result_or_error(table) == result_or_error(reference_table)
     assert result_or_error(split) == result_or_error(
         lambda: reference_before_after(ratings, candidates, verdicts))
+
+    # The same fold over a ratings file, with the maps eval reads, where each
+    # id is one candidate: the last record of a repeated id.
+    unique = list({c.candidate_id: c for c in candidates}.values())
+    path = tmp_path_factory.getbasetemp() / "eval-ratings.csv"
+    write_ratings(path, [astuple(r) for r in ratings])
+    karaka_of = {c.candidate_id: c.karaka for c in unique}
+    kept_of = {v.candidate_id: v.kept for v in verdicts}
+
+    def file_table():
+        t, ba = evaluate_ratings(path, karaka_of)
+        assert ba is None
+        return [(k, astuple(r)) for k, r in t.rows.items()], astuple(t.totals)
+
+    def reference_file_table():
+        reference_file_faults(path, ratings, unique)
+        rows, totals = reference_aggregate(ratings, unique)
+        return list(rows.items()), totals
+
+    def file_split():
+        t, ba = evaluate_ratings(path, karaka_of, kept_of)
+        return ([(k, astuple(r)) for k, r in t.rows.items()], astuple(t.totals),
+                astuple(ba.before), astuple(ba.after))
+
+    def reference_file_split():
+        rows, totals = reference_file_table()
+        return (rows, totals, *reference_before_after(ratings, unique, verdicts))
+
+    assert result_or_error(file_table) == result_or_error(reference_file_table)
+    assert result_or_error(file_split) == result_or_error(reference_file_split)
 
 
 RATINGS_HEADER = b"candidate_id,annotator_id,syntax,semantic\n"
