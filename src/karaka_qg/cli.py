@@ -297,6 +297,8 @@ def _config_from_args(args) -> PipelineConfig:
         except ValueError as exc:
             raise ConfigError(str(exc)) from None
     cfg = PipelineConfig(**opts)
+    if cfg.command == "pipeline" and cfg.fmt == "json" and cfg.ratings_path is None:
+        raise ConfigError("--format json formats the ratings table; it needs --ratings")
     if cfg.candidates_path is None:
         cfg.candidates_path = cfg.output_dir / "candidates.jsonl"
     return cfg

@@ -10,7 +10,6 @@ ratings reports absent means, never zero.
 from __future__ import annotations
 
 import csv
-import statistics
 from collections import Counter
 from contextlib import closing
 from dataclasses import asdict, dataclass
@@ -145,51 +144,57 @@ def _parse_scores(where: str, syntax_s: str, semantic_s: str) -> tuple[int, int]
     return syntax, semantic
 
 
-def _mean(scores):
-    return statistics.fmean(scores) if scores else None
+def _mean(counts):
+    """The mean of the scores counts holds, each score with its number of ratings."""
+    return sum(score * n for score, n in counts.items()) / sum(counts.values()) if counts else None
 
 
-def _median(scores):
-    return int(statistics.median_low(scores)) if scores else None
+def _median(counts):
+    """The lower median of the scores counts holds: the score at rank (N - 1) // 2."""
+    if not counts:
+        return None
+    rank = (sum(counts.values()) - 1) // 2
+    for score in sorted(counts):
+        rank -= counts[score]
+        if rank < 0:
+            return int(score)
 
 
-def _row_stats(count, syntax_scores, semantic_scores) -> RowStats:
-    return RowStats(_mean(syntax_scores), _median(syntax_scores),
-                    _mean(semantic_scores), _median(semantic_scores), count)
+def _row_stats(count, syntax_counts, semantic_counts) -> RowStats:
+    return RowStats(_mean(syntax_counts), _median(syntax_counts),
+                    _mean(semantic_counts), _median(semantic_counts), count)
 
 
 def _fold(rows, karaka_of: dict, counts: dict, kept_of: dict | None = None, path=None):
     """The EvalTable and, given kept_of, the BeforeAfter of rows of (line,
-    candidate_id, annotator_id, syntax, semantic), in one pass that keeps only
-    the score columns; counts holds each karaka's number of distinct candidates.
-    An id karaka_of lacks raises UnknownCandidateError, naming path:line if given."""
-    columns = {karaka: ([], []) for karaka in counts}
-    kept_syntax, kept_semantic = [], []
+    candidate_id, annotator_id, syntax, semantic), in one pass that counts
+    the ratings of each (karaka, kept, syntax, semantic); counts holds each
+    karaka's number of distinct candidates. An id karaka_of lacks raises
+    UnknownCandidateError, naming path:line if given."""
     kept = kept_of or {}
+    tally: dict[tuple, int] = {}
     for line, candidate_id, _, syntax, semantic in rows:
         try:
-            syntax_scores, semantic_scores = columns[karaka_of[candidate_id]]
+            key = karaka_of[candidate_id], kept.get(candidate_id), syntax, semantic
         except KeyError:
             raise UnknownCandidateError(candidate_id, f"{path}:{line}: " if path else "") from None
-        syntax_scores.append(syntax)
-        semantic_scores.append(semantic)
-        if kept.get(candidate_id):
-            kept_syntax.append(syntax)
-            kept_semantic.append(semantic)
-    # The totals pool every group's scores: the same multisets as the ratings.
-    all_syntax = [x for syntax, _ in columns.values() for x in syntax]
-    all_semantic = [x for _, semantic in columns.values() for x in semantic]
-    table = EvalTable(
-        {karaka: _row_stats(counts[karaka], syntax, semantic)
-         for karaka, (syntax, semantic) in columns.items()},
-        _row_stats(len(karaka_of), all_syntax, all_semantic),
-    )
+        tally[key] = tally.get(key, 0) + 1
+    # The (syntax, semantic) score counts of each karaka, of all ratings, and of the kept ones.
+    columns = {karaka: (Counter(), Counter()) for karaka in counts}
+    totals, kept_split = (Counter(), Counter()), (Counter(), Counter())
+    for (karaka, is_kept, syntax, semantic), n in tally.items():
+        for syntax_counts, semantic_counts in ((columns[karaka], totals, kept_split) if is_kept
+                                               else (columns[karaka], totals)):
+            syntax_counts[syntax] += n
+            semantic_counts[semantic] += n
+    table = EvalTable({karaka: _row_stats(counts[karaka], *columns[karaka]) for karaka in counts},
+                      _row_stats(len(karaka_of), *totals))
     if kept_of is None:
         return table, None
     kept_count = sum(1 for candidate_id in karaka_of if kept.get(candidate_id))
     return table, BeforeAfter(
-        before=SplitStats(_mean(all_syntax), _mean(all_semantic), len(karaka_of)),
-        after=SplitStats(_mean(kept_syntax), _mean(kept_semantic), kept_count),
+        before=SplitStats(_mean(totals[0]), _mean(totals[1]), len(karaka_of)),
+        after=SplitStats(_mean(kept_split[0]), _mean(kept_split[1]), kept_count),
     )
 
 

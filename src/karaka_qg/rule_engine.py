@@ -67,8 +67,13 @@ def _check_json_types(fields, json_types: dict) -> None:
             continue
         value = fields[name]
         if type(value) is kind or (type(kind) is tuple and type(value) in kind):
-            if kind is not list or all(isinstance(v, str) for v in value):
+            if kind is not list:
                 continue
+            try:
+                "".join(value)  # raises TypeError unless every item is a string
+                continue
+            except TypeError:
+                pass
         kinds = kind if type(kind) is tuple else (kind,)
         raise TypeError(f"field {name!r} must be {' or '.join(_JSON_NAMES[k] for k in kinds)}, "
                         f"got {json.dumps(value, ensure_ascii=False)}")
@@ -92,11 +97,14 @@ def _decode_json_line(line: str):
 
 def _read_jsonl(path, record_type, project: str | None = None):
     """One record_type per non-blank line, or given project, the dict of each
-    record's candidate_id to its field of that name. A malformed, too deeply
-    nested, mistyped or repeated line, or one that escapes a lone surrogate,
-    raises JsonlError."""
+    record's candidate_id to its field of that name, built from the line's
+    values without the record. A malformed, too deeply nested, mistyped or
+    repeated line, or one that escapes a lone surrogate, raises JsonlError."""
     records = [] if project is None else {}
     first_line_of: dict[str, int] = {}
+    names = list(record_type.JSON_TYPES)
+    id_at = names.index("candidate_id")
+    field_at = None if project is None else names.index(project)
     with open_utf8(path, JsonlError) as fh:
         for line_no, line in enumerate(fh, start=1):
             if not line.strip():
@@ -104,10 +112,10 @@ def _read_jsonl(path, record_type, project: str | None = None):
             try:
                 fields = _decode_json_line(line)
                 _check_json_types(fields, record_type.JSON_TYPES)
-                record = record_type.from_json_dict(fields)
+                values = record_type.json_values(fields)
                 # UTF-8 text holds no surrogate; only a \u escape makes one.
                 if "\\u" in line:
-                    record.to_json_line().encode("utf-8")
+                    record_type(*values).to_json_line().encode("utf-8")
             except KeyError as exc:
                 raise JsonlError(f"{path}:{line_no}: missing field {exc}") from None
             except UnicodeEncodeError as exc:
@@ -115,16 +123,17 @@ def _read_jsonl(path, record_type, project: str | None = None):
                                  f"{exc.object[exc.start]!r} is not text") from None
             except (ValueError, TypeError, RecursionError) as exc:
                 raise JsonlError(f"{path}:{line_no}: {exc}") from None
-            if record.candidate_id in first_line_of:
+            candidate_id = values[id_at]
+            if candidate_id in first_line_of:
                 raise JsonlError(
-                    f"{path}:{line_no}: duplicate candidate_id {record.candidate_id!r}, "
-                    f"first used at {path}:{first_line_of[record.candidate_id]}"
+                    f"{path}:{line_no}: duplicate candidate_id {candidate_id!r}, "
+                    f"first used at {path}:{first_line_of[candidate_id]}"
                 )
-            first_line_of[record.candidate_id] = line_no
-            if project is None:
-                records.append(record)
+            first_line_of[candidate_id] = line_no
+            if field_at is None:
+                records.append(record_type(*values))
             else:
-                records[record.candidate_id] = getattr(record, project)
+                records[candidate_id] = values[field_at]
     return records
 
 
@@ -148,8 +157,9 @@ def _json_form(kind):
 
 
 def _jsonl_record(cls, check=None):
-    """Class decorator deriving a dataclass's JSON_TYPES, to_json_dict and
-    from_json_dict from its fields and their annotations, once. A field
+    """Class decorator deriving a dataclass's JSON_TYPES, to_json_dict,
+    json_values (a line's checked, decoded field values, in field order)
+    and from_json_dict from its fields and their annotations, once. A field
     with a default may be absent from a line; check(d) vets a line first."""
     hints = typing.get_type_hints(cls)
     spec = [(f.name, f.default, *_json_form(hints[f.name])) for f in dataclass_fields(cls)]
@@ -159,17 +169,18 @@ def _jsonl_record(cls, check=None):
         return {name: getattr(self, name) if encode is None else encode(getattr(self, name))
                 for name, _, _, _, encode in spec}
 
-    def from_json_dict(d: dict):
+    def json_values(d: dict) -> list:
         if check is not None:
             check(d)
         values = []
         for name, default, _, decode, _ in spec:
             value = d[name] if default is MISSING else d.get(name, default)
             values.append(value if decode is None else decode(value))
-        return cls(*values)
+        return values
 
     cls.to_json_dict = to_json_dict
-    cls.from_json_dict = staticmethod(from_json_dict)
+    cls.json_values = staticmethod(json_values)
+    cls.from_json_dict = staticmethod(lambda d: cls(*json_values(d)))
     return cls
 
 

@@ -519,6 +519,16 @@ def test_unknown_filter_is_a_config_error(tmp_path):
                  "--disable-filter", "F_TYPO"]) == 2
 
 
+def test_pipeline_json_format_without_ratings_is_a_config_error(tmp_path, caplog):
+    src = write_input(tmp_path)
+    with caplog.at_level(logging.ERROR, logger="karaka_qg"):
+        rc = main(["pipeline", "--input", str(src), "--out", str(tmp_path / "out"),
+                   "--format", "json"])
+    assert rc == 2
+    assert "--format json formats the ratings table; it needs --ratings" in caplog.text
+    assert not (tmp_path / "out").exists()
+
+
 def test_missing_subcommand_is_a_usage_error(capsys):
     assert main([]) == 2
     capsys.readouterr()
@@ -648,3 +658,14 @@ def test_installed_console_script_matches_declaration(tmp_path):
     installed = importlib.metadata.entry_points(group="console_scripts", name="karaka-qg")
     assert [ep.value for ep in installed] == [declared_console_script()]
     check_command_runs_pipeline([shutil.which("karaka-qg")], tmp_path)
+
+
+def test_importing_the_cli_does_not_import_statistics():
+    # The ratings fold counts scores itself; statistics costs start-up time on every command.
+    package_root = Path(karaka_qg.__file__).resolve().parent.parent
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys, karaka_qg.cli; print('statistics' in sys.modules)"],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": str(package_root)},
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "False\n"

@@ -62,6 +62,12 @@ def test_wrong_column_count_error(tmp_path):
         load_lexicon(path)
 
 
+def test_byte_order_mark_is_an_error_not_a_silent_miss(tmp_path):
+    path = write_lexicon(tmp_path / "lex.tsv", "\ufeffraam\tHUMAN\n")
+    with pytest.raises(LexiconError, match=r"lex\.tsv:1: file starts with a byte order mark"):
+        load_lexicon(path)
+
+
 def test_empty_lemma_error(tmp_path):
     path = write_lexicon(tmp_path / "lex.tsv", "\tHUMAN\n")
     with pytest.raises(LexiconError, match="empty lemma"):

@@ -169,6 +169,13 @@ def test_load_marker_table_unknown_role(tmp_path):
         load_marker_table(path)
 
 
+def test_load_marker_table_byte_order_mark(tmp_path):
+    path = tmp_path / "markers.tsv"
+    path.write_text("wh\tkaun\n", encoding="utf-8-sig")
+    with pytest.raises(MarkerTableError, match=r"markers\.tsv:1: file starts with a byte order mark"):
+        load_marker_table(path)
+
+
 def test_load_marker_table_column_and_form_errors(tmp_path):
     two_cols = tmp_path / "a.tsv"
     two_cols.write_text("erg ne\n", encoding="utf-8")

@@ -588,6 +588,22 @@ def test_scanner_reader_equals_the_json_loads_reader(tmp_path_factory, text, rec
             == outcome(reference_read_jsonl, path, record_type))
 
 
+@settings(max_examples=40, deadline=None)
+@given(text=jsonl_files(), read=st.sampled_from([(QuestionCandidate, "karaka"),
+                                                 (FilterVerdict, "kept")]))
+@example(text=JSONL_LINES[2], read=(QuestionCandidate, "karaka"))  # an escaped lone surrogate
+def test_projected_reader_equals_the_records_it_skips(tmp_path_factory, text, read):
+    record_type, project = read
+    path = tmp_path_factory.getbasetemp() / "projected.jsonl"
+    path.write_bytes(text.encode("utf-8", "surrogatepass"))
+
+    def from_records(path, record_type):
+        return {r.candidate_id: getattr(r, project) for r in _read_jsonl(path, record_type)}
+
+    assert (outcome(_read_jsonl, path, record_type, project)
+            == outcome(from_records, path, record_type))
+
+
 def reference_aggregate(ratings, candidates):
     """aggregate as first written: candidates by id, then ratings per group."""
     by_id = {c.candidate_id: c for c in candidates}
