@@ -10,7 +10,6 @@ import json
 from dataclasses import dataclass
 from enum import Enum
 from functools import partial
-from json.encoder import encode_basestring
 
 from .morphology import (
     DEFAULT_MARKERS,
@@ -76,13 +75,6 @@ class FilterVerdict:
     kept: bool
     dropped_by: FilterId | None = None
     detail: str = ""
-
-    def to_json_line(self) -> str:
-        """json.dumps(self.to_json_dict(), ensure_ascii=False), built directly."""
-        dropped = encode_basestring(self.dropped_by.value) if self.dropped_by else "null"
-        return (f'{{"candidate_id": {encode_basestring(self.candidate_id)}, '
-                f'"kept": {"true" if self.kept else "false"}, "dropped_by": {dropped}, '
-                f'"detail": {encode_basestring(self.detail)}}}')
 
 
 def _kept(c: QuestionCandidate) -> FilterVerdict:

@@ -47,13 +47,10 @@ def read_pairs(path, error):
     """Yield ``("path:line", first, second)`` for each row of a two-column TSV.
 
     Blank lines and lines starting with "#" are skipped and both columns
-    are stripped. A row with another number of columns raises ``error``,
-    and so does a byte order mark, which would join the first cell.
+    are stripped. A row with another number of columns raises ``error``.
     """
     with open_utf8(path, error) as fh:
         for line_no, raw in enumerate(fh, start=1):
-            if line_no == 1 and raw.startswith("\ufeff"):
-                raise error(f"{path}:1: file starts with a byte order mark; save it without one")
             line = raw.rstrip("\n")
             if not line.strip() or line.startswith("#"):
                 continue

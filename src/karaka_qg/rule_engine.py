@@ -138,31 +138,40 @@ def _read_jsonl(path, record_type, project: str | None = None):
 
 
 def _json_form(kind):
-    """(JSON type, decode, encode) of a field annotation; a None function
-    leaves the value as it is."""
+    """(JSON type, decode, encode, text) of a field annotation. decode and
+    encode map a JSON value to the field's and back, a None one leaving the
+    value as it is; text(x) is the part of an f-string that writes the JSON
+    text of the value of the expression x, with s encoding a string."""
     if kind in (str, int, bool):
-        return kind, None, None
+        text = {str: "{s(%s)}", int: "{int.__repr__(%s)}", bool: '{"true" if %s else "false"}'}[kind]
+        return kind, None, None, lambda x: text % x
     if kind == tuple[str, ...]:
-        return list, tuple, list
+        return list, tuple, list, lambda x: '[{", ".join(map(s, %s))}]' % x
     if isinstance(kind, type) and issubclass(kind, Enum):
         # Member of each value; an unknown value goes through kind() for its error.
         member_of = {m.value: m for m in kind}
-        return str, lambda v: member_of.get(v) or kind(v), lambda v: v.value
+        return (str, lambda v: member_of.get(v) or kind(v), lambda v: v.value,
+                lambda x: "{s(%s.value)}" % x)
     args = typing.get_args(kind)
     if len(args) == 2 and args[1] is type(None):
-        json_type, decode, encode = _json_form(args[0])
+        json_type, decode, encode, text = _json_form(args[0])
+        # null, or the inner text as an f-string nested in the line's f'''-string.
         return ((json_type, type(None)), decode and (lambda v: None if v is None else decode(v)),
-                encode and (lambda v: None if v is None else encode(v)))
+                encode and (lambda v: None if v is None else encode(v)),
+                lambda x: """{f'%s' if %s is not None else "null"}""" % (text(x), x))
     raise TypeError(f"no JSON form for a field of type {kind!r}")
 
 
 def _jsonl_record(cls, check=None):
     """Class decorator deriving a dataclass's JSON_TYPES, to_json_dict,
-    json_values (a line's checked, decoded field values, in field order)
-    and from_json_dict from its fields and their annotations, once. A field
-    with a default may be absent from a line; check(d) vets a line first."""
+    to_json_line, json_values (a line's checked, decoded field values, in
+    field order) and from_json_dict from its fields and their annotations,
+    once. A field with a default may be absent from a line; check(d) vets a
+    line first. to_json_line is compiled to one f-string, which equals
+    json.dumps(self.to_json_dict(), ensure_ascii=False)."""
     hints = typing.get_type_hints(cls)
-    spec = [(f.name, f.default, *_json_form(hints[f.name])) for f in dataclass_fields(cls)]
+    forms = [(f.name, f.default, *_json_form(hints[f.name])) for f in dataclass_fields(cls)]
+    spec = [form[:-1] for form in forms]  # without text, which only to_json_line's source needs
     cls.JSON_TYPES = {name: json_type for name, _, json_type, _, _ in spec}
 
     def to_json_dict(self) -> dict:
@@ -178,6 +187,12 @@ def _jsonl_record(cls, check=None):
             values.append(value if decode is None else decode(value))
         return values
 
+    items = ", ".join(f'"{name}": ' + text("self." + name) for name, *_, text in forms)
+    namespace = {}
+    exec("def to_json_line(self):\n    return f'''{{%s}}'''" % items, {"s": encode_basestring}, namespace)
+    cls.to_json_line = namespace["to_json_line"]
+    cls.to_json_line.__module__ = cls.__module__
+    cls.to_json_line.__qualname__ = f"{cls.__qualname__}.to_json_line"
     cls.to_json_dict = to_json_dict
     cls.json_values = staticmethod(json_values)
     cls.from_json_dict = staticmethod(lambda d: cls(*json_values(d)))
@@ -215,17 +230,6 @@ class QuestionCandidate:
     @property
     def text(self) -> str:
         return " ".join(self.tokens)
-
-    def to_json_line(self) -> str:
-        """json.dumps(self.to_json_dict(), ensure_ascii=False), built directly."""
-        s = encode_basestring
-        return (f'{{"candidate_id": {s(self.candidate_id)}, '
-                f'"sentence_id": {s(self.sentence_id)}, "rule": {s(self.rule.value)}, '
-                f'"karaka": {s(self.karaka)}, "interrogative": {s(self.interrogative)}, '
-                f'"tokens": [{", ".join(map(s, self.tokens))}], '
-                f'"variation_group": {s(self.variation_group)}, '
-                f'"target_token_id": {int.__repr__(self.target_token_id)}, '
-                f'"notes": [{", ".join(map(s, self.notes))}]}}')
 
 
 def _build_tokens(s: ParsedSentence, delete_ids: set[int], insert_at: int,
@@ -289,12 +293,12 @@ class Substitution:
     variation group, or a list of such tuples, one group each. ``asks`` is
     a leaf, or a dict from lexicon category to one, where OTHER covers the
     categories not named and UNKNOWN is always named. A ``by_case`` row
-    first keys ``asks`` by the target's case: DIRECT, a literal
-    postposition, or a MarkerTable ``Role``. A case not listed skips the
-    target, logged when the row says how it ``skip``s (formatted with the
-    marker). Targets are the tokens with one of ``labels``, only the main
-    verb's children when ``on_verb``. Interrogatives in ``keeps_marker``
-    leave the case marker in place. ``notes`` is a note per label.
+    first keys ``asks`` by the target's case: DIRECT or a MarkerTable
+    ``Role``. A case not listed skips the target, logged when the row says
+    how it ``skip``s (formatted with the marker). Targets are the tokens
+    with one of ``labels``, only the main verb's children when
+    ``on_verb``. Interrogatives in ``keeps_marker`` leave the case marker
+    in place. ``notes`` is a note per label.
     """
 
     rule: RuleId
@@ -326,8 +330,8 @@ SUBSTITUTIONS = (
     Substitution(RuleId.R_K2P, ("k2p",), asks=("kidhar", "kahan")),
     # Instruments; a path also licenses the perlative kisse hokar.
     Substitution(RuleId.R_K3, ("k3",), by_case=True, asks={
-        "ke dwaaraa": ("kiske dwaaraa",),
-        "se": {
+        Role("instrumental", "ke dwaaraa"): ("kiske dwaaraa",),
+        Role("instrumental", "se"): {
             SemanticCategory.PATH: ("kisse", "kisse hokar"),
             UNKNOWN: ("kisse", "kisse hokar"),
             OTHER: ("kisse",),
@@ -343,7 +347,7 @@ SUBSTITUTIONS = (
     # Sources: a place keeps the se and asks kahan se / kidhar se, anything
     # else asks kisse. The two readings differ in meaning.
     Substitution(RuleId.R_K5, ("k5",), by_case=True, keeps_marker=frozenset({"kahan", "kidhar"}),
-                 asks={"se": {
+                 asks={Role("instrumental", "se"): {
                      SemanticCategory.PLACE: ("kahan", "kidhar"),
                      UNKNOWN: [("kisse",), ("kahan", "kidhar")],
                      OTHER: ("kisse",),
@@ -358,8 +362,8 @@ SUBSTITUTIONS = (
         RuleId.R_K7S, ("k7s", "k7p"), by_case=True,
         notes={"k7p": "k7p token routed through the spatial locative rule"},
         asks={
-            "mein": ("kahan", "kidhar", "kis mein"),
-            "par": ("kahan", "kidhar", "kis par"),
+            Role("locative", "mein"): ("kahan", "kidhar", "kis mein"),
+            Role("locative", "par"): ("kahan", "kidhar", "kis par"),
         },
     ),
     # Temporals: kab, plus the day-selecting kis din and konse din for dates.
@@ -375,11 +379,8 @@ def _case_asks(row: Substitution, s: ParsedSentence, target: Token, m: MarkerTab
     """The row's ask for the target's case, or None if the row lists no such case."""
     marker = case_of(s, target.id, m)
     for key, asks in row.asks.items():
-        if isinstance(key, Role):
-            hit = marker in getattr(m, key.name) and key.marker in (None, marker)
-        else:
-            hit = marker == key
-        if hit:
+        if (marker is None if key is DIRECT
+                else marker in getattr(m, key.name) and key.marker in (None, marker)):
             return asks
     if row.skip:
         log.info("%s token %r %s; skipped",

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import codecs
 import io
 from contextlib import contextmanager
 
@@ -12,10 +13,13 @@ def open_utf8(path, error, newline=None):
 
     A byte sequence that is not UTF-8 raises ``error`` with the message
     ``PATH:LINE: not valid UTF-8``. The line is worked out only then, so
-    reading a well-formed file costs nothing extra.
+    reading a well-formed file costs nothing extra. A byte order mark at
+    the start raises ``error`` too, rather than joining the first line.
     """
     with open(path, encoding="utf-8", newline=newline) as fh:
         try:
+            if fh.buffer.peek(3).startswith(codecs.BOM_UTF8):
+                raise error(f"{path}:1: file starts with a byte order mark; save it without one")
             yield fh
         except UnicodeDecodeError:
             with open(path, "rb") as raw:

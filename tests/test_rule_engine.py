@@ -1,19 +1,26 @@
 """Tests for candidate generation mechanics shared by all rules."""
 
+import json
 import logging
+import re
+from dataclasses import dataclass, fields
+from enum import Enum
 
 import pytest
 
 from helpers import make_lexicon, make_sentence, texts
 from karaka_qg.lexicon import SemanticCategory, SemanticLexicon
-from karaka_qg.morphology import DEFAULT_MARKERS
+from karaka_qg.morphology import DEFAULT_MARKERS, MarkerTable
 from karaka_qg.treebank_io import KARAKA_LABELS
 from karaka_qg.rule_engine import (
+    DIRECT,
     OTHER,
     RULE_FUNCTIONS,
     SUBSTITUTIONS,
     QuestionCandidate,
+    Role,
     RuleId,
+    _jsonl_record,
     gen_r6_nonliving,
     gen_rh,
     generate_all,
@@ -303,6 +310,56 @@ def test_substitution_table_stays_inside_the_label_and_interrogative_inventories
         for asks in (row.asks.values() if row.by_case else [row.asks]):
             if isinstance(asks, dict):
                 assert {SemanticCategory.UNKNOWN, OTHER} <= set(asks), row.rule
+
+
+def test_case_keys_are_direct_or_roles_of_the_marker_table():
+    roles = {f.name for f in fields(MarkerTable)}
+    for row in SUBSTITUTIONS:
+        for key in (row.asks if row.by_case else ()):
+            assert key is DIRECT or isinstance(key, Role), (row.rule, key)
+            if key is not DIRECT:
+                assert key.name in roles, (row.rule, key)
+                assert key.marker is None or key.marker in getattr(DEFAULT_MARKERS, key.name), (
+                    row.rule, key)
+
+
+class Shade(str, Enum):
+    DARK = "dark"
+    LIGHT = "li\"ght"
+
+
+# One field of every annotation the JSONL codec supports.
+@_jsonl_record
+@dataclass(frozen=True)
+class EveryField:
+    text: str
+    count: int
+    flag: bool
+    words: tuple[str, ...]
+    shade: Shade
+    maybe_shade: Shade | None = None
+    maybe_text: str | None = None
+
+
+@pytest.mark.parametrize("record", [
+    EveryField('q"b\\s\n\x00\x1f\u2028\u0915\U0001f600', -12, True, ("", 'a"', "\t\u0915"),
+               Shade.LIGHT, Shade.DARK, "\\"),
+    EveryField("", 0, False, (), Shade.DARK),
+])
+def test_derived_json_line_equals_json_dumps_and_reads_back(record):
+    line = record.to_json_line()
+    assert line == json.dumps(record.to_json_dict(), ensure_ascii=False)
+    assert EveryField.from_json_dict(json.loads(line)) == record
+
+
+@pytest.mark.parametrize("kind", [float, tuple[int, ...]], ids=["float", "tuple-of-int"])
+def test_a_field_type_with_no_json_form_is_refused_when_declared(kind):
+    @dataclass(frozen=True)
+    class Unsupported:
+        value: kind
+
+    with pytest.raises(TypeError, match=re.escape(f"no JSON form for a field of type {kind!r}")):
+        _jsonl_record(Unsupported)
 
 
 def test_candidates_jsonl_round_trip(tmp_path):

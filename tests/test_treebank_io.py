@@ -5,6 +5,8 @@ import re
 import pytest
 
 from helpers import make_sentence
+from karaka_qg.evaluation import RatingsError, load_ratings
+from karaka_qg.rule_engine import JsonlError, read_candidates_jsonl
 from karaka_qg.treebank_io import (
     TreebankError,
     dumps_treebank,
@@ -134,6 +136,20 @@ def test_non_utf8_byte_names_its_line_as_text_mode_counts_it(tmp_path, newline):
     path.write_bytes(newline.join(rows).encode("latin-1"))
     with pytest.raises(TreebankError, match=rf"^{re.escape(str(path))}:6: not valid UTF-8$"):
         load_treebank(path)
+
+
+@pytest.mark.parametrize("read, error, text", [
+    (load_treebank, TreebankError, SAMPLE),
+    (load_treebank, TreebankError, SAMPLE.split("\n", 2)[2]),  # a token line first
+    (load_ratings, RatingsError, "candidate_id,annotator_id,syntax,semantic\nc1,a1,5,4\n"),
+    (read_candidates_jsonl, JsonlError, '{"candidate_id": "c1"}\n'),
+], ids=["treebank", "treebank-token-line-first", "ratings", "candidates"])
+def test_byte_order_mark_is_an_input_error_at_line_one(tmp_path, read, error, text):
+    path = tmp_path / "input.txt"
+    path.write_text(text, encoding="utf-8-sig")
+    with pytest.raises(error, match=rf"^{re.escape(str(path))}:1: file starts with a byte order "
+                                    "mark; save it without one$"):
+        read(path)
 
 
 def test_duplicate_sent_id_names_both_lines():
