@@ -17,22 +17,11 @@ from dataclasses import asdict, dataclass
 from .textfile import open_utf8
 from .treebank_io import KARAKA_ORDER
 
-# Rows follow the canonical karaka order; unexpected labels sort after.
-KARAKA_ROW_ORDER = KARAKA_ORDER
-
 RATING_COLUMNS = ("candidate_id", "annotator_id", "syntax", "semantic")
 
 
 class RatingsError(ValueError):
     """Raised for malformed rating files or unmatched candidate ids."""
-
-
-class UnknownCandidateError(RatingsError):
-    """Raised for a rating whose candidate_id no candidate has; where is a PATH:LINE: prefix."""
-
-    def __init__(self, candidate_id: str, where: str = ""):
-        super().__init__(f"{where}rating references unknown candidate_id {candidate_id!r}")
-        self.candidate_id = candidate_id
 
 
 class UncoveredCandidateError(RatingsError):
@@ -170,14 +159,15 @@ def _fold(rows, karaka_of: dict, counts: dict, kept_of: dict | None = None, path
     candidate_id, annotator_id, syntax, semantic), in one pass that counts
     the ratings of each (karaka, kept, syntax, semantic); counts holds each
     karaka's number of distinct candidates. An id karaka_of lacks raises
-    UnknownCandidateError, naming path:line if given."""
+    RatingsError, prefixed with path:line if path is given."""
     kept = kept_of or {}
     tally: dict[tuple, int] = {}
     for line, candidate_id, _, syntax, semantic in rows:
         try:
             key = karaka_of[candidate_id], kept.get(candidate_id), syntax, semantic
         except KeyError:
-            raise UnknownCandidateError(candidate_id, f"{path}:{line}: " if path else "") from None
+            where = f"{path}:{line}: " if path else ""
+            raise RatingsError(f"{where}rating references unknown candidate_id {candidate_id!r}") from None
         tally[key] = tally.get(key, 0) + 1
     # The (syntax, semantic) score counts of each karaka, of all ratings, and of the kept ones.
     columns = {karaka: (Counter(), Counter()) for karaka in counts}
@@ -242,7 +232,8 @@ def before_after(ratings, candidates, verdicts) -> BeforeAfter:
 
 
 def _sorted_rows(rows) -> list:
-    order = {k: i for i, k in enumerate(KARAKA_ROW_ORDER)}
+    """Rows in the canonical karaka order; unexpected labels sort after."""
+    order = {k: i for i, k in enumerate(KARAKA_ORDER)}
     return sorted(rows, key=lambda k: (order.get(k, len(order)), k))
 
 

@@ -100,8 +100,7 @@ def _read_jsonl(path, record_type, project: str | None = None):
     record's candidate_id to its field of that name, built from the line's
     values without the record. A malformed, too deeply nested, mistyped or
     repeated line, or one that escapes a lone surrogate, raises JsonlError."""
-    records = [] if project is None else {}
-    first_line_of: dict[str, int] = {}
+    by_id = {}
     names = list(record_type.JSON_TYPES)
     id_at = names.index("candidate_id")
     field_at = None if project is None else names.index(project)
@@ -124,17 +123,14 @@ def _read_jsonl(path, record_type, project: str | None = None):
             except (ValueError, TypeError, RecursionError) as exc:
                 raise JsonlError(f"{path}:{line_no}: {exc}") from None
             candidate_id = values[id_at]
-            if candidate_id in first_line_of:
+            if candidate_id in by_id:
+                # The lines before this one are sound, so a second reader gets to the first use.
                 raise JsonlError(
                     f"{path}:{line_no}: duplicate candidate_id {candidate_id!r}, "
-                    f"first used at {path}:{first_line_of[candidate_id]}"
+                    f"first used at {path}:{candidate_line(path, candidate_id)}"
                 )
-            first_line_of[candidate_id] = line_no
-            if field_at is None:
-                records.append(record_type(*values))
-            else:
-                records[candidate_id] = values[field_at]
-    return records
+            by_id[candidate_id] = record_type(*values) if field_at is None else values[field_at]
+    return list(by_id.values()) if field_at is None else by_id
 
 
 def _json_form(kind):
@@ -494,8 +490,10 @@ def generate_all(s: ParsedSentence, lex: SemanticLexicon,
 
 
 def candidate_line(path, candidate_id: str) -> int | None:
-    """The line of a candidates or verdicts file that holds candidate_id."""
-    with open(path, encoding="utf-8") as fh:
+    """The line of a candidates or verdicts file that holds candidate_id. The
+    bytes after that line need not be UTF-8: a reader that stops at a repeated
+    id has not checked them."""
+    with open(path, encoding="utf-8", errors="replace") as fh:
         for line_no, line in enumerate(fh, start=1):
             if line.strip() and json.loads(line)["candidate_id"] == candidate_id:
                 return line_no

@@ -25,10 +25,11 @@ from pathlib import Path
 
 from helpers import bundled_corpus_text, load_bundled_corpus, make_lexicon, make_rated_candidate, make_sentence, texts, write_ratings
 from karaka_qg.cli import main
-from karaka_qg.evaluation import KARAKA_ROW_ORDER, aggregate, before_after, load_ratings
+from karaka_qg.evaluation import aggregate, before_after, load_ratings
 from karaka_qg.filters import FilterConfig, FilterId, FilterVerdict, run_filters
 from karaka_qg.lexicon import SemanticLexicon, default_lexicon
 from karaka_qg.rule_engine import RuleId, generate_all
+from karaka_qg.treebank_io import KARAKA_ORDER
 
 TOL = 0.001
 EMPTY = SemanticLexicon()
@@ -393,7 +394,7 @@ def test_criterion_4_bundled_corpus_overgenerates_then_prunes():
     sentences = load_bundled_corpus()
     assert len(sentences) == 30
     for s in sentences:
-        labeled = sum(1 for t in s.tokens if t.deprel in KARAKA_ROW_ORDER)
+        labeled = sum(1 for t in s.tokens if t.deprel in KARAKA_ORDER)
         assert labeled >= 2, f"{s.sentence_id} carries {labeled} karaka labels"
 
     lexicon = default_lexicon()

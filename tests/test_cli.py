@@ -277,6 +277,26 @@ def test_repeated_candidate_id_is_an_input_error(tmp_path, caplog, name):
             f"first used at {path}:1") in caplog.text
 
 
+@pytest.mark.parametrize("command", ["eval", "filter"])
+def test_repeated_candidate_id_names_a_first_use_past_a_blank_line(tmp_path, caplog, command):
+    src = tmp_path / "corpus.conllu"
+    src.write_text(bundled_corpus_text(), encoding="utf-8")
+    out = tmp_path / "out"
+    assert main(["pipeline", "--input", str(src), "--out", str(out)]) == 0
+    lines = (out / "candidates.jsonl").read_text(encoding="utf-8").splitlines()
+    dup = tmp_path / "dup.jsonl"
+    dup.write_text("\n".join([lines[0], "", *lines[1:], lines[1]]) + "\n", encoding="utf-8")
+    ratings = tmp_path / "ratings.csv"
+    write_ratings(ratings, [("c001:R_K1:1:0", "a1", 5, 4)])
+    # eval reads the karaka of each line, filter builds each line's record.
+    args = (["eval", "--out", str(out), "--ratings", str(ratings)] if command == "eval"
+            else ["filter", "--input", str(src), "--out", str(tmp_path / "filtered")])
+    with caplog.at_level(logging.ERROR, logger="karaka_qg"):
+        assert main(args + ["--candidates", str(dup)]) == 1
+    assert caplog.records[-1].getMessage() == (
+        f"{dup}:98: duplicate candidate_id 'c001:R_K2:3:0', first used at {dup}:3")
+
+
 def test_lone_surrogate_escape_stops_eval_and_filter_before_any_output(tmp_path, capsys, caplog):
     src = write_input(tmp_path)
     out = tmp_path / "out"

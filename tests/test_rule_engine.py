@@ -21,6 +21,7 @@ from karaka_qg.rule_engine import (
     Role,
     RuleId,
     _jsonl_record,
+    candidate_line,
     gen_r6_nonliving,
     gen_rh,
     generate_all,
@@ -380,6 +381,14 @@ def test_candidate_json_types_follow_the_field_annotations():
         ("interrogative", str), ("tokens", list), ("variation_group", str),
         ("target_token_id", int), ("notes", list),
     ]
+
+
+def test_candidate_line_needs_no_utf8_past_the_line_it_finds(tmp_path):
+    path = tmp_path / "candidates.jsonl"
+    line = QuestionCandidate("t001:R_K1:1:0", "t001", RuleId.R_K1, "k1", "kaun",
+                             ("kaun", "gaya", "?"), "t001:R_K1:1:g0", 1).to_json_line()
+    path.write_bytes(b"\n" + line.encode("utf-8") + b"\n\xff\n")
+    assert candidate_line(path, "t001:R_K1:1:0") == 2
 
 
 def test_candidate_line_without_notes_reads_back_with_no_notes(tmp_path):
