@@ -43,7 +43,6 @@ from .morphology import DEFAULT_MARKERS, MarkerTableError, load_marker_table
 from .rule_engine import (
     JsonlError,
     RuleId,
-    candidate_line,
     generate_all,
     read_candidates_jsonl,
     write_candidates_jsonl,
@@ -176,12 +175,12 @@ def _write_filter_outputs(cfg: PipelineConfig, candidates, kept, verdicts) -> No
 
 def cmd_filter(cfg: PipelineConfig) -> int:
     sentences = load_treebank(cfg.input_path)
-    candidates = read_candidates_jsonl(cfg.candidates_path)
+    line_of = {}
+    candidates = read_candidates_jsonl(cfg.candidates_path, line_of=line_of)
     try:
         kept, verdicts = _filter(cfg, _load_markers(cfg), sentences, candidates)
     except UnknownSentenceError as exc:
-        line = candidate_line(cfg.candidates_path, exc.candidate_id)
-        raise FilterError(f"{cfg.candidates_path}:{line}: {exc}") from None
+        raise FilterError(f"{cfg.candidates_path}:{line_of[exc.candidate_id]}: {exc}") from None
     cfg.output_dir.mkdir(parents=True, exist_ok=True)
     _write_filter_outputs(cfg, candidates, kept, verdicts)
     _write_run_meta(cfg)
@@ -190,11 +189,7 @@ def cmd_filter(cfg: PipelineConfig) -> int:
 
 def _evaluate(cfg: PipelineConfig, karaka_of: dict, kept_of: dict | None) -> None:
     """Print the ratings table, and the before/after block when there are verdicts."""
-    try:
-        table, ba = evaluate_ratings(cfg.ratings_path, karaka_of, kept_of)
-    except UncoveredCandidateError as exc:
-        line = candidate_line(cfg.candidates_path, exc.candidate_id)
-        raise RatingsError(f"{cfg.candidates_path}:{line}: {exc}") from None
+    table, ba = evaluate_ratings(cfg.ratings_path, karaka_of, kept_of)
     if cfg.fmt == "json":
         payload = {
             "table": eval_table_to_dict(table),
@@ -209,7 +204,8 @@ def _evaluate(cfg: PipelineConfig, karaka_of: dict, kept_of: dict | None) -> Non
 
 
 def cmd_eval(cfg: PipelineConfig) -> int:
-    karaka_of = read_candidates_jsonl(cfg.candidates_path, "karaka")
+    line_of = {}
+    karaka_of = read_candidates_jsonl(cfg.candidates_path, "karaka", line_of=line_of)
     # Only the default verdicts file may be absent; a named one must be read.
     verdicts_path = cfg.verdicts_path or cfg.output_dir / "verdicts.jsonl"
     kept_of = None
@@ -217,7 +213,10 @@ def cmd_eval(cfg: PipelineConfig) -> int:
         kept_of = read_verdicts_jsonl(verdicts_path, "kept")
     else:
         log.info("no verdicts at %s; skipping the before/after block", verdicts_path)
-    _evaluate(cfg, karaka_of, kept_of)
+    try:
+        _evaluate(cfg, karaka_of, kept_of)
+    except UncoveredCandidateError as exc:
+        raise RatingsError(f"{cfg.candidates_path}:{line_of[exc.candidate_id]}: {exc}") from None
     return 0
 
 

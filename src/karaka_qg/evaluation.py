@@ -82,8 +82,9 @@ def load_ratings(path) -> list[RatingRecord]:
 def _rating_rows(path):
     """(line, candidate_id, annotator_id, syntax, semantic) of each row of a
     ratings CSV, read one at a time; line is the first line of the row. Of
-    the rows before, only their (candidate_id, annotator_id) pairs are kept."""
-    seen: set[tuple[str, str]] = set()
+    the rows before, only each (candidate_id, annotator_id) pair's first line
+    is kept, to name the first use of a repeated pair."""
+    first_line: dict[tuple[str, str], int] = {}
     with open_utf8(path, RatingsError, newline="") as fh:
         reader = csv.reader(fh)
         end = 0  # the last line of the last row read
@@ -103,14 +104,12 @@ def _rating_rows(path):
                                        f"{len(RATING_COLUMNS)} columns, got {len(row)}")
                 candidate_id, annotator_id, syntax_s, semantic_s = row
                 key = (candidate_id, annotator_id)
-                if key in seen:
-                    # The rows before this one are sound, so a second reader gets to the first use.
-                    first = next(n for n, *pair, _, _ in _rating_rows(path) if tuple(pair) == key)
+                if key in first_line:
                     raise RatingsError(
                         f"{path}:{line_no}: duplicate rating for candidate "
-                        f"{key[0]!r} by annotator {key[1]!r}, first used at {path}:{first}"
+                        f"{key[0]!r} by annotator {key[1]!r}, first used at {path}:{first_line[key]}"
                     )
-                seen.add(key)
+                first_line[key] = line_no
                 syntax = _SCORE_OF.get(syntax_s)
                 semantic = _SCORE_OF.get(semantic_s)
                 if syntax is None or semantic is None:

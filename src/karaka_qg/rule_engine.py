@@ -95,12 +95,14 @@ def _decode_json_line(line: str):
     return value
 
 
-def _read_jsonl(path, record_type, project: str | None = None):
+def _read_jsonl(path, record_type, project: str | None = None, line_of: dict | None = None):
     """One record_type per non-blank line, or given project, the dict of each
     record's candidate_id to its field of that name, built from the line's
     values without the record. A malformed, too deeply nested, mistyped or
-    repeated line, or one that escapes a lone surrogate, raises JsonlError."""
+    repeated line, or one that escapes a lone surrogate, raises JsonlError.
+    line_of, if given, is filled with each candidate_id's line."""
     by_id = {}
+    line_of = {} if line_of is None else line_of
     names = list(record_type.JSON_TYPES)
     id_at = names.index("candidate_id")
     field_at = None if project is None else names.index(project)
@@ -123,12 +125,12 @@ def _read_jsonl(path, record_type, project: str | None = None):
             except (ValueError, TypeError, RecursionError) as exc:
                 raise JsonlError(f"{path}:{line_no}: {exc}") from None
             candidate_id = values[id_at]
-            if candidate_id in by_id:
-                # The lines before this one are sound, so a second reader gets to the first use.
+            if candidate_id in line_of:
                 raise JsonlError(
                     f"{path}:{line_no}: duplicate candidate_id {candidate_id!r}, "
-                    f"first used at {path}:{candidate_line(path, candidate_id)}"
+                    f"first used at {path}:{line_of[candidate_id]}"
                 )
+            line_of[candidate_id] = line_no
             by_id[candidate_id] = record_type(*values) if field_at is None else values[field_at]
     return list(by_id.values()) if field_at is None else by_id
 
@@ -489,20 +491,9 @@ def generate_all(s: ParsedSentence, lex: SemanticLexicon,
     return out
 
 
-def candidate_line(path, candidate_id: str) -> int | None:
-    """The line of a candidates or verdicts file that holds candidate_id. The
-    bytes after that line need not be UTF-8: a reader that stops at a repeated
-    id has not checked them."""
-    with open(path, encoding="utf-8", errors="replace") as fh:
-        for line_no, line in enumerate(fh, start=1):
-            if line.strip() and json.loads(line)["candidate_id"] == candidate_id:
-                return line_no
-    return None
-
-
 def write_candidates_jsonl(candidates, path) -> None:
     _write_jsonl(candidates, path)
 
 
-def read_candidates_jsonl(path, project: str | None = None):
-    return _read_jsonl(path, QuestionCandidate, project)
+def read_candidates_jsonl(path, project: str | None = None, line_of: dict | None = None):
+    return _read_jsonl(path, QuestionCandidate, project, line_of)

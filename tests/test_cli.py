@@ -459,6 +459,47 @@ def test_unknown_rating_comes_before_an_uncovered_candidate(tmp_path, caplog):
         f"{out / 'candidates.jsonl'}:1: no filter verdict for candidate ")
 
 
+@pytest.mark.parametrize("case", ["filter-repeated-id", "eval-repeated-id", "unknown-sentence",
+                                  "uncovered-candidate", "repeated-rating", "bad-byte-in-ratings"])
+def test_piped_input_faults_name_the_true_line(tmp_path, case):
+    src = write_input(tmp_path)
+    out = tmp_path / "out"
+    assert main(["pipeline", "--input", str(src), "--out", str(out)]) == 0
+    lines = (out / "candidates.jsonl").read_bytes().splitlines(keepends=True)
+    ids = [json.loads(line)["candidate_id"] for line in lines]
+    unknown = json.dumps({**json.loads(lines[2]), "sentence_id": "ghost"}).encode() + b"\n"
+    ratings = tmp_path / "ratings.csv"
+    write_ratings(ratings, [(KNOWN, "a1", 5, 4)])
+    verdicts = tmp_path / "verdicts.jsonl"  # all but the first candidate's
+    verdicts.write_bytes(b"".join((out / "verdicts.jsonl").read_bytes().splitlines(True)[1:]))
+    header, a1, a2 = (b"candidate_id,annotator_id,syntax,semantic\n",
+                      f"{KNOWN},a1,5,4\n".encode(), f"{KNOWN},a2,3,3\n".encode())
+    filter_args = ["filter", "--input", str(src), "--candidates", "/dev/stdin",
+                   "--out", str(tmp_path / "filtered")]
+    eval_args = ["eval", "--out", str(out), "--candidates", "/dev/stdin", "--ratings", str(ratings)]
+    ratings_args = ["eval", "--out", str(out), "--ratings", "/dev/stdin"]
+    # The input's first line is blank or a header, so no fault is on line 1.
+    args, stdin, message = {
+        "filter-repeated-id": (filter_args, [b"\n", *lines, lines[1]],
+                               f"10: duplicate candidate_id {ids[1]!r}, first used at /dev/stdin:3"),
+        "eval-repeated-id": (eval_args, [b"\n", *lines, lines[1]],
+                             f"10: duplicate candidate_id {ids[1]!r}, first used at /dev/stdin:3"),
+        "unknown-sentence": (filter_args, [b"\n", *lines[:2], unknown],
+                             f"4: candidate {ids[2]}: unknown sentence_id 'ghost'"),
+        "uncovered-candidate": (eval_args + ["--verdicts", str(verdicts)], [b"\n", *lines],
+                                f"2: no filter verdict for candidate {ids[0]!r} (1 candidates uncovered)"),
+        "repeated-rating": (ratings_args, [header, a1, a2, a1],
+                            f"4: duplicate rating for candidate {KNOWN!r} by annotator 'a1', "
+                            "first used at /dev/stdin:2"),
+        "bad-byte-in-ratings": (ratings_args, [header, a1, b"\xff\n", a2], "3: not valid UTF-8"),
+    }[case]
+    package_root = Path(karaka_qg.__file__).resolve().parent.parent
+    proc = subprocess.run([sys.executable, "-m", "karaka_qg.cli", *args], input=b"".join(stdin),
+                          capture_output=True, env={**os.environ, "PYTHONPATH": str(package_root)})
+    assert proc.returncode == 1, proc.stderr
+    assert proc.stderr.decode().splitlines()[-1] == f"ERROR /dev/stdin:{message}"
+
+
 @pytest.mark.parametrize("fmt", ["text", "json"])
 def test_pipeline_ratings_prints_what_the_three_commands_print(tmp_path, capsys, fmt):
     src = tmp_path / "corpus.conllu"

@@ -17,11 +17,11 @@ from karaka_qg.rule_engine import (
     OTHER,
     RULE_FUNCTIONS,
     SUBSTITUTIONS,
+    JsonlError,
     QuestionCandidate,
     Role,
     RuleId,
     _jsonl_record,
-    candidate_line,
     gen_r6_nonliving,
     gen_rh,
     generate_all,
@@ -383,14 +383,6 @@ def test_candidate_json_types_follow_the_field_annotations():
     ]
 
 
-def test_candidate_line_needs_no_utf8_past_the_line_it_finds(tmp_path):
-    path = tmp_path / "candidates.jsonl"
-    line = QuestionCandidate("t001:R_K1:1:0", "t001", RuleId.R_K1, "k1", "kaun",
-                             ("kaun", "gaya", "?"), "t001:R_K1:1:g0", 1).to_json_line()
-    path.write_bytes(b"\n" + line.encode("utf-8") + b"\n\xff\n")
-    assert candidate_line(path, "t001:R_K1:1:0") == 2
-
-
 def test_candidate_line_without_notes_reads_back_with_no_notes(tmp_path):
     path = tmp_path / "candidates.jsonl"
     path.write_text('{"candidate_id": "t001:R_K1:1:0", "sentence_id": "t001", "rule": "R_K1", '
@@ -400,3 +392,11 @@ def test_candidate_line_without_notes_reads_back_with_no_notes(tmp_path):
     assert read_candidates_jsonl(path) == [QuestionCandidate(
         "t001:R_K1:1:0", "t001", RuleId.R_K1, "k1", "kaun", ("kaun", "gaya", "?"),
         "t001:R_K1:1:g0", 1, ())]
+
+
+def test_a_fault_on_line_1_comes_before_a_bad_byte_on_line_3(tmp_path):
+    path = tmp_path / "candidates.jsonl"
+    path.write_bytes(b'{"candidate_id": 1}\n{}\n\xff\n')
+    with pytest.raises(JsonlError, match=rf"^{re.escape(str(path))}:1: field 'candidate_id' "
+                                         r"must be a string, got 1$"):
+        read_candidates_jsonl(path)
