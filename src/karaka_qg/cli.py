@@ -40,13 +40,8 @@ from .filters import (
 )
 from .lexicon import LexiconError, default_lexicon, load_lexicon, merge_lexicons
 from .morphology import DEFAULT_MARKERS, MarkerTableError, load_marker_table
-from .rule_engine import (
-    JsonlError,
-    RuleId,
-    generate_all,
-    read_candidates_jsonl,
-    write_candidates_jsonl,
-)
+from .rule_engine import RuleId, generate_all, read_candidates_jsonl, write_candidates_jsonl
+from .textfile import JsonlError
 from .treebank_io import KARAKA_ORDER, TreebankError, load_treebank
 
 log = logging.getLogger("karaka_qg")

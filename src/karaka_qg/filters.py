@@ -20,7 +20,8 @@ from .morphology import (
     verb_gender,
     verb_number,
 )
-from .rule_engine import QuestionCandidate, RuleId, _jsonl_record, _read_jsonl, _write_jsonl
+from .rule_engine import QuestionCandidate, RuleId
+from .textfile import jsonl_record, read_jsonl, write_jsonl
 from .treebank_io import ParsedSentence
 
 
@@ -68,7 +69,7 @@ def _check_kept(d: dict) -> None:
         raise ValueError(f"kept is {json.dumps(kept)} but dropped_by is {json.dumps(dropped)}")
 
 
-@partial(_jsonl_record, check=_check_kept)
+@partial(jsonl_record, check=_check_kept)
 @dataclass(frozen=True)
 class FilterVerdict:
     candidate_id: str
@@ -210,9 +211,8 @@ def run_filters(candidates, sentences, cfg: FilterConfig = FilterConfig()):
     return kept, verdicts
 
 
-def write_verdicts_jsonl(verdicts, path) -> None:
-    _write_jsonl(verdicts, path)
+write_verdicts_jsonl = write_jsonl
 
 
 def read_verdicts_jsonl(path, project: str | None = None):
-    return _read_jsonl(path, FilterVerdict, project)
+    return read_jsonl(path, FilterVerdict, project)

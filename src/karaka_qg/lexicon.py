@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 from importlib import resources
 
-from .textfile import open_utf8
+from .textfile import read_pairs
 
 
 class SemanticCategory(str, Enum):
@@ -41,24 +41,6 @@ class SemanticLexicon:
 
     def __len__(self) -> int:
         return len(self.entries)
-
-
-def read_pairs(path, error):
-    """Yield ``("path:line", first, second)`` for each row of a two-column TSV.
-
-    Blank lines and lines starting with "#" are skipped and both columns
-    are stripped. A row with another number of columns raises ``error``.
-    """
-    with open_utf8(path, error) as fh:
-        for line_no, raw in enumerate(fh, start=1):
-            line = raw.rstrip("\n")
-            if not line.strip() or line.startswith("#"):
-                continue
-            cols = line.split("\t")
-            where = f"{path}:{line_no}"
-            if len(cols) != 2:
-                raise error(f"{where}: expected 2 tab-separated columns, got {len(cols)}")
-            yield where, cols[0].strip(), cols[1].strip()
 
 
 def load_lexicon(path) -> SemanticLexicon:

@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from functools import cache
 
-from .lexicon import read_pairs
+from .textfile import read_pairs
 from .treebank_io import PSP, ParsedSentence
 
 # Builtin genitive postposition to possessive interrogative. The interrogative

@@ -1,8 +1,14 @@
-"""Input files read as UTF-8 text, with decode errors that name a line."""
+"""The line formats more than one module reads or writes: UTF-8 text whose
+decode errors name a line, two-column TSV tables, and JSONL records."""
 
 from __future__ import annotations
 
+import json
+import typing
 from contextlib import contextmanager
+from dataclasses import MISSING, fields as dataclass_fields
+from enum import Enum
+from json.encoder import encode_basestring
 
 
 @contextmanager
@@ -32,3 +38,177 @@ def _checked_lines(fh, path, error):
             except UnicodeEncodeError:
                 raise error(f"{path}:{line_no}: not valid UTF-8") from None
         yield line
+
+
+def read_pairs(path, error):
+    """Yield ``("path:line", first, second)`` for each row of a two-column TSV.
+
+    Blank lines and lines starting with "#" are skipped and both columns
+    are stripped. A row with another number of columns raises ``error``.
+    """
+    with open_utf8(path, error) as fh:
+        for line_no, raw in enumerate(fh, start=1):
+            line = raw.rstrip("\n")
+            if not line.strip() or line.startswith("#"):
+                continue
+            cols = line.split("\t")
+            where = f"{path}:{line_no}"
+            if len(cols) != 2:
+                raise error(f"{where}: expected 2 tab-separated columns, got {len(cols)}")
+            yield where, cols[0].strip(), cols[1].strip()
+
+
+class JsonlError(ValueError):
+    """Raised for a malformed or repeated line in a candidates or verdicts file."""
+
+
+def write_jsonl(records, path) -> None:
+    """One record per line, UTF-8, stable key order."""
+    with open(path, "w", encoding="utf-8") as fh:
+        for r in records:
+            fh.write(r.to_json_line() + "\n")
+
+
+_JSON_NAMES = {str: "a string", int: "an integer", bool: "true or false",
+               list: "a list of strings", type(None): "null"}
+
+
+def _check_json_types(fields, json_types: dict) -> None:
+    """Raise TypeError unless fields is a JSON object whose fields have the
+    types json_types names, each one type or a tuple of them. A list must
+    hold strings. Types must match exactly, so true is not an integer."""
+    if type(fields) is not dict:
+        raise TypeError(f"expected a JSON object, got {json.dumps(fields, ensure_ascii=False)}")
+    for name, kind in json_types.items():
+        if name not in fields:
+            continue
+        value = fields[name]
+        if type(value) is kind or (type(kind) is tuple and type(value) in kind):
+            if kind is not list:
+                continue
+            try:
+                "".join(value)  # raises TypeError unless every item is a string
+                continue
+            except TypeError:
+                pass
+        kinds = kind if type(kind) is tuple else (kind,)
+        raise TypeError(f"field {name!r} must be {' or '.join(_JSON_NAMES[k] for k in kinds)}, "
+                        f"got {json.dumps(value, ensure_ascii=False)}")
+
+
+# The decoder's scanner, without json.loads's Python wrapper around it.
+_scan_json = json.JSONDecoder().scan_once
+
+
+def _decode_json_line(line: str):
+    """json.loads(line), through the scanner. json.loads runs only for a
+    line the scanner cannot take whole, so that it raises its own error."""
+    try:
+        value, end = _scan_json(line, 0)
+    except StopIteration:  # leading whitespace, a BOM, or no value at all
+        return json.loads(line)
+    if line[end:].strip(" \t\n\r"):  # extra data after the value
+        return json.loads(line)
+    return value
+
+
+def read_jsonl(path, record_type, project: str | None = None, line_of: dict | None = None):
+    """One record_type per non-blank line, or given project, the dict of each
+    record's candidate_id to its field of that name, built from the line's
+    values without the record. A malformed, too deeply nested, mistyped or
+    repeated line, or one that escapes a lone surrogate, raises JsonlError.
+    line_of, if given, is filled with each candidate_id's line."""
+    by_id = {}
+    line_of = {} if line_of is None else line_of
+    names = list(record_type.JSON_TYPES)
+    id_at = names.index("candidate_id")
+    field_at = None if project is None else names.index(project)
+    with open_utf8(path, JsonlError) as fh:
+        for line_no, line in enumerate(fh, start=1):
+            if not line.strip():
+                continue
+            try:
+                fields = _decode_json_line(line)
+                _check_json_types(fields, record_type.JSON_TYPES)
+                values = record_type.json_values(fields)
+                # UTF-8 text holds no surrogate; only a \u escape makes one.
+                if "\\u" in line:
+                    record_type(*values).to_json_line().encode("utf-8")
+            except KeyError as exc:
+                raise JsonlError(f"{path}:{line_no}: missing field {exc}") from None
+            except UnicodeEncodeError as exc:
+                raise JsonlError(f"{path}:{line_no}: lone surrogate "
+                                 f"{exc.object[exc.start]!r} is not text") from None
+            except (ValueError, TypeError, RecursionError) as exc:
+                raise JsonlError(f"{path}:{line_no}: {exc}") from None
+            candidate_id = values[id_at]
+            if candidate_id in line_of:
+                raise JsonlError(
+                    f"{path}:{line_no}: duplicate candidate_id {candidate_id!r}, "
+                    f"first used at {path}:{line_of[candidate_id]}"
+                )
+            line_of[candidate_id] = line_no
+            by_id[candidate_id] = record_type(*values) if field_at is None else values[field_at]
+    return list(by_id.values()) if field_at is None else by_id
+
+
+def _json_form(kind):
+    """(JSON type, decode, encode, text) of a field annotation. decode and
+    encode map a JSON value to the field's and back, a None one leaving the
+    value as it is; text(x) is the part of an f-string that writes the JSON
+    text of the value of the expression x, with s encoding a string."""
+    if kind in (str, int, bool):
+        text = {str: "{s(%s)}", int: "{int.__repr__(%s)}", bool: '{"true" if %s else "false"}'}[kind]
+        return kind, None, None, lambda x: text % x
+    if kind == tuple[str, ...]:
+        return list, tuple, list, lambda x: '[{", ".join(map(s, %s))}]' % x
+    if isinstance(kind, type) and issubclass(kind, Enum):
+        # Member of each value; an unknown value goes through kind() for its error.
+        member_of = {m.value: m for m in kind}
+        return (str, lambda v: member_of.get(v) or kind(v), lambda v: v.value,
+                lambda x: "{s(%s.value)}" % x)
+    args = typing.get_args(kind)
+    if len(args) == 2 and args[1] is type(None):
+        json_type, decode, encode, text = _json_form(args[0])
+        # null, or the inner text as an f-string nested in the line's f'''-string.
+        return ((json_type, type(None)), decode and (lambda v: None if v is None else decode(v)),
+                encode and (lambda v: None if v is None else encode(v)),
+                lambda x: """{f'%s' if %s is not None else "null"}""" % (text(x), x))
+    raise TypeError(f"no JSON form for a field of type {kind!r}")
+
+
+def jsonl_record(cls, check=None):
+    """Class decorator deriving a dataclass's JSON_TYPES, to_json_dict,
+    to_json_line, json_values (a line's checked, decoded field values, in
+    field order) and from_json_dict from its fields and their annotations,
+    once. A field with a default may be absent from a line; check(d) vets a
+    line first. to_json_line is compiled to one f-string, which equals
+    json.dumps(self.to_json_dict(), ensure_ascii=False)."""
+    hints = typing.get_type_hints(cls)
+    forms = [(f.name, f.default, *_json_form(hints[f.name])) for f in dataclass_fields(cls)]
+    spec = [form[:-1] for form in forms]  # without text, which only to_json_line's source needs
+    cls.JSON_TYPES = {name: json_type for name, _, json_type, _, _ in spec}
+
+    def to_json_dict(self) -> dict:
+        return {name: getattr(self, name) if encode is None else encode(getattr(self, name))
+                for name, _, _, _, encode in spec}
+
+    def json_values(d: dict) -> list:
+        if check is not None:
+            check(d)
+        values = []
+        for name, default, _, decode, _ in spec:
+            value = d[name] if default is MISSING else d.get(name, default)
+            values.append(value if decode is None else decode(value))
+        return values
+
+    items = ", ".join(f'"{name}": ' + text("self." + name) for name, *_, text in forms)
+    namespace = {}
+    exec("def to_json_line(self):\n    return f'''{{%s}}'''" % items, {"s": encode_basestring}, namespace)
+    cls.to_json_line = namespace["to_json_line"]
+    cls.to_json_line.__module__ = cls.__module__
+    cls.to_json_line.__qualname__ = f"{cls.__qualname__}.to_json_line"
+    cls.to_json_dict = to_json_dict
+    cls.json_values = staticmethod(json_values)
+    cls.from_json_dict = staticmethod(lambda d: cls(*json_values(d)))
+    return cls

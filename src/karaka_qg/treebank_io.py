@@ -160,14 +160,15 @@ def _parse_blocks(lines, source: str) -> list[ParsedSentence]:
     for in_block, block in groupby(numbered, key=lambda item: bool(item[1].strip())):
         if not in_block:
             continue
-        block = list(block)
         rows: list[Token] = []
         row_lines: list[int] = []
         sent_id: str | None = None
         raw_text: str | None = None
-        # Line naming the sentence: its sent_id comment, else its first token.
-        id_line = 0
+        # Line naming the sentence (its sent_id comment, else its first token), and the
+        # block's first line. Each line is parsed before the next is read, so it faults first.
+        id_line = block_line = 0
         for line_no, line in block:
+            block_line = block_line or line_no
             if not line.startswith("#"):
                 rows.append(_parse_token(line, f"{source}:{line_no}"))
                 row_lines.append(line_no)
@@ -184,7 +185,7 @@ def _parse_blocks(lines, source: str) -> list[ParsedSentence]:
         if not rows:
             if sent_id is None and raw_text is None:
                 continue
-            raise TreebankError(f"{source}:{block[0][0]}: sentence metadata without token lines")
+            raise TreebankError(f"{source}:{block_line}: sentence metadata without token lines")
         sid = sent_id or f"s{len(sentences) + 1:03d}"
         if sid in first_line_of:
             raise TreebankError(

@@ -1,5 +1,6 @@
 """End-to-end tests for the command line interface."""
 
+import ast
 import importlib.metadata
 import json
 import logging
@@ -560,6 +561,14 @@ def test_unknown_rule_is_a_config_error(tmp_path):
                  "--rules", "k1,k99"]) == 2
 
 
+def test_empty_rule_selection_is_a_config_error(tmp_path, caplog):
+    src = write_input(tmp_path)
+    with caplog.at_level(logging.ERROR, logger="karaka_qg"):
+        rc = main(["generate", "--input", str(src), "--out", str(tmp_path), "--rules", ","])
+    assert rc == 2
+    assert caplog.records[-1].getMessage() == "no rules selected"
+
+
 def test_bad_theta_is_a_config_error(tmp_path):
     src = write_input(tmp_path)
     assert main(["filter", "--input", str(src), "--out", str(tmp_path),
@@ -730,3 +739,14 @@ def test_importing_the_cli_does_not_import_statistics():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "False\n"
+
+
+def test_no_module_imports_a_private_name_of_another():
+    # A name shared between modules is public; its module's underscore names stay its own.
+    package_dir = Path(karaka_qg.__file__).resolve().parent
+    private = [f"{path.name}:{node.lineno}: {node.module}.{alias.name}"
+               for path in sorted(package_dir.glob("*.py"))
+               for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+               if isinstance(node, ast.ImportFrom) and node.level > 0
+               for alias in node.names if alias.name.startswith("_")]
+    assert private == []

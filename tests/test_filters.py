@@ -11,6 +11,7 @@ from karaka_qg.filters import (
     FilterVerdict,
     filter_already_question,
     filter_complex,
+    filter_word_order,
     read_verdicts_jsonl,
     run_filters,
     write_verdicts_jsonl,
@@ -200,6 +201,38 @@ def test_candidate_with_two_interrogatives_dropped():
     verdict = filter_already_question(doubled, s, FilterConfig())
     assert verdict.dropped_by is FilterId.F_ALREADY_QUESTION
     assert "2 interrogative spans" in verdict.detail
+
+
+def test_generated_candidate_with_two_interrogatives_dropped():
+    # R_RH deletes the reason clause "kyunki thaka", so "kis" meets "mein".
+    s = make_sentence([
+        ("raam", "raam", "PROPN", "_", 7, "k1"),
+        ("kis", "kis", "DET", "_", 6, "nmod"),
+        ("kyunki", "kyunki", "SCONJ", "_", 7, "rh"),
+        ("thaka", "thak", "VERB", "_", 3, "ccof"),
+        ("mein", "mein", "ADP", "_", 6, "psp"),
+        ("ghar", "ghar", "NOUN", "_", 7, "k7p"),
+        ("rehta", "reh", "VERB", "_", 0, "root"),
+        ("।", "।", "PUNCT", "_", 7, "punct"),
+    ])
+    candidates, _, verdicts = run_one(s)
+    rh = next(c for c in candidates if c.rule is RuleId.R_RH)
+    assert rh.text == "raam kis mein ghar kyon rehta ?"
+    assert verdicts[rh.candidate_id] == FilterVerdict(
+        rh.candidate_id, False, FilterId.F_ALREADY_QUESTION,
+        "candidate contains 2 interrogative spans")
+
+
+@pytest.mark.parametrize("tokens", [("kaun", "?"), ("raam", "gaya", "?")],
+                         ids=["no-verb-form", "no-interrogative"])
+def test_word_order_keeps_a_candidate_it_cannot_place(tokens):
+    s = make_sentence([
+        ("raam", "raam", "PROPN", "_", 2, "k1"),
+        ("gaya", "ja", "VERB", "_", 0, "root"),
+    ])
+    c = QuestionCandidate("t001:R_K1:1:0", "t001", RuleId.R_K1, "k1", "kaun", tokens,
+                          "t001:R_K1:1:g0", 1)
+    assert filter_word_order(c, s, FilterConfig()).kept
 
 
 def conjunct_sentence():

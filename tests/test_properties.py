@@ -43,19 +43,21 @@ from karaka_qg.morphology import (
 )
 from karaka_qg.rule_engine import (
     RULE_FUNCTIONS,
-    JsonlError,
     QuestionCandidate,
     RuleId,
     _build_tokens,
     _candidate,
-    _check_json_types,
-    _decode_json_line,
-    _read_jsonl,
     _unknown_note,
     generate_all,
     read_candidates_jsonl,
 )
-from karaka_qg.textfile import open_utf8
+from karaka_qg.textfile import (
+    JsonlError,
+    _check_json_types,
+    _decode_json_line,
+    open_utf8,
+    read_jsonl,
+)
 from karaka_qg.treebank_io import (
     ParsedSentence,
     Token,
@@ -584,7 +586,7 @@ def test_scanner_reader_equals_the_json_loads_reader(tmp_path_factory, text, rec
     path = tmp_path_factory.getbasetemp() / "lines.jsonl"
     # Unescaped lone surrogates become bytes that are not UTF-8.
     path.write_bytes(text.encode("utf-8", "surrogatepass"))
-    assert (outcome(_read_jsonl, path, record_type)
+    assert (outcome(read_jsonl, path, record_type)
             == outcome(reference_read_jsonl, path, record_type))
 
 
@@ -598,9 +600,9 @@ def test_projected_reader_equals_the_records_it_skips(tmp_path_factory, text, re
     path.write_bytes(text.encode("utf-8", "surrogatepass"))
 
     def from_records(path, record_type):
-        return {r.candidate_id: getattr(r, project) for r in _read_jsonl(path, record_type)}
+        return {r.candidate_id: getattr(r, project) for r in read_jsonl(path, record_type)}
 
-    assert (outcome(_read_jsonl, path, record_type, project)
+    assert (outcome(read_jsonl, path, record_type, project)
             == outcome(from_records, path, record_type))
 
 

@@ -17,17 +17,16 @@ from karaka_qg.rule_engine import (
     OTHER,
     RULE_FUNCTIONS,
     SUBSTITUTIONS,
-    JsonlError,
     QuestionCandidate,
     Role,
     RuleId,
-    _jsonl_record,
     gen_r6_nonliving,
     gen_rh,
     generate_all,
     read_candidates_jsonl,
     write_candidates_jsonl,
 )
+from karaka_qg.textfile import JsonlError, jsonl_record
 
 M = DEFAULT_MARKERS
 RULE = dict(RULE_FUNCTIONS)
@@ -330,7 +329,7 @@ class Shade(str, Enum):
 
 
 # One field of every annotation the JSONL codec supports.
-@_jsonl_record
+@jsonl_record
 @dataclass(frozen=True)
 class EveryField:
     text: str
@@ -360,7 +359,7 @@ def test_a_field_type_with_no_json_form_is_refused_when_declared(kind):
         value: kind
 
     with pytest.raises(TypeError, match=re.escape(f"no JSON form for a field of type {kind!r}")):
-        _jsonl_record(Unsupported)
+        jsonl_record(Unsupported)
 
 
 def test_candidates_jsonl_round_trip(tmp_path):

@@ -6,7 +6,8 @@ import pytest
 
 from helpers import make_sentence
 from karaka_qg.evaluation import RatingsError, load_ratings
-from karaka_qg.rule_engine import JsonlError, read_candidates_jsonl
+from karaka_qg.rule_engine import read_candidates_jsonl
+from karaka_qg.textfile import JsonlError
 from karaka_qg.treebank_io import (
     TreebankError,
     dumps_treebank,
@@ -43,6 +44,11 @@ def test_blocks_without_sent_id_get_sequential_ids():
     sentences = loads_treebank(SAMPLE)
     assert sentences[1].sentence_id == "s002"
     assert sentences[1].raw_text is None
+
+
+def test_comment_block_without_metadata_is_skipped_and_takes_no_positional_id():
+    text = "# just a note\n# another\n\n1\tgaya\tja\tVERB\t_\t0\troot\n"
+    assert [s.sentence_id for s in loads_treebank(text)] == ["s001"]
 
 
 def test_round_trip_preserves_sentences():
@@ -135,6 +141,14 @@ def test_non_utf8_byte_names_its_line_as_text_mode_counts_it(tmp_path, newline):
             "", "# sent_id = b", "1\tgay\xffa\tja\tVERB\t_\t0\troot"]
     path.write_bytes(newline.join(rows).encode("latin-1"))
     with pytest.raises(TreebankError, match=rf"^{re.escape(str(path))}:6: not valid UTF-8$"):
+        load_treebank(path)
+
+
+def test_a_fault_on_line_2_comes_before_a_bad_byte_later_in_its_block(tmp_path):
+    path = tmp_path / "bad.conllu"
+    path.write_bytes(b"# sent_id = a\n1\traam\n2\tgay\xff\tja\tVERB\t_\t0\troot\n")
+    with pytest.raises(TreebankError, match=rf"^{re.escape(str(path))}:2: expected 7 "
+                                            r"tab-separated columns, got 2$"):
         load_treebank(path)
 
 
