@@ -13,7 +13,7 @@ import argparse
 import json
 import logging
 import sys
-from dataclasses import dataclass, field, replace
+from dataclasses import replace
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -51,24 +51,6 @@ class ConfigError(ValueError):
     """Raised for bad flag values such as unknown rule or filter names."""
 
 
-@dataclass
-class PipelineConfig:
-    """One command's settings. Fields a command's flags set are named after
-    their parser dests; the defaults stand for flags the command lacks."""
-
-    command: str
-    output_dir: Path
-    input_path: Path | None = None
-    lexicon_paths: list = field(default_factory=list)
-    marker_table_path: Path | None = None
-    enabled_rules: set = field(default_factory=lambda: set(RuleId))
-    filters: FilterConfig = FilterConfig()
-    candidates_path: Path | None = None
-    verdicts_path: Path | None = None
-    ratings_path: Path | None = None
-    fmt: str | None = None
-
-
 def _parse_name(kind, noun: str, raw: str):
     """The RuleId or FilterId named by raw; its R_/F_ prefix may be left out."""
     name = raw.strip().upper()
@@ -90,13 +72,13 @@ def _parse_rules(selection: str) -> set:
     return rules
 
 
-def _load_markers(cfg: PipelineConfig):
+def _load_markers(cfg: argparse.Namespace):
     if cfg.marker_table_path is None:
         return DEFAULT_MARKERS
     return load_marker_table(cfg.marker_table_path)
 
 
-def _load_lexicon(cfg: PipelineConfig):
+def _load_lexicon(cfg: argparse.Namespace):
     lexicons = [default_lexicon()]
     for path in cfg.lexicon_paths:
         lexicons.append(load_lexicon(path))
@@ -108,55 +90,54 @@ def _write_json(obj, path: Path) -> None:
                     encoding="utf-8")
 
 
-def _write_run_meta(cfg: PipelineConfig) -> None:
+def _write_run_meta(cfg: argparse.Namespace) -> None:
     # Per-run metadata is quarantined here so the data files stay
-    # byte-identical across reruns.
+    # byte-identical across reruns. A setting the command has no flag for
+    # is recorded at its default.
+    filters = getattr(cfg, "filters", FilterConfig())
     meta = {
         "command": cfg.command,
-        "input": str(cfg.input_path) if cfg.input_path else None,
-        "lexicons": [str(p) for p in cfg.lexicon_paths],
+        "input": str(cfg.input_path),
+        "lexicons": [str(p) for p in getattr(cfg, "lexicon_paths", [])],
         "markers": str(cfg.marker_table_path) if cfg.marker_table_path else None,
-        "theta": cfg.filters.theta,
-        "rules": sorted(r.value for r in cfg.enabled_rules),
-        "filters": sorted(f.value for f in cfg.filters.enabled),
+        "theta": filters.theta,
+        "rules": sorted(r.value for r in getattr(cfg, "enabled_rules", RuleId)),
+        "filters": sorted(f.value for f in filters.enabled),
         "written_at": datetime.now(timezone.utc).isoformat(),
     }
     _write_json(meta, cfg.output_dir / "run_meta.json")
 
 
-def _generate(cfg: PipelineConfig, markers):
+def _generate(cfg: argparse.Namespace, markers):
+    """Write the candidates and their summary; return the sentences and candidates."""
     lexicon = _load_lexicon(cfg)
     sentences = load_treebank(cfg.input_path)
     candidates = []
     for s in sentences:
         candidates.extend(generate_all(s, lexicon, markers, cfg.enabled_rules))
     candidates.sort(key=lambda c: c.candidate_id)
-    return sentences, candidates
-
-
-def _write_generate_outputs(cfg: PipelineConfig, candidates) -> None:
     cfg.output_dir.mkdir(parents=True, exist_ok=True)
     write_candidates_jsonl(candidates, cfg.output_dir / "candidates.jsonl")
     summary = {k: 0 for k in KARAKA_ORDER}
     for c in candidates:
         summary[c.karaka] = summary.get(c.karaka, 0) + 1
     _write_json(summary, cfg.output_dir / "generate_summary.json")
+    return sentences, candidates
 
 
-def cmd_generate(cfg: PipelineConfig) -> int:
+def cmd_generate(cfg: argparse.Namespace) -> int:
     sentences, candidates = _generate(cfg, _load_markers(cfg))
-    _write_generate_outputs(cfg, candidates)
     _write_run_meta(cfg)
     log.info("generated %d candidates from %d sentences",
              len(candidates), len(sentences))
     return 0
 
 
-def _filter(cfg: PipelineConfig, markers, sentences, candidates):
-    return run_filters(candidates, sentences, replace(cfg.filters, markers=markers))
-
-
-def _write_filter_outputs(cfg: PipelineConfig, candidates, kept, verdicts) -> None:
+def _filter(cfg: argparse.Namespace, markers, sentences, candidates):
+    """Write the kept candidates, the verdicts and their summary; return the verdicts.
+    An unknown sentence stops it before the output directory is made."""
+    kept, verdicts = run_filters(candidates, sentences, replace(cfg.filters, markers=markers))
+    cfg.output_dir.mkdir(parents=True, exist_ok=True)
     write_candidates_jsonl(kept, cfg.output_dir / "kept.jsonl")
     write_verdicts_jsonl(verdicts, cfg.output_dir / "verdicts.jsonl")
     drops = {f.value: 0 for f in FilterId}
@@ -166,23 +147,22 @@ def _write_filter_outputs(cfg: PipelineConfig, candidates, kept, verdicts) -> No
     summary = {"input": len(candidates), "kept": len(kept), "dropped": drops}
     _write_json(summary, cfg.output_dir / "filter_summary.json")
     log.info("kept %d of %d candidates", len(kept), len(candidates))
+    return verdicts
 
 
-def cmd_filter(cfg: PipelineConfig) -> int:
+def cmd_filter(cfg: argparse.Namespace) -> int:
     sentences = load_treebank(cfg.input_path)
     line_of = {}
     candidates = read_candidates_jsonl(cfg.candidates_path, line_of=line_of)
     try:
-        kept, verdicts = _filter(cfg, _load_markers(cfg), sentences, candidates)
+        _filter(cfg, _load_markers(cfg), sentences, candidates)
     except UnknownSentenceError as exc:
         raise FilterError(f"{cfg.candidates_path}:{line_of[exc.candidate_id]}: {exc}") from None
-    cfg.output_dir.mkdir(parents=True, exist_ok=True)
-    _write_filter_outputs(cfg, candidates, kept, verdicts)
     _write_run_meta(cfg)
     return 0
 
 
-def _evaluate(cfg: PipelineConfig, karaka_of: dict, kept_of: dict | None) -> None:
+def _evaluate(cfg: argparse.Namespace, karaka_of: dict, kept_of: dict | None) -> None:
     """Print the ratings table, and the before/after block when there are verdicts."""
     table, ba = evaluate_ratings(cfg.ratings_path, karaka_of, kept_of)
     if cfg.fmt == "json":
@@ -198,7 +178,7 @@ def _evaluate(cfg: PipelineConfig, karaka_of: dict, kept_of: dict | None) -> Non
         print(render_before_after(ba))
 
 
-def cmd_eval(cfg: PipelineConfig) -> int:
+def cmd_eval(cfg: argparse.Namespace) -> int:
     line_of = {}
     karaka_of = read_candidates_jsonl(cfg.candidates_path, "karaka", line_of=line_of)
     # Only the default verdicts file may be absent; a named one must be read.
@@ -215,12 +195,10 @@ def cmd_eval(cfg: PipelineConfig) -> int:
     return 0
 
 
-def cmd_pipeline(cfg: PipelineConfig) -> int:
+def cmd_pipeline(cfg: argparse.Namespace) -> int:
     markers = _load_markers(cfg)
     sentences, candidates = _generate(cfg, markers)
-    _write_generate_outputs(cfg, candidates)
-    kept, verdicts = _filter(cfg, markers, sentences, candidates)
-    _write_filter_outputs(cfg, candidates, kept, verdicts)
+    verdicts = _filter(cfg, markers, sentences, candidates)
     _write_run_meta(cfg)
     if cfg.ratings_path is not None:
         _evaluate(cfg, {c.candidate_id: c.karaka for c in candidates},
@@ -277,25 +255,22 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _config_from_args(args) -> PipelineConfig:
-    """The PipelineConfig of parsed flags; bad names or values raise ConfigError."""
-    opts = dict(vars(args))
-    if "rules" in opts:
-        opts["enabled_rules"] = _parse_rules(opts.pop("rules"))
-    if "theta" in opts:  # the commands that filter, which also take --disable-filter
-        disabled = {_parse_name(FilterId, "filter", raw)
-                    for raw in opts.pop("disabled_filters")}
+def _config_from_args(args: argparse.Namespace) -> argparse.Namespace:
+    """The parsed flags with `enabled_rules`, `filters` and the default
+    candidates path filled in; bad names or values raise ConfigError."""
+    if "rules" in args:
+        args.enabled_rules = _parse_rules(args.rules)
+    if "theta" in args:  # the commands that filter, which also take --disable-filter
+        disabled = {_parse_name(FilterId, "filter", raw) for raw in args.disabled_filters}
         try:
-            opts["filters"] = FilterConfig(theta=opts.pop("theta"),
-                                           enabled=frozenset(FilterId) - disabled)
+            args.filters = FilterConfig(theta=args.theta, enabled=frozenset(FilterId) - disabled)
         except ValueError as exc:
             raise ConfigError(str(exc)) from None
-    cfg = PipelineConfig(**opts)
-    if cfg.command == "pipeline" and cfg.fmt == "json" and cfg.ratings_path is None:
+    if args.command == "pipeline" and args.fmt == "json" and args.ratings_path is None:
         raise ConfigError("--format json formats the ratings table; it needs --ratings")
-    if cfg.candidates_path is None:
-        cfg.candidates_path = cfg.output_dir / "candidates.jsonl"
-    return cfg
+    if "candidates_path" in args and args.candidates_path is None:
+        args.candidates_path = args.output_dir / "candidates.jsonl"
+    return args
 
 
 COMMANDS = {

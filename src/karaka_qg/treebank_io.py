@@ -99,31 +99,28 @@ def _feats_to_str(feats: dict) -> str:
     return "|".join(f"{k}={feats[k]}" for k in sorted(feats))
 
 
+def _tree_error(where: str, sentence_id: str, message: str) -> TreebankError:
+    return TreebankError(f"{where}: sentence {sentence_id}: {message}")
+
+
 def _validate(sentence_id: str, tokens: list[Token], source: str,
               line_nos: list[int], id_line: int) -> None:
-    """Raise TreebankError for an invalid tree, prefixed with the PATH:LINE of
-    the offending token (line_nos[i] is the line of tokens[i]) or, for the
-    root count, of the line naming the sentence. Past the first check, token
-    ids are positions."""
+    """Raise TreebankError for the checks that need the whole sentence, prefixed
+    with the PATH:LINE of the offending token (line_nos[i] is the line of
+    tokens[i]) or, for the root count, of the line naming the sentence. Token
+    ids are positions and no token heads itself: each line was checked as read."""
     def error(line_no: int, message: str) -> TreebankError:
-        return TreebankError(f"{source}:{line_no}: sentence {sentence_id}: {message}")
+        return _tree_error(f"{source}:{line_no}", sentence_id, message)
 
-    for pos, tok in enumerate(tokens, start=1):
-        if tok.id != pos:
-            raise error(line_nos[pos - 1], f"token ids not contiguous from 1 "
-                                           f"(found id {tok.id} at position {pos})")
     n = len(tokens)
-    roots = [t for t in tokens if t.head == 0]
     for tok in tokens:
-        if tok.head == tok.id:
-            raise error(line_nos[tok.id - 1], f"self-loop at token {tok.id}")
         if tok.head != 0 and not 1 <= tok.head <= n:
             raise error(line_nos[tok.id - 1], f"token {tok.id} has head {tok.head} outside 1..{n}")
+    roots = [t for t in tokens if t.head == 0]
     if len(roots) != 1:
         raise error(id_line, f"expected exactly one root, found {len(roots)}")
     # A single root plus no self-loops does not rule out cycles among the
     # remaining tokens, so walk up from every node.
-    heads = {t.id: t.head for t in tokens}
     for tok in tokens:
         seen = set()
         cur = tok.id
@@ -131,7 +128,7 @@ def _validate(sentence_id: str, tokens: list[Token], source: str,
             if cur in seen:
                 raise error(line_nos[tok.id - 1], f"cyclic head chain at token {tok.id}")
             seen.add(cur)
-            cur = heads[cur]
+            cur = tokens[cur - 1].head
 
 
 def _parse_token(line: str, where: str) -> Token:
@@ -156,6 +153,12 @@ def _parse_token(line: str, where: str) -> Token:
 def _parse_blocks(lines, source: str) -> list[ParsedSentence]:
     sentences: list[ParsedSentence] = []
     first_line_of: dict[str, int] = {}
+
+    def check_unused(sid: str, line_no: int) -> None:
+        if sid in first_line_of:
+            raise TreebankError(f"{source}:{line_no}: duplicate sent_id {sid!r}, "
+                                f"first used at {source}:{first_line_of[sid]}")
+
     numbered = enumerate((raw.rstrip("\n") for raw in lines), start=1)
     for in_block, block in groupby(numbered, key=lambda item: bool(item[1].strip())):
         if not in_block:
@@ -164,13 +167,21 @@ def _parse_blocks(lines, source: str) -> list[ParsedSentence]:
         row_lines: list[int] = []
         sent_id: str | None = None
         raw_text: str | None = None
+        positional = f"s{len(sentences) + 1:03d}"  # the id when no sent_id is given
         # Line naming the sentence (its sent_id comment, else its first token), and the
-        # block's first line. Each line is parsed before the next is read, so it faults first.
+        # block's first line. Each line is checked before the next is read, so it faults first.
         id_line = block_line = 0
         for line_no, line in block:
             block_line = block_line or line_no
+            where = f"{source}:{line_no}"
             if not line.startswith("#"):
-                rows.append(_parse_token(line, f"{source}:{line_no}"))
+                tok = _parse_token(line, where)
+                if tok.id != len(rows) + 1:
+                    raise _tree_error(where, sent_id or positional, f"token ids not contiguous "
+                                      f"from 1 (found id {tok.id} at position {len(rows) + 1})")
+                if tok.head == tok.id:
+                    raise _tree_error(where, sent_id or positional, f"self-loop at token {tok.id}")
+                rows.append(tok)
                 row_lines.append(line_no)
                 id_line = id_line or line_no
                 continue
@@ -178,7 +189,8 @@ def _parse_blocks(lines, source: str) -> list[ParsedSentence]:
             if eq and key.strip() == "sent_id":
                 sent_id = value.strip()
                 if not sent_id:
-                    raise TreebankError(f"{source}:{line_no}: empty sent_id")
+                    raise TreebankError(f"{where}: empty sent_id")
+                check_unused(sent_id, line_no)
                 id_line = line_no
             elif eq and key.strip() == "text":
                 raw_text = value.strip()
@@ -186,12 +198,8 @@ def _parse_blocks(lines, source: str) -> list[ParsedSentence]:
             if sent_id is None and raw_text is None:
                 continue
             raise TreebankError(f"{source}:{block_line}: sentence metadata without token lines")
-        sid = sent_id or f"s{len(sentences) + 1:03d}"
-        if sid in first_line_of:
-            raise TreebankError(
-                f"{source}:{id_line}: duplicate sent_id {sid!r}, "
-                f"first used at {source}:{first_line_of[sid]}"
-            )
+        sid = sent_id or positional
+        check_unused(sid, id_line)  # an explicit id was checked at its own line
         first_line_of[sid] = id_line
         _validate(sid, rows, source, row_lines, id_line)
         sentences.append(ParsedSentence(sid, tuple(rows), raw_text))

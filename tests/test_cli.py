@@ -65,6 +65,58 @@ def test_generate_writes_candidates_summary_and_meta(tmp_path):
     assert meta["theta"] == 5
 
 
+def test_run_meta_records_every_setting(tmp_path):
+    # A command with no flag for a setting records that setting's default.
+    src = write_input(tmp_path)
+    markers = tmp_path / "markers.tsv"
+    markers.write_text("erg\tne\n", encoding="utf-8")
+    lexicon = tmp_path / "lexicon.tsv"
+    lexicon.write_text("raam\tHUMAN\n", encoding="utf-8")
+    out = tmp_path / "out"
+    all_rules = ["R_K1", "R_K1S", "R_K2", "R_K2P", "R_K3", "R_K5", "R_K7S", "R_K7T",
+                 "R_R6", "R_R6_NONLIVING", "R_RH", "R_RT"]
+    all_filters = ["F_ALREADY_QUESTION", "F_ANAPHORA", "F_COMPLEX_COMPOUND",
+                   "F_GENDER_AGREEMENT", "F_WORD_ORDER"]
+    runs = [
+        (["generate", "--input", str(src), "--out", str(out), "--rules", "k2,R_K1",
+          "--markers", str(markers), "--lexicon", str(lexicon)],
+         {"command": "generate", "input": str(src), "lexicons": [str(lexicon)],
+          "markers": str(markers), "theta": 5, "rules": ["R_K1", "R_K2"],
+          "filters": all_filters}),
+        (["filter", "--input", str(src), "--out", str(out), "--theta", "3",
+          "--disable-filter", "anaphora", "--disable-filter", "F_WORD_ORDER"],
+         {"command": "filter", "input": str(src), "lexicons": [], "markers": None,
+          "theta": 3, "rules": all_rules,
+          "filters": ["F_ALREADY_QUESTION", "F_COMPLEX_COMPOUND", "F_GENDER_AGREEMENT"]}),
+        (["pipeline", "--input", str(src), "--out", str(out)],
+         {"command": "pipeline", "input": str(src), "lexicons": [], "markers": None,
+          "theta": 5, "rules": all_rules, "filters": all_filters}),
+    ]
+    for argv, expected in runs:
+        assert main(argv) == 0
+        meta = json.loads((out / "run_meta.json").read_text(encoding="utf-8"))
+        assert list(meta) == [*expected, "written_at"]
+        del meta["written_at"]
+        assert meta == expected
+
+
+def test_benchmark_setup_hook_builds_what_each_command_builds(tmp_path):
+    # The calls the benchmark's setup job makes through the cli module.
+    markers = tmp_path / "markers.tsv"
+    markers.write_text("erg\tnai\n", encoding="utf-8")
+    lexicon = tmp_path / "lexicon.tsv"
+    lexicon.write_text("xyzzy\tHUMAN\n", encoding="utf-8")
+    cli = karaka_qg.cli
+    cfg = cli._config_from_args(cli.build_parser().parse_args(
+        ["pipeline", "--input", "in.conllu", "--out", str(tmp_path),
+         "--markers", str(markers), "--lexicon", str(lexicon)]))
+    assert cli._load_markers(cfg).ergative == frozenset({"nai"})
+    assert cli._load_lexicon(cfg).lookup("xyzzy").value == "HUMAN"
+    cfg = cli._config_from_args(cli.build_parser().parse_args(
+        ["eval", "--out", str(tmp_path), "--ratings", "r.csv"]))
+    assert cfg.candidates_path == tmp_path / "candidates.jsonl"
+
+
 def test_generate_output_is_byte_identical_across_runs(tmp_path):
     src = write_input(tmp_path)
     first = tmp_path / "first"

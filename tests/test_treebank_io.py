@@ -250,6 +250,21 @@ def test_tree_error_names_the_offending_line(block, line, message):
         loads_treebank(text, source="x")
 
 
+# A fault that one line shows is named at that line, before a later line's column count.
+@pytest.mark.parametrize("text, message", [
+    ("# sent_id = a\n1\tgaya\tja\tVERB\t_\t0\troot\n\n"
+     "# sent_id = a\n1\tgaya\tja\tVERB\t_\t0\troot\n2\tbad\n",
+     "x:4: duplicate sent_id 'a', first used at x:1"),
+    ("# sent_id = a\n1\traam\traam\tPROPN\t_\t2\tk1\n5\tgaya\tja\tVERB\t_\t0\troot\n3\tbad\n",
+     "x:3: sentence a: token ids not contiguous from 1 (found id 5 at position 2)"),
+    ("# sent_id = a\n1\traam\traam\tPROPN\t_\t1\tk1\n2\tgaya\tja\tVERB\t_\t0\troot\n3\tbad\n",
+     "x:2: sentence a: self-loop at token 1"),
+], ids=["duplicate-sent-id", "token-id", "self-loop"])
+def test_a_line_fault_comes_before_a_later_lines_fault(text, message):
+    with pytest.raises(TreebankError, match=rf"^{re.escape(message)}$"):
+        loads_treebank(text, source="x")
+
+
 def test_token_lookup_by_id():
     s = make_sentence([
         ("raam", "raam", "PROPN", "_", 2, "k1"),
