@@ -153,13 +153,9 @@ def simple_clauses(draw):
 @settings(max_examples=60, deadline=None)
 @given(sentence=simple_clauses())
 def test_candidate_token_accounting(sentence):
-    """The four invariants of a flat clause's candidates, on one draw: the
-    tokens add up, one question mark ends each, each holds exactly one
-    interrogative span, and variation group members differ only in it."""
     source = Counter(t.form for t in sentence.tokens)
     terminal = sentence.tokens[-1].form if sentence.tokens[-1].deprel == "punct" else None
-    candidates = generate_all(sentence, EMPTY)
-    for c in candidates:
+    for c in generate_all(sentence, EMPTY):
         assert c.tokens[-1] == "?"
         expected = source.copy()
         for token_id in sentence.subtree_ids(c.target_token_id):
@@ -170,15 +166,27 @@ def test_candidate_token_accounting(sentence):
         expected.update(["?"])
         assert Counter(c.tokens) == +expected
 
-    for c in candidates:
+
+@settings(max_examples=40, deadline=None)
+@given(sentence=simple_clauses())
+def test_every_candidate_ends_in_one_question_mark(sentence):
+    for c in generate_all(sentence, EMPTY):
         assert c.tokens[-1] == "?" and c.tokens.count("?") == 1
         assert not {"।", ".", "|", "!"} & set(c.tokens)
 
-    for c in candidates:
+
+@settings(max_examples=60, deadline=None)
+@given(sentence=simple_clauses())
+def test_exactly_one_interrogative_span(sentence):
+    for c in generate_all(sentence, EMPTY):
         assert len(interrogative_spans(list(c.tokens))) == 1
 
+
+@settings(max_examples=60, deadline=None)
+@given(sentence=simple_clauses())
+def test_variation_group_members_differ_only_in_the_span(sentence):
     groups = defaultdict(list)
-    for c in candidates:
+    for c in generate_all(sentence, EMPTY):
         groups[c.variation_group].append(c)
     for members in groups.values():
         remainders = []
