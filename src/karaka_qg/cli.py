@@ -13,7 +13,6 @@ import argparse
 import json
 import logging
 import sys
-from dataclasses import replace
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -136,7 +135,7 @@ def cmd_generate(cfg: argparse.Namespace) -> int:
 def _filter(cfg: argparse.Namespace, markers, sentences, candidates):
     """Write the kept candidates, the verdicts and their summary; return the verdicts.
     An unknown sentence stops it before the output directory is made."""
-    kept, verdicts = run_filters(candidates, sentences, replace(cfg.filters, markers=markers))
+    kept, verdicts = run_filters(candidates, sentences, cfg.filters._replace(markers=markers))
     cfg.output_dir.mkdir(parents=True, exist_ok=True)
     write_candidates_jsonl(kept, cfg.output_dir / "kept.jsonl")
     write_verdicts_jsonl(verdicts, cfg.output_dir / "verdicts.jsonl")
@@ -230,7 +229,7 @@ def build_parser() -> argparse.ArgumentParser:
     lexicon = _flag("--lexicon", dest="lexicon_paths", type=Path, action="append", default=[],
                     metavar="PATH", help="semantic lexicon TSV; repeatable, later files win")
     rules = _flag("--rules", default="all", help="comma-separated rule names or 'all'")
-    filtering = _flag("--theta", type=int, default=FilterConfig.theta,
+    filtering = _flag("--theta", type=int, default=FilterConfig._field_defaults["theta"],
                       help="token count allowed on each side of a conjunct")
     filtering.add_argument("--disable-filter", dest="disabled_filters", action="append",
                            default=[], metavar="NAME",

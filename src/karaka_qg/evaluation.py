@@ -12,7 +12,7 @@ from __future__ import annotations
 import csv
 from collections import Counter
 from contextlib import closing
-from dataclasses import asdict, dataclass
+from typing import NamedTuple
 
 from .textfile import open_utf8
 from .treebank_io import KARAKA_ORDER
@@ -33,16 +33,14 @@ class UncoveredCandidateError(RatingsError):
         self.candidate_id = candidate_id
 
 
-@dataclass(frozen=True)
-class RatingRecord:
+class RatingRecord(NamedTuple):
     candidate_id: str
     annotator_id: str
     syntax: int
     semantic: int
 
 
-@dataclass(frozen=True)
-class RowStats:
+class RowStats(NamedTuple):
     syntax_mean: float | None
     syntax_median: int | None
     semantic_mean: float | None
@@ -50,21 +48,18 @@ class RowStats:
     count: int
 
 
-@dataclass(frozen=True)
-class EvalTable:
+class EvalTable(NamedTuple):
     rows: dict
     totals: RowStats
 
 
-@dataclass(frozen=True)
-class SplitStats:
+class SplitStats(NamedTuple):
     syntax_mean: float | None
     semantic_mean: float | None
     count: int
 
 
-@dataclass(frozen=True)
-class BeforeAfter:
+class BeforeAfter(NamedTuple):
     before: SplitStats
     after: SplitStats
 
@@ -267,10 +262,10 @@ def render_before_after(ba: BeforeAfter) -> str:
 
 def eval_table_to_dict(table: EvalTable) -> dict:
     return {
-        "rows": {k: asdict(table.rows[k]) for k in _sorted_rows(table.rows)},
-        "totals": asdict(table.totals),
+        "rows": {k: table.rows[k]._asdict() for k in _sorted_rows(table.rows)},
+        "totals": table.totals._asdict(),
     }
 
 
 def before_after_to_dict(ba: BeforeAfter) -> dict:
-    return asdict(ba)
+    return {"before": ba.before._asdict(), "after": ba.after._asdict()}

@@ -7,9 +7,9 @@ them. A dropped candidate records the first filter that rejected it.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from enum import Enum
 from functools import partial
+from typing import NamedTuple
 
 from .morphology import (
     DEFAULT_MARKERS,
@@ -50,15 +50,26 @@ class UnknownSentenceError(FilterError):
         self.candidate_id = candidate_id
 
 
-@dataclass(frozen=True)
-class FilterConfig:
+class _FilterSettings(NamedTuple):
     theta: int = 5
     enabled: frozenset = frozenset(FilterId)
     markers: MarkerTable = DEFAULT_MARKERS
 
-    def __post_init__(self):
+
+class FilterConfig(_FilterSettings):
+    """The filters' settings; theta is checked whenever one is made, _replace included."""
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if self.theta < 1:
             raise ValueError(f"theta must be >= 1, got {self.theta}")
+        return self
+
+    @classmethod
+    def _make(cls, iterable):
+        return cls(*iterable)
 
 
 def _check_kept(d: dict) -> None:
@@ -70,8 +81,7 @@ def _check_kept(d: dict) -> None:
 
 
 @partial(jsonl_record, check=_check_kept)
-@dataclass(frozen=True)
-class FilterVerdict:
+class FilterVerdict(NamedTuple):
     candidate_id: str
     kept: bool
     dropped_by: FilterId | None = None

@@ -7,7 +7,6 @@ then emit every plausible variant instead of guessing.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from enum import Enum
 from importlib import resources
 
@@ -30,11 +29,17 @@ class LexiconError(ValueError):
     """Raised for malformed lexicon files."""
 
 
-@dataclass
 class SemanticLexicon:
-    entries: dict[str, SemanticCategory] = field(default_factory=dict)
-    source_name: str = ""
-    duplicate_count: int = 0
+    """Lemma to category entries, the files they came from, and the number
+    of rows that repeated a lemma. Its length is its number of entries."""
+
+    __slots__ = ("entries", "source_name", "duplicate_count")
+
+    def __init__(self, entries: dict[str, SemanticCategory] | None = None,
+                 source_name: str = "", duplicate_count: int = 0):
+        self.entries = {} if entries is None else entries
+        self.source_name = source_name
+        self.duplicate_count = duplicate_count
 
     def lookup(self, lemma: str) -> SemanticCategory:
         return self.entries.get(lemma, SemanticCategory.UNKNOWN)

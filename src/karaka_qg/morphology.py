@@ -7,8 +7,8 @@ string comparison against token forms; nothing is transliterated.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
 from functools import cache
+from typing import NamedTuple
 
 from .textfile import read_pairs
 from .treebank_io import PSP, ParsedSentence
@@ -38,8 +38,7 @@ class MarkerTableError(ValueError):
     """Raised for malformed marker table files."""
 
 
-@dataclass(frozen=True)
-class MarkerTable:
+class MarkerTable(NamedTuple):
     ergative: frozenset = frozenset({"ne"})
     accusative: frozenset = frozenset({"ko"})
     instrumental: frozenset = frozenset({"se", "ke dwaaraa"})
@@ -72,7 +71,7 @@ def load_marker_table(path) -> MarkerTable:
         if not form:
             raise MarkerTableError(f"{where}: empty form")
         by_field.setdefault(_ROLE_FIELDS[role], set()).add(form)
-    return replace(DEFAULT_MARKERS, **{name: frozenset(forms) for name, forms in by_field.items()})
+    return DEFAULT_MARKERS._replace(**{name: frozenset(forms) for name, forms in by_field.items()})
 
 
 def case_marker_tokens(s: ParsedSentence, token_id: int, m: MarkerTable) -> list:

@@ -17,9 +17,9 @@ variation_group; variants with different meanings get distinct groups.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, field
 from enum import Enum
 from functools import partial
+from typing import NamedTuple
 
 from .lexicon import SemanticCategory, SemanticLexicon
 from .morphology import (
@@ -54,8 +54,7 @@ class RuleId(str, Enum):
 
 
 @jsonl_record
-@dataclass(frozen=True)
-class QuestionCandidate:
+class QuestionCandidate(NamedTuple):
     candidate_id: str
     sentence_id: str
     rule: RuleId
@@ -115,8 +114,7 @@ def _unknown_note(lemma: str) -> tuple[str, ...]:
     return (f"category of {lemma!r} unknown; emitting all variants",)
 
 
-@dataclass(frozen=True)
-class Role:
+class Role(NamedTuple):
     """Case key matching any marker of one MarkerTable field, e.g. ergative,
     or only ``marker`` when the field lists it."""
 
@@ -124,8 +122,7 @@ class Role:
     marker: str | None = None
 
 
-@dataclass(frozen=True)
-class Substitution:
+class Substitution(NamedTuple):
     """A rule that swaps a target chunk for interrogatives read from tables.
 
     A leaf of ``asks`` is a tuple of interrogatives, which share a
@@ -147,7 +144,7 @@ class Substitution:
     skip: str = ""
     on_verb: bool = True
     keeps_marker: frozenset = frozenset()
-    notes: dict = field(default_factory=dict)
+    notes: dict = {}  # shared by the rows that give none; only ever read
 
 
 SUBSTITUTIONS = (

@@ -6,7 +6,6 @@ from __future__ import annotations
 import json
 import typing
 from contextlib import contextmanager
-from dataclasses import MISSING, fields as dataclass_fields
 from enum import Enum
 from json.encoder import encode_basestring
 
@@ -178,27 +177,28 @@ def _json_form(kind):
 
 
 def jsonl_record(cls, check=None):
-    """Class decorator deriving a dataclass's JSON_TYPES, to_json_dict,
+    """Class decorator deriving a named tuple's JSON_TYPES, to_json_dict,
     to_json_line, json_values (a line's checked, decoded field values, in
     field order) and from_json_dict from its fields and their annotations,
     once. A field with a default may be absent from a line; check(d) vets a
     line first. to_json_line is compiled to one f-string, which equals
     json.dumps(self.to_json_dict(), ensure_ascii=False)."""
     hints = typing.get_type_hints(cls)
-    forms = [(f.name, f.default, *_json_form(hints[f.name])) for f in dataclass_fields(cls)]
+    defaults = cls._field_defaults
+    forms = [(name, *_json_form(hints[name])) for name in cls._fields]
     spec = [form[:-1] for form in forms]  # without text, which only to_json_line's source needs
-    cls.JSON_TYPES = {name: json_type for name, _, json_type, _, _ in spec}
+    cls.JSON_TYPES = {name: json_type for name, json_type, _, _ in spec}
 
     def to_json_dict(self) -> dict:
         return {name: getattr(self, name) if encode is None else encode(getattr(self, name))
-                for name, _, _, _, encode in spec}
+                for name, _, _, encode in spec}
 
     def json_values(d: dict) -> list:
         if check is not None:
             check(d)
         values = []
-        for name, default, _, decode, _ in spec:
-            value = d[name] if default is MISSING else d.get(name, default)
+        for name, _, decode, _ in spec:
+            value = d.get(name, defaults[name]) if name in defaults else d[name]
             values.append(value if decode is None else decode(value))
         return values
 

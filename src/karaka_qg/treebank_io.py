@@ -6,15 +6,15 @@ Token lines carry seven tab-separated columns:
 
 FEATS is either "_" or a "Key=Val|Key=Val" list. Sentences are separated
 by blank lines. Comment lines of the form "# sent_id = ..." and
-"# text = ..." carry sentence metadata; a sentence without an explicit
-id gets a positional one ("s001", "s002", ...).
+"# text = ..." carry sentence metadata, before the token lines; a sentence
+without an explicit id gets a positional one ("s001", "s002", ...).
 """
 
 from __future__ import annotations
 
 import io
-from dataclasses import dataclass
 from itertools import groupby
+from typing import NamedTuple
 
 from .textfile import open_utf8
 
@@ -36,8 +36,7 @@ class TreebankError(ValueError):
     """Raised for malformed treebank files or invalid dependency graphs."""
 
 
-@dataclass(frozen=True)
-class Token:
+class Token(NamedTuple):
     """One token row. ``head`` is 0 for the root, otherwise a token id."""
 
     id: int
@@ -49,8 +48,7 @@ class Token:
     deprel: str
 
 
-@dataclass(frozen=True)
-class ParsedSentence:
+class ParsedSentence(NamedTuple):
     """A single dependency tree in surface order."""
 
     sentence_id: str
@@ -187,6 +185,13 @@ def _parse_blocks(lines, source: str) -> list[ParsedSentence]:
                 continue
             key, eq, value = line[1:].partition("=")
             if eq and key.strip() == "sent_id":
+                # Metadata comes first, so the id a token line is checked under is the block's.
+                if rows:
+                    raise TreebankError(f"{where}: sent_id after the sentence's first token "
+                                        f"line, {source}:{id_line}; metadata comes first")
+                if sent_id is not None:
+                    raise TreebankError(f"{where}: second sent_id in one sentence, "
+                                        f"first given at {source}:{id_line}")
                 sent_id = value.strip()
                 if not sent_id:
                     raise TreebankError(f"{where}: empty sent_id")

@@ -16,7 +16,17 @@ import pytest
 import karaka_qg.cli
 from helpers import bundled_corpus_text, make_rated_candidate, write_ratings
 from karaka_qg.cli import main
-from karaka_qg.rule_engine import write_candidates_jsonl
+from karaka_qg.evaluation import BeforeAfter, EvalTable, RatingRecord, RowStats, SplitStats
+from karaka_qg.filters import FilterConfig, FilterVerdict
+from karaka_qg.morphology import DEFAULT_MARKERS
+from karaka_qg.rule_engine import (
+    SUBSTITUTIONS,
+    QuestionCandidate,
+    Role,
+    RuleId,
+    write_candidates_jsonl,
+)
+from karaka_qg.treebank_io import ParsedSentence, Token
 
 TREEBANK = """\
 # sent_id = e001
@@ -783,14 +793,42 @@ def test_installed_console_script_matches_declaration(tmp_path):
 
 
 def test_importing_the_cli_does_not_import_statistics():
-    # The ratings fold counts scores itself; statistics costs start-up time on every command.
+    # The ratings fold counts scores itself, and the records are named tuples: statistics
+    # and dataclasses (with the inspect it imports) cost start-up time on every command.
     package_root = Path(karaka_qg.__file__).resolve().parent.parent
     proc = subprocess.run(
-        [sys.executable, "-c", "import sys, karaka_qg.cli; print('statistics' in sys.modules)"],
+        [sys.executable, "-c", "import sys, karaka_qg.cli; "
+                               "print('statistics' in sys.modules, 'dataclasses' in sys.modules)"],
         capture_output=True, text=True, env={**os.environ, "PYTHONPATH": str(package_root)},
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout == "False\n"
+    assert proc.stdout == "False False\n"
+
+
+RECORDS = [
+    Token(1, "gaya", "ja", "VERB", {}, 0, "root"),
+    ParsedSentence("s1", ()),
+    QuestionCandidate("s1:R_K1:1:0", "s1", RuleId.R_K1, "k1", "kaun", ("kaun", "?"), "g", 1),
+    Role("ergative"),
+    SUBSTITUTIONS[0],
+    FilterVerdict("s1:R_K1:1:0", True),
+    FilterConfig(),
+    DEFAULT_MARKERS,
+    RatingRecord("c", "a", 5, 4),
+    RowStats(None, None, None, None, 0),
+    EvalTable({}, RowStats(None, None, None, None, 0)),
+    SplitStats(None, None, 0),
+    BeforeAfter(SplitStats(None, None, 0), SplitStats(None, None, 0)),
+]
+
+
+@pytest.mark.parametrize("record", RECORDS, ids=[type(r).__name__ for r in RECORDS])
+def test_records_refuse_attribute_assignment(record):
+    field = type(record)._fields[0]
+    with pytest.raises(AttributeError):
+        setattr(record, field, getattr(record, field))
+    with pytest.raises(AttributeError):
+        record.extra = 1
 
 
 def test_no_module_imports_a_private_name_of_another():

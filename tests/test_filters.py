@@ -330,6 +330,8 @@ def test_unknown_sentence_id_raises():
 def test_theta_must_be_positive():
     with pytest.raises(ValueError, match="theta must be >= 1"):
         FilterConfig(theta=0)
+    with pytest.raises(ValueError, match="theta must be >= 1"):
+        FilterConfig()._replace(theta=0)
 
 
 def test_verdicts_jsonl_round_trip(tmp_path):

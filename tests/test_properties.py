@@ -4,7 +4,6 @@ import json
 import re
 import statistics
 from collections import Counter, defaultdict
-from dataclasses import astuple, replace
 
 from hypothesis import example, given, settings, strategies as st
 
@@ -345,9 +344,9 @@ def source_trees(draw):
 # Marker tables that override gen and ins, among them ones that move ka out
 # of gen, to ins or loc, or give gen a marker no interrogative matches.
 marker_tables = st.builds(
-    lambda gen, ins, loc: replace(DEFAULT_MARKERS, genitive=frozenset(gen),
-                                  instrumental=frozenset(ins),
-                                  locative=DEFAULT_MARKERS.locative | {loc}),
+    lambda gen, ins, loc: DEFAULT_MARKERS._replace(genitive=frozenset(gen),
+                                                   instrumental=frozenset(ins),
+                                                   locative=DEFAULT_MARKERS.locative | {loc}),
     st.sampled_from([("ka", "ke", "ki"), ("ke", "ki"), ("kaa", "ki"), ("ka", "kaa"), ()]),
     st.sampled_from([("se", "ke dwaaraa"), ("se", "ka"), ("se",), ("ke dwaaraa", "ka")]),
     st.sampled_from(["mein", "ka"]),
@@ -708,7 +707,7 @@ def test_one_pass_aggregation_equals_the_two_pass_reference(tmp_path_factory, in
 
     def table():
         t = aggregate(ratings, candidates)
-        return ([(k, astuple(r)) for k, r in t.rows.items()], astuple(t.totals))
+        return ([(k, tuple(r)) for k, r in t.rows.items()], tuple(t.totals))
 
     def reference_table():
         rows, totals = reference_aggregate(ratings, candidates)
@@ -716,7 +715,7 @@ def test_one_pass_aggregation_equals_the_two_pass_reference(tmp_path_factory, in
 
     def split():
         ba = before_after(ratings, candidates, verdicts)
-        return astuple(ba.before), astuple(ba.after)
+        return tuple(ba.before), tuple(ba.after)
 
     assert result_or_error(table) == result_or_error(reference_table)
     assert result_or_error(split) == result_or_error(
@@ -726,14 +725,14 @@ def test_one_pass_aggregation_equals_the_two_pass_reference(tmp_path_factory, in
     # id is one candidate: the last record of a repeated id.
     unique = list({c.candidate_id: c for c in candidates}.values())
     path = tmp_path_factory.getbasetemp() / "eval-ratings.csv"
-    write_ratings(path, [astuple(r) for r in ratings])
+    write_ratings(path, [tuple(r) for r in ratings])
     karaka_of = {c.candidate_id: c.karaka for c in unique}
     kept_of = {v.candidate_id: v.kept for v in verdicts}
 
     def file_table():
         t, ba = evaluate_ratings(path, karaka_of)
         assert ba is None
-        return [(k, astuple(r)) for k, r in t.rows.items()], astuple(t.totals)
+        return [(k, tuple(r)) for k, r in t.rows.items()], tuple(t.totals)
 
     def reference_file_table():
         reference_file_faults(path, ratings, unique)
@@ -742,8 +741,8 @@ def test_one_pass_aggregation_equals_the_two_pass_reference(tmp_path_factory, in
 
     def file_split():
         t, ba = evaluate_ratings(path, karaka_of, kept_of)
-        return ([(k, astuple(r)) for k, r in t.rows.items()], astuple(t.totals),
-                astuple(ba.before), astuple(ba.after))
+        return ([(k, tuple(r)) for k, r in t.rows.items()], tuple(t.totals),
+                tuple(ba.before), tuple(ba.after))
 
     def reference_file_split():
         rows, totals = reference_file_table()

@@ -173,6 +173,19 @@ def test_duplicate_sent_id_names_both_lines():
         loads_treebank(text, source="dup.conllu")
 
 
+@pytest.mark.parametrize("text, message", [
+    ("1\tw\tw\tX\t_\t0\troot\n# sent_id = late\n",
+     "x:2: sent_id after the sentence's first token line, x:1; metadata comes first"),
+    ("# sent_id = a\n# sent_id = b\n1\tw\tw\tX\t_\t0\troot\n",
+     "x:2: second sent_id in one sentence, first given at x:1"),
+    # The token line is checked before the late sent_id is read, under the positional id.
+    ("1\tw\tw\tX\t_\t1\tk1\n# sent_id = a\n", "x:1: sentence s001: self-loop at token 1"),
+], ids=["after-a-token", "second-in-a-block", "self-loop-before-it"])
+def test_sent_id_after_a_token_line_or_another_sent_id_rejected(text, message):
+    with pytest.raises(TreebankError, match=f"^{re.escape(message)}$"):
+        loads_treebank(text, source="x")
+
+
 def test_positional_id_clashing_with_explicit_one_rejected():
     # The second block has no sent_id and would be numbered s002, which
     # the first block already claims; the repeat is named by its first token.
