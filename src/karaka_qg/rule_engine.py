@@ -296,7 +296,7 @@ def gen_r6_nonliving(s: ParsedSentence, lex: SemanticLexicon, m: MarkerTable) ->
         if marker not in m.genitive:
             continue
         replacements = {t.id: "ki" for t in marker_tokens}
-        group = [verb] + s.children(verb.id)
+        group = (verb,) + s.children(verb.id)
         for t in group:
             if t.form in ("raha", "rahe"):
                 replacements[t.id] = "rahi"

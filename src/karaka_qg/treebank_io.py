@@ -49,10 +49,11 @@ class Token(NamedTuple):
 
 
 class ParsedSentence(NamedTuple):
-    """A single dependency tree in surface order."""
+    """A single dependency tree in surface order; build one with ``build_sentence``."""
 
     sentence_id: str
     tokens: tuple[Token, ...]
+    kids: tuple[tuple[Token, ...], ...]  # kids[i]: token i's children in surface order; kids[0]: roots
     raw_text: str | None = None
 
     def token(self, token_id: int) -> Token:
@@ -63,20 +64,28 @@ class ParsedSentence(NamedTuple):
         return self.tokens[token_id - 1]
 
     def main_verb(self) -> Token:
-        return next(t for t in self.tokens if t.head == 0)
+        return self.kids[0][0]
 
-    def children(self, token_id: int) -> list[Token]:
-        return [t for t in self.tokens if t.head == token_id]
+    def children(self, token_id: int) -> tuple[Token, ...]:
+        return self.kids[token_id]
 
     def subtree_ids(self, token_id: int) -> set[int]:
         """Ids of the token and all of its descendants."""
         ids = {token_id}
         queue = [token_id]
         while queue:
-            for child in self.children(queue.pop()):
+            for child in self.kids[queue.pop()]:
                 ids.add(child.id)
                 queue.append(child.id)
         return ids
+
+
+def build_sentence(sentence_id: str, tokens, raw_text: str | None = None) -> ParsedSentence:
+    """The sentence over ``tokens`` (ids 1..n, heads in 0..n) with its children index."""
+    kids = [[] for _ in range(len(tokens) + 1)]
+    for tok in tokens:
+        kids[tok.head].append(tok)
+    return ParsedSentence(sentence_id, tuple(tokens), tuple(map(tuple, kids)), raw_text)
 
 
 def _parse_feats(field: str, where: str) -> dict:
@@ -101,9 +110,9 @@ def _tree_error(where: str, sentence_id: str, message: str) -> TreebankError:
     return TreebankError(f"{where}: sentence {sentence_id}: {message}")
 
 
-def _validate(sentence_id: str, tokens: list[Token], source: str,
-              line_nos: list[int], id_line: int) -> None:
-    """Raise TreebankError for the checks that need the whole sentence, prefixed
+def _validate(sentence_id: str, tokens: list[Token], source: str, line_nos: list[int],
+              id_line: int, raw_text: str | None) -> ParsedSentence:
+    """The sentence, or TreebankError for the checks that need all of it, prefixed
     with the PATH:LINE of the offending token (line_nos[i] is the line of
     tokens[i]) or, for the root count, of the line naming the sentence. Token
     ids are positions and no token heads itself: each line was checked as read."""
@@ -114,19 +123,15 @@ def _validate(sentence_id: str, tokens: list[Token], source: str,
     for tok in tokens:
         if tok.head != 0 and not 1 <= tok.head <= n:
             raise error(line_nos[tok.id - 1], f"token {tok.id} has head {tok.head} outside 1..{n}")
-    roots = [t for t in tokens if t.head == 0]
-    if len(roots) != 1:
-        raise error(id_line, f"expected exactly one root, found {len(roots)}")
-    # A single root plus no self-loops does not rule out cycles among the
-    # remaining tokens, so walk up from every node.
-    for tok in tokens:
-        seen = set()
-        cur = tok.id
-        while cur != 0:
-            if cur in seen:
-                raise error(line_nos[tok.id - 1], f"cyclic head chain at token {tok.id}")
-            seen.add(cur)
-            cur = tokens[cur - 1].head
+    s = build_sentence(sentence_id, tokens, raw_text)
+    if len(s.kids[0]) != 1:
+        raise error(id_line, f"expected exactly one root, found {len(s.kids[0])}")
+    # The tokens the root does not reach are those whose head chain cycles.
+    reached = s.subtree_ids(s.main_verb().id)
+    if len(reached) != n:
+        first = next(t.id for t in tokens if t.id not in reached)
+        raise error(line_nos[first - 1], f"cyclic head chain at token {first}")
+    return s
 
 
 def _parse_token(line: str, where: str) -> Token:
@@ -165,6 +170,7 @@ def _parse_blocks(lines, source: str) -> list[ParsedSentence]:
         row_lines: list[int] = []
         sent_id: str | None = None
         raw_text: str | None = None
+        given: dict[str, int] = {}  # line of each metadata key in the block
         positional = f"s{len(sentences) + 1:03d}"  # the id when no sent_id is given
         # Line naming the sentence (its sent_id comment, else its first token), and the
         # block's first line. Each line is checked before the next is read, so it faults first.
@@ -184,30 +190,33 @@ def _parse_blocks(lines, source: str) -> list[ParsedSentence]:
                 id_line = id_line or line_no
                 continue
             key, eq, value = line[1:].partition("=")
-            if eq and key.strip() == "sent_id":
-                # Metadata comes first, so the id a token line is checked under is the block's.
-                if rows:
-                    raise TreebankError(f"{where}: sent_id after the sentence's first token "
-                                        f"line, {source}:{id_line}; metadata comes first")
-                if sent_id is not None:
-                    raise TreebankError(f"{where}: second sent_id in one sentence, "
-                                        f"first given at {source}:{id_line}")
-                sent_id = value.strip()
-                if not sent_id:
-                    raise TreebankError(f"{where}: empty sent_id")
-                check_unused(sent_id, line_no)
-                id_line = line_no
-            elif eq and key.strip() == "text":
+            key = key.strip()
+            if not eq or key not in ("sent_id", "text"):
+                continue
+            # Metadata comes first, so the id a token line is checked under is the block's.
+            if rows:
+                raise TreebankError(f"{where}: {key} after the sentence's first token "
+                                    f"line, {source}:{row_lines[0]}; metadata comes first")
+            if key in given:
+                raise TreebankError(f"{where}: second {key} in one sentence, "
+                                    f"first given at {source}:{given[key]}")
+            given[key] = line_no
+            if key == "text":
                 raw_text = value.strip()
+                continue
+            sent_id = value.strip()
+            if not sent_id:
+                raise TreebankError(f"{where}: empty sent_id")
+            check_unused(sent_id, line_no)
+            id_line = line_no
         if not rows:
-            if sent_id is None and raw_text is None:
+            if not given:
                 continue
             raise TreebankError(f"{source}:{block_line}: sentence metadata without token lines")
         sid = sent_id or positional
         check_unused(sid, id_line)  # an explicit id was checked at its own line
         first_line_of[sid] = id_line
-        _validate(sid, rows, source, row_lines, id_line)
-        sentences.append(ParsedSentence(sid, tuple(rows), raw_text))
+        sentences.append(_validate(sid, rows, source, row_lines, id_line, raw_text))
     return sentences
 
 

@@ -26,7 +26,7 @@ from karaka_qg.rule_engine import (
     RuleId,
     write_candidates_jsonl,
 )
-from karaka_qg.treebank_io import ParsedSentence, Token
+from karaka_qg.treebank_io import Token, build_sentence
 
 TREEBANK = """\
 # sent_id = e001
@@ -807,7 +807,7 @@ def test_importing_the_cli_does_not_import_statistics():
 
 RECORDS = [
     Token(1, "gaya", "ja", "VERB", {}, 0, "root"),
-    ParsedSentence("s1", ()),
+    build_sentence("s1", ()),
     QuestionCandidate("s1:R_K1:1:0", "s1", RuleId.R_K1, "k1", "kaun", ("kaun", "?"), "g", 1),
     Role("ergative"),
     SUBSTITUTIONS[0],

@@ -58,9 +58,9 @@ from karaka_qg.textfile import (
     read_jsonl,
 )
 from karaka_qg.treebank_io import (
-    ParsedSentence,
     Token,
     TreebankError,
+    build_sentence,
     dumps_treebank,
     load_treebank,
     loads_treebank,
@@ -101,7 +101,7 @@ def random_sentences(draw):
             deprel=deprel,
         ))
     raw_text = draw(st.none() | word)
-    return ParsedSentence("p001", tuple(tokens), raw_text)
+    return build_sentence("p001", tokens, raw_text)
 
 
 @settings(max_examples=60, deadline=None)

@@ -1,12 +1,18 @@
 """Tests for the treebank column format reader and writer."""
 
 import re
+import sys
+from itertools import product
+from pathlib import Path
 
 import pytest
 
+import karaka_qg
 from helpers import make_sentence
 from karaka_qg.evaluation import RatingsError, load_ratings
-from karaka_qg.rule_engine import read_candidates_jsonl
+from karaka_qg.filters import run_filters
+from karaka_qg.lexicon import SemanticLexicon
+from karaka_qg.rule_engine import generate_all, read_candidates_jsonl
 from karaka_qg.textfile import JsonlError
 from karaka_qg.treebank_io import (
     TreebankError,
@@ -178,10 +184,26 @@ def test_duplicate_sent_id_names_both_lines():
      "x:2: sent_id after the sentence's first token line, x:1; metadata comes first"),
     ("# sent_id = a\n# sent_id = b\n1\tw\tw\tX\t_\t0\troot\n",
      "x:2: second sent_id in one sentence, first given at x:1"),
+    ("# sent_id = a\n1\tw\tw\tX\t_\t0\troot\n# sent_id = b\n",
+     "x:3: sent_id after the sentence's first token line, x:2; metadata comes first"),
     # The token line is checked before the late sent_id is read, under the positional id.
     ("1\tw\tw\tX\t_\t1\tk1\n# sent_id = a\n", "x:1: sentence s001: self-loop at token 1"),
-], ids=["after-a-token", "second-in-a-block", "self-loop-before-it"])
+], ids=["after-a-token", "second-in-a-block", "after-a-token-and-a-sent-id",
+        "self-loop-before-it"])
 def test_sent_id_after_a_token_line_or_another_sent_id_rejected(text, message):
+    with pytest.raises(TreebankError, match=f"^{re.escape(message)}$"):
+        loads_treebank(text, source="x")
+
+
+@pytest.mark.parametrize("text, message", [
+    ("1\tw\tw\tX\t_\t0\troot\n# text = late\n",
+     "x:2: text after the sentence's first token line, x:1; metadata comes first"),
+    ("# text = a\n# text = b\n1\tw\tw\tX\t_\t0\troot\n",
+     "x:2: second text in one sentence, first given at x:1"),
+    ("# sent_id = a\n1\tw\tw\tX\t_\t0\troot\n# text = late\n",
+     "x:3: text after the sentence's first token line, x:2; metadata comes first"),
+], ids=["after-a-token", "second-in-a-block", "after-a-token-and-a-sent-id"])
+def test_text_after_a_token_line_or_another_text_rejected(text, message):
     with pytest.raises(TreebankError, match=f"^{re.escape(message)}$"):
         loads_treebank(text, source="x")
 
@@ -256,11 +278,59 @@ def tree_row(token_id, head):
     (tree_row(1, 2) + tree_row(2, 1), 5, "sentence s002: expected exactly one root, found 0"),
     ("# sent_id = b\n" + tree_row(1, 0) + tree_row(2, 3) + tree_row(3, 2), 7,
      "sentence b: cyclic head chain at token 2"),
-], ids=["ids", "self-loop", "head-outside", "two-roots-id-line", "no-root-first-token", "cycle"])
+    ("# sent_id = b\n" + tree_row(1, 0) + tree_row(2, 3) + tree_row(3, 4) + tree_row(4, 3), 7,
+     "sentence b: cyclic head chain at token 2"),
+], ids=["ids", "self-loop", "head-outside", "two-roots-id-line", "no-root-first-token", "cycle",
+        "chain-into-a-cycle"])
 def test_tree_error_names_the_offending_line(block, line, message):
     text = "# sent_id = a\n" + tree_row(1, 2) + tree_row(2, 0) + "\n" + block
     with pytest.raises(TreebankError, match=rf"^x:{line}: {re.escape(message)}$"):
         loads_treebank(text, source="x")
+
+
+def walk_up_fault(heads):
+    """The fault in a tree of tokens 1..n with these in-range heads, as (token, message),
+    token 0 standing for the line naming the sentence, or None: found by walking up
+    from every token, as the loader once did."""
+    roots = heads.count(0)
+    if roots != 1:
+        return 0, f"expected exactly one root, found {roots}"
+    for tok in range(1, len(heads) + 1):
+        seen = set()
+        cur = tok
+        while cur != 0:
+            if cur in seen:
+                return tok, f"cyclic head chain at token {tok}"
+            seen.add(cur)
+            cur = heads[cur - 1]
+    return None
+
+
+def every_head_array(max_tokens):
+    for n in range(1, max_tokens + 1):
+        choices = [[h for h in range(n + 1) if h != tok] for tok in range(1, n + 1)]
+        yield from product(*choices)
+
+
+def test_tree_checks_match_an_upward_walk_on_every_small_head_array():
+    checked = 0
+    for heads in every_head_array(5):
+        text = "# sent_id = b\n" + "".join(tree_row(i, h) for i, h in enumerate(heads, 1))
+        fault = walk_up_fault(heads)
+        if fault is None:
+            [s] = loads_treebank(text, source="x")
+            assert s.main_verb().id == heads.index(0) + 1
+            for tok in range(len(heads) + 1):
+                assert [t.id for t in s.children(tok)] == [
+                    i for i, h in enumerate(heads, 1) if h == tok]
+            assert s.subtree_ids(s.main_verb().id) == set(range(1, len(heads) + 1))
+        else:
+            tok, message = fault
+            with pytest.raises(TreebankError, match=rf"^x:{tok + 1}: sentence b: "
+                                                    rf"{re.escape(message)}$"):
+                loads_treebank(text, source="x")
+        checked += 1
+    assert checked == 3413
 
 
 # A fault that one line shows is named at that line, before a later line's column count.
@@ -300,6 +370,45 @@ def test_main_verb_children_and_subtree():
     assert [t.form for t in s.children(5)] == ["raam", "seb"]
     assert s.subtree_ids(4) == {3, 4}
     assert s.subtree_ids(5) == {1, 2, 3, 4, 5}
+
+
+def chain_treebank(n):
+    """A verb, its k2, then an nmod chain: n tokens, each from the k2 on heading the next."""
+    rows = ["1\tkhaya\tkha\tVERB\t_\t0\troot", "2\tseb\tseb\tNOUN\t_\t1\tk2"]
+    rows += [f"{i}\tlal\tlal\tNOUN\t_\t{i - 1}\tnmod" for i in range(3, n + 1)]
+    return "\n".join(rows) + "\n"
+
+
+def package_line_events(text):
+    """Line events in karaka_qg's frames while one treebank is loaded, generated and filtered."""
+    package = str(Path(karaka_qg.__file__).parent)
+    count = 0
+
+    def local(frame, event, arg):
+        nonlocal count
+        count += event == "line"
+        return local
+
+    def calls(frame, event, arg):
+        return local if frame.f_code.co_filename.startswith(package) else None
+
+    previous = sys.gettrace()
+    sys.settrace(calls)
+    try:
+        sentences = loads_treebank(text)
+        candidates = [c for s in sentences for c in generate_all(s, SemanticLexicon())]
+        run_filters(candidates, sentences)
+    finally:
+        sys.settrace(previous)
+    assert candidates
+    return count
+
+
+def test_tree_work_is_linear_in_sentence_length():
+    # Counted, not timed: four times the tokens must cost about four times the lines run.
+    # A scan over every token per token (children, the cycle walk) gives about sixteen.
+    ratio = package_line_events(chain_treebank(800)) / package_line_events(chain_treebank(200))
+    assert ratio < 6, ratio
 
 
 def test_missing_file_raises_oserror(tmp_path):
