@@ -70,6 +70,8 @@ def load_marker_table(path) -> MarkerTable:
             raise MarkerTableError(f"{where}: unknown role {role!r}")
         if not form:
             raise MarkerTableError(f"{where}: empty form")
+        if "" in form.split(" "):
+            raise MarkerTableError(f"{where}: form {form!r} has an empty word; one space separates words")
         by_field.setdefault(_ROLE_FIELDS[role], set()).add(form)
     return DEFAULT_MARKERS._replace(**{name: frozenset(forms) for name, forms in by_field.items()})
 

@@ -4,10 +4,11 @@ Token lines carry seven tab-separated columns:
 
     ID  FORM  LEMMA  UPOS  FEATS  HEAD  DEPREL
 
-FEATS is either "_" or a "Key=Val|Key=Val" list. Sentences are separated
-by blank lines. Comment lines of the form "# sent_id = ..." and
-"# text = ..." carry sentence metadata, before the token lines; a sentence
-without an explicit id gets a positional one ("s001", "s002", ...).
+FEATS is either "_" or a "Key=Val|Key=Val" list naming each key once.
+Sentences are separated by blank lines. Comment lines of the form
+"# sent_id = ..." and "# text = ..." carry sentence metadata, before the
+token lines; a sentence without an explicit id gets a positional one
+("s001", "s002", ...).
 """
 
 from __future__ import annotations
@@ -96,6 +97,8 @@ def _parse_feats(field: str, where: str) -> dict:
         if "=" not in item:
             raise TreebankError(f"{where}: bad FEATS item {item!r}")
         key, value = item.split("=", 1)
+        if key in feats:
+            raise TreebankError(f"{where}: repeated FEATS key {key!r}")
         feats[key] = value
     return feats
 

@@ -6,6 +6,7 @@ import json
 import logging
 import os
 import pkgutil
+import re
 import shutil
 import subprocess
 import sys
@@ -27,6 +28,9 @@ from karaka_qg.rule_engine import (
     write_candidates_jsonl,
 )
 from karaka_qg.treebank_io import Token, build_sentence
+
+# The environment of a fresh interpreter that imports this checkout's package.
+PACKAGE_ENV = {**os.environ, "PYTHONPATH": str(Path(karaka_qg.__file__).resolve().parent.parent)}
 
 TREEBANK = """\
 # sent_id = e001
@@ -556,9 +560,8 @@ def test_piped_input_faults_name_the_true_line(tmp_path, case):
                             "first used at /dev/stdin:2"),
         "bad-byte-in-ratings": (ratings_args, [header, a1, b"\xff\n", a2], "3: not valid UTF-8"),
     }[case]
-    package_root = Path(karaka_qg.__file__).resolve().parent.parent
     proc = subprocess.run([sys.executable, "-m", "karaka_qg.cli", *args], input=b"".join(stdin),
-                          capture_output=True, env={**os.environ, "PYTHONPATH": str(package_root)})
+                          capture_output=True, env=PACKAGE_ENV)
     assert proc.returncode == 1, proc.stderr
     assert proc.stderr.decode().splitlines()[-1] == f"ERROR /dev/stdin:{message}"
 
@@ -779,9 +782,7 @@ def test_console_script_is_installed(tmp_path):
     # What an installer's generated console-script wrapper does.
     wrapper = (f"import sys; sys.argv[0] = 'karaka-qg'; "
                f"from {module} import {attr}; sys.exit({attr}())")
-    package_root = Path(karaka_qg.__file__).resolve().parent.parent
-    env = {**os.environ, "PYTHONPATH": str(package_root)}
-    check_command_runs_pipeline([sys.executable, "-c", wrapper], tmp_path, env=env)
+    check_command_runs_pipeline([sys.executable, "-c", wrapper], tmp_path, env=PACKAGE_ENV)
 
 
 @pytest.mark.skipif(shutil.which("karaka-qg") is None,
@@ -795,14 +796,70 @@ def test_installed_console_script_matches_declaration(tmp_path):
 def test_importing_the_cli_does_not_import_statistics():
     # The ratings fold counts scores itself, and the records are named tuples: statistics
     # and dataclasses (with the inspect it imports) cost start-up time on every command.
-    package_root = Path(karaka_qg.__file__).resolve().parent.parent
     proc = subprocess.run(
         [sys.executable, "-c", "import sys, karaka_qg.cli; "
                                "print('statistics' in sys.modules, 'dataclasses' in sys.modules)"],
-        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": str(package_root)},
+        capture_output=True, text=True, env=PACKAGE_ENV,
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "False False\n"
+
+
+def modules_each_import_loads():
+    """Each karaka_qg module's name, mapped to the karaka_qg modules that importing it
+    loads: the package, the module, and what its top-level relative imports reach."""
+    package_dir = Path(karaka_qg.__file__).resolve().parent
+    imports = {}
+    for path in package_dir.glob("*.py"):
+        name = "karaka_qg" if path.stem == "__init__" else f"karaka_qg.{path.stem}"
+        body = ast.parse(path.read_text(encoding="utf-8")).body
+        imports[name] = {f"karaka_qg.{node.module}" for node in body
+                         if isinstance(node, ast.ImportFrom) and node.level == 1}
+
+    def reach(name):
+        return {"karaka_qg", name}.union(*map(reach, imports[name]))
+    return {name: reach(name) for name in imports}
+
+
+def test_importing_a_module_loads_only_what_it_imports():
+    # The package re-exports nothing, so importing one module does not load the others.
+    # Modules are imported in dependency order: each adds itself and nothing else.
+    reached = modules_each_import_loads()
+    assert reached["karaka_qg"] == {"karaka_qg"}
+    assert reached["karaka_qg.treebank_io"] == {"karaka_qg", "karaka_qg.textfile",
+                                                "karaka_qg.treebank_io"}
+    order = sorted(reached, key=lambda name: (len(reached[name]), name))
+    child = ("import importlib, sys\n"
+             "for name in sys.argv[1:]:\n"
+             "    importlib.import_module(name)\n"
+             "    print(*sorted(m for m in sys.modules if m.partition('.')[0] == 'karaka_qg'))\n")
+    proc = subprocess.run([sys.executable, "-c", child, *order],
+                          capture_output=True, text=True, env=PACKAGE_ENV)
+    assert proc.returncode == 0, proc.stderr
+    loaded = set()
+    for name, line in zip(order, proc.stdout.splitlines(), strict=True):
+        loaded |= reached[name]
+        assert line.split() == sorted(loaded), name
+
+
+def readme_library_use_blocks():
+    """The Python blocks of README's "Library use" section."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    section = readme.split("\n## Library use\n", 1)[1].split("\n## ", 1)[0]
+    return re.findall(r"^```python\n(.*?)^```$", section, re.S | re.M)
+
+
+def test_readme_library_use_blocks_run(tmp_path):
+    (tmp_path / "corpus.conllu").write_text(bundled_corpus_text(), encoding="utf-8")
+    blocks = readme_library_use_blocks()
+    assert len(blocks) == 2
+    outputs = []
+    for block in blocks:
+        proc = subprocess.run([sys.executable, "-c", block], cwd=tmp_path,
+                              capture_output=True, text=True, env=PACKAGE_ENV)
+        assert proc.returncode == 0, block + proc.stderr
+        outputs.append(proc.stdout)
+    assert outputs[0].strip()
 
 
 RECORDS = [

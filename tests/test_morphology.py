@@ -185,6 +185,12 @@ def test_load_marker_table_column_and_form_errors(tmp_path):
     empty_form.write_text("erg\t \n", encoding="utf-8")
     with pytest.raises(MarkerTableError, match="empty form"):
         load_marker_table(empty_form)
+    # Token windows are joined by one space, so this form could never match.
+    double_space = tmp_path / "c.tsv"
+    double_space.write_text("wh\tkaun\nwh\tkis  mein\n", encoding="utf-8")
+    with pytest.raises(MarkerTableError, match=r"c\.tsv:2: form 'kis  mein' has an empty word; "
+                                               "one space separates words$"):
+        load_marker_table(double_space)
 
 
 def test_marker_table_is_immutable():

@@ -112,6 +112,13 @@ def test_bad_feats_item_rejected():
         loads_treebank("1\traam\traam\tPROPN\tMasc\t0\troot\n")
 
 
+def test_repeated_feats_key_rejected():
+    # A dict would keep the last value and write back only that one.
+    text = "# sent_id = f1\n1\traam\traam\tPROPN\tGender=Masc|Number=Sing|Gender=Fem\t0\troot\n"
+    with pytest.raises(TreebankError, match=r"^x:2: repeated FEATS key 'Gender'$"):
+        loads_treebank(text, source="x")
+
+
 def test_metadata_without_tokens_rejected():
     with pytest.raises(TreebankError, match="^<string>:1: sentence metadata without token lines$"):
         loads_treebank("# sent_id = d009\n\n")
