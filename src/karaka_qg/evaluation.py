@@ -12,6 +12,7 @@ from __future__ import annotations
 import csv
 from collections import Counter
 from contextlib import closing
+from itertools import product
 from typing import NamedTuple
 
 from .textfile import open_utf8
@@ -148,21 +149,30 @@ def _row_stats(count, syntax_counts, semantic_counts) -> RowStats:
                     _mean(semantic_counts), _median(semantic_counts), count)
 
 
+# (kept, syntax, semantic) of each offset in a karaka's run of counts.
+_CELLS = tuple(product((False, True), range(1, 6), range(1, 6)))
+
+
 def _fold(rows, karaka_of: dict, counts: dict, kept_of: dict | None = None, path=None):
     """The EvalTable and, given kept_of, the BeforeAfter of rows of (line,
-    candidate_id, annotator_id, syntax, semantic), in one pass that counts
-    the ratings of each (karaka, kept, syntax, semantic); counts holds each
-    karaka's number of distinct candidates. An id karaka_of lacks raises
-    RatingsError, prefixed with path:line if path is given."""
+    candidate_id, annotator_id, syntax, semantic), scores in 1..5, in one pass
+    that counts the ratings of each (karaka, kept, syntax, semantic); counts
+    holds each karaka's number of distinct candidates. An id karaka_of lacks
+    raises RatingsError, prefixed with path:line if path is given."""
     kept = kept_of or {}
-    tally: dict[tuple, int] = {}
+    # Each karaka's 50 counts start at its base in flat; (kept, syntax, semantic) is at
+    # offset 25 * kept + 5 * (syntax - 1) + semantic - 1, its index in _CELLS.
+    base_of = {karaka: len(_CELLS) * i for i, karaka in enumerate(counts)}
+    flat = [0] * (len(_CELLS) * len(base_of))
     for line, candidate_id, _, syntax, semantic in rows:
         try:
-            key = karaka_of[candidate_id], kept.get(candidate_id), syntax, semantic
+            base = base_of[karaka_of[candidate_id]]
         except KeyError:
             where = f"{path}:{line}: " if path else ""
             raise RatingsError(f"{where}rating references unknown candidate_id {candidate_id!r}") from None
-        tally[key] = tally.get(key, 0) + 1
+        flat[base + (25 if kept.get(candidate_id) else 0) + 5 * syntax + semantic - 6] += 1
+    tally = {(karaka, *_CELLS[i]): flat[base + i] for karaka, base in base_of.items()
+             for i in range(len(_CELLS)) if flat[base + i]}
     # The (syntax, semantic) score counts of each karaka, of all ratings, and of the kept ones.
     columns = {karaka: (Counter(), Counter()) for karaka in counts}
     totals, kept_split = (Counter(), Counter()), (Counter(), Counter())
@@ -208,7 +218,10 @@ def _fold_records(ratings, candidates, kept_of=None):
     for c in candidates:
         karaka_of[c.candidate_id] = c.karaka
         ids_of.setdefault(c.karaka, set()).add(c.candidate_id)
-    rows = ((None, r.candidate_id, r.annotator_id, r.syntax, r.semantic) for r in ratings)
+    # Each score is held to the ratings file's rule, as the counts of _fold need.
+    rows = ((None, r.candidate_id, r.annotator_id,
+             *_parse_scores(f"rating of {r.candidate_id!r} by annotator {r.annotator_id!r}",
+                            str(r.syntax), str(r.semantic))) for r in ratings)
     return _fold(rows, karaka_of, {k: len(ids) for k, ids in ids_of.items()}, kept_of)
 
 

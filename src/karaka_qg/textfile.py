@@ -7,6 +7,7 @@ import json
 import typing
 from contextlib import contextmanager
 from enum import Enum
+from functools import partial
 from json.encoder import encode_basestring
 
 
@@ -68,33 +69,6 @@ def write_jsonl(records, path) -> None:
             fh.write(r.to_json_line() + "\n")
 
 
-_JSON_NAMES = {str: "a string", int: "an integer", bool: "true or false",
-               list: "a list of strings", type(None): "null"}
-
-
-def _check_json_types(fields, json_types: dict) -> None:
-    """Raise TypeError unless fields is a JSON object whose fields have the
-    types json_types names, each one type or a tuple of them. A list must
-    hold strings. Types must match exactly, so true is not an integer."""
-    if type(fields) is not dict:
-        raise TypeError(f"expected a JSON object, got {json.dumps(fields, ensure_ascii=False)}")
-    for name, kind in json_types.items():
-        if name not in fields:
-            continue
-        value = fields[name]
-        if type(value) is kind or (type(kind) is tuple and type(value) in kind):
-            if kind is not list:
-                continue
-            try:
-                "".join(value)  # raises TypeError unless every item is a string
-                continue
-            except TypeError:
-                pass
-        kinds = kind if type(kind) is tuple else (kind,)
-        raise TypeError(f"field {name!r} must be {' or '.join(_JSON_NAMES[k] for k in kinds)}, "
-                        f"got {json.dumps(value, ensure_ascii=False)}")
-
-
 # The decoder's scanner, without json.loads's Python wrapper around it.
 _scan_json = json.JSONDecoder().scan_once
 
@@ -127,9 +101,7 @@ def read_jsonl(path, record_type, project: str | None = None, line_of: dict | No
             if not line.strip():
                 continue
             try:
-                fields = _decode_json_line(line)
-                _check_json_types(fields, record_type.JSON_TYPES)
-                values = record_type.json_values(fields)
+                values = record_type.json_values(_decode_json_line(line))
                 # UTF-8 text holds no surrogate; only a \u escape makes one.
                 if "\\u" in line:
                     record_type(*values).to_json_line().encode("utf-8")
@@ -176,38 +148,74 @@ def _json_form(kind):
     raise TypeError(f"no JSON form for a field of type {kind!r}")
 
 
+_JSON_NAMES = {str: "a string", int: "an integer", bool: "true or false",
+               list: "a list of strings", type(None): "null"}
+
+
+def _type_check(name: str, json_type, v: str) -> list:
+    """Source lines raising TypeError unless the variable v holds the absent
+    marker A or a value of json_type, one type or a tuple of them. A list
+    must hold strings. Types must match exactly, so true is not an integer."""
+    kinds = json_type if type(json_type) is tuple else (json_type,)
+    message = f"field {name!r} must be {' or '.join(_JSON_NAMES[k] for k in kinds)}, got "
+    wrong = f"raise TypeError({message!r} + j({v}))"
+    others = " and ".join([f"{v} is not None" if k is type(None) else f"type({v}) is not {k.__name__}"
+                           for k in kinds if k is not list] + [f"{v} is not A"])
+    if list not in kinds:
+        return [f"    if {others}: {wrong}"]
+    return [f"    if type({v}) is list:",
+            f"        try: ''.join({v})",  # raises TypeError unless every item is a string
+            f"        except TypeError: {wrong} from None",
+            f"    elif {others}: {wrong}"]
+
+
+def _json_values_source(forms, defaults: dict, has_check: bool) -> str:
+    """Source of json_values over the (name, JSON type, decode, ...) forms of
+    the fields: a value d that is not an object is a TypeError; then each
+    field, in order, is fetched into v<i> and its JSON type checked; then
+    c(d) runs if has_check; then, field by field, a missing field takes its
+    default or raises KeyError, and a field with a decode goes through f<i>."""
+    lines = ["def json_values(d):",
+             "    if type(d) is not dict: raise TypeError('expected a JSON object, got ' + j(d))",
+             "    get = d.get"]
+    for i, (name, json_type, *_) in enumerate(forms):
+        lines += [f"    v{i} = get({name!r}, A)", *_type_check(name, json_type, f"v{i}")]
+    lines += ["    c(d)"] * has_check
+    for i, (name, _, decode, *_) in enumerate(forms):
+        missing = f"v{i} = D[{name!r}]" if name in defaults else f"raise KeyError({name!r})"
+        lines += [f"    if v{i} is A: {missing}"] + [f"    v{i} = f{i}(v{i})"] * bool(decode)
+    return "\n".join(lines + ["    return [%s]\n" % ", ".join(f"v{i}" for i in range(len(forms)))])
+
+
 def jsonl_record(cls, check=None):
     """Class decorator deriving a named tuple's JSON_TYPES, to_json_dict,
     to_json_line, json_values (a line's checked, decoded field values, in
     field order) and from_json_dict from its fields and their annotations,
     once. A field with a default may be absent from a line; check(d) vets a
-    line first. to_json_line is compiled to one f-string, which equals
+    line after its JSON types and before its missing fields and values.
+    to_json_line and json_values are compiled to straight-line code, once;
+    to_json_line is one f-string, which equals
     json.dumps(self.to_json_dict(), ensure_ascii=False)."""
     hints = typing.get_type_hints(cls)
-    defaults = cls._field_defaults
     forms = [(name, *_json_form(hints[name])) for name in cls._fields]
-    spec = [form[:-1] for form in forms]  # without text, which only to_json_line's source needs
-    cls.JSON_TYPES = {name: json_type for name, json_type, _, _ in spec}
+    cls.JSON_TYPES = {name: json_type for name, json_type, *_ in forms}
+    encodes = [(name, encode) for name, _, _, encode, _ in forms]
 
     def to_json_dict(self) -> dict:
         return {name: getattr(self, name) if encode is None else encode(getattr(self, name))
-                for name, _, _, encode in spec}
-
-    def json_values(d: dict) -> list:
-        if check is not None:
-            check(d)
-        values = []
-        for name, _, decode, _ in spec:
-            value = d.get(name, defaults[name]) if name in defaults else d[name]
-            values.append(value if decode is None else decode(value))
-        return values
+                for name, encode in encodes}
 
     items = ", ".join(f'"{name}": ' + text("self." + name) for name, *_, text in forms)
-    namespace = {}
-    exec("def to_json_line(self):\n    return f'''{{%s}}'''" % items, {"s": encode_basestring}, namespace)
+    namespace = {"s": encode_basestring, "j": partial(json.dumps, ensure_ascii=False),
+                 "A": object(), "c": check, "D": cls._field_defaults,
+                 **{f"f{i}": decode for i, (_, _, decode, *_) in enumerate(forms)}}
+    exec("def to_json_line(self):\n    return f'''{{%s}}'''\n" % items
+         + _json_values_source(forms, cls._field_defaults, check is not None), namespace)
+    for name in ("to_json_line", "json_values"):
+        namespace[name].__module__ = cls.__module__
+        namespace[name].__qualname__ = f"{cls.__qualname__}.{name}"
+    json_values = namespace["json_values"]
     cls.to_json_line = namespace["to_json_line"]
-    cls.to_json_line.__module__ = cls.__module__
-    cls.to_json_line.__qualname__ = f"{cls.__qualname__}.to_json_line"
     cls.to_json_dict = to_json_dict
     cls.json_values = staticmethod(json_values)
     cls.from_json_dict = staticmethod(lambda d: cls(*json_values(d)))

@@ -94,9 +94,9 @@ def _parse_feats(field: str, where: str) -> dict:
         return {}
     feats = {}
     for item in field.split("|"):
-        if "=" not in item:
+        key, _, value = item.partition("=")
+        if not key or not value:
             raise TreebankError(f"{where}: bad FEATS item {item!r}")
-        key, value = item.split("=", 1)
         if key in feats:
             raise TreebankError(f"{where}: repeated FEATS key {key!r}")
         feats[key] = value

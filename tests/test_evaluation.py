@@ -158,6 +158,17 @@ def test_aggregate_rejects_orphan_rating():
         aggregate(ratings, candidates)
 
 
+@pytest.mark.parametrize("syntax, semantic, message", [
+    (6, 4, "syntax score 6 outside 1..5"), (5, 0, "semantic score 0 outside 1..5"),
+    (4.5, 4, "scores must be integers"), (True, 4, "scores must be integers"),
+])
+def test_aggregate_rejects_a_score_a_ratings_file_could_not_hold(syntax, semantic, message):
+    candidates = [make_candidate("c1", "k1")]
+    ratings = [RatingRecord("c1", "a1", syntax, semantic)]
+    with pytest.raises(RatingsError, match=rf"^rating of 'c1' by annotator 'a1': {message}$"):
+        aggregate(ratings, candidates)
+
+
 def test_before_after_requires_verdict_coverage():
     candidates = [make_candidate("c1", "k1"), make_candidate("c2", "k1")]
     ratings = [RatingRecord("c1", "a1", 3, 3)]

@@ -51,8 +51,8 @@ from karaka_qg.rule_engine import (
     read_candidates_jsonl,
 )
 from karaka_qg.textfile import (
+    _JSON_NAMES,
     JsonlError,
-    _check_json_types,
     _decode_json_line,
     open_utf8,
     read_jsonl,
@@ -472,6 +472,29 @@ def test_json_line_equals_json_dumps_and_reads_back(records):
         assert type(record).from_json_dict(json.loads(line)) == record
 
 
+def check_json_types(fields, json_types: dict) -> None:
+    """Raise TypeError unless fields is a JSON object whose fields have the
+    types json_types names, each one type or a tuple of them. A list must
+    hold strings. Types must match exactly, so true is not an integer."""
+    if type(fields) is not dict:
+        raise TypeError(f"expected a JSON object, got {json.dumps(fields, ensure_ascii=False)}")
+    for name, kind in json_types.items():
+        if name not in fields:
+            continue
+        value = fields[name]
+        if type(value) is kind or (type(kind) is tuple and type(value) in kind):
+            if kind is not list:
+                continue
+            try:
+                "".join(value)  # raises TypeError unless every item is a string
+                continue
+            except TypeError:
+                pass
+        kinds = kind if type(kind) is tuple else (kind,)
+        raise TypeError(f"field {name!r} must be {' or '.join(_JSON_NAMES[k] for k in kinds)}, "
+                        f"got {json.dumps(value, ensure_ascii=False)}")
+
+
 def reference_read_jsonl(path, record_type) -> list:
     """The JSONL reader decoding each line with json.loads, checking every
     record for lone surrogates."""
@@ -484,7 +507,7 @@ def reference_read_jsonl(path, record_type) -> list:
             where = f"{path}:{line_no}"
             try:
                 fields = json.loads(line)
-                _check_json_types(fields, record_type.JSON_TYPES)
+                check_json_types(fields, record_type.JSON_TYPES)
                 record = record_type.from_json_dict(fields)
             except KeyError as exc:
                 raise JsonlError(f"{where}: missing field {exc}") from None

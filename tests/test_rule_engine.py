@@ -26,7 +26,8 @@ from karaka_qg.rule_engine import (
     read_candidates_jsonl,
     write_candidates_jsonl,
 )
-from karaka_qg.textfile import JsonlError, jsonl_record
+from karaka_qg.filters import FilterId, FilterVerdict
+from karaka_qg.textfile import JsonlError, jsonl_record, read_jsonl
 
 M = DEFAULT_MARKERS
 RULE = dict(RULE_FUNCTIONS)
@@ -397,3 +398,53 @@ def test_a_fault_on_line_1_comes_before_a_bad_byte_on_line_3(tmp_path):
     with pytest.raises(JsonlError, match=rf"^{re.escape(str(path))}:1: field 'candidate_id' "
                                          r"must be a string, got 1$"):
         read_candidates_jsonl(path)
+
+
+CANDIDATE = QuestionCandidate("t001:R_K1:1:0", "t001", RuleId.R_K1, "k1", "kaun",
+                              ("kaun", "gaya", "?"), "t001:R_K1:1:g0", 1).to_json_dict()
+VERDICT = FilterVerdict("t001:R_K1:1:0", False, FilterId.F_ANAPHORA, "why").to_json_dict()
+
+
+def spoiled(record: dict, drop=(), **changes):
+    return {**{k: v for k, v in record.items() if k not in drop}, **changes}
+
+
+# Lines with two faults each: a line is checked as a whole for JSON types,
+# then by the record's check, then field by field for presence and value.
+@pytest.mark.parametrize("record_type, fields, message", [
+    (QuestionCandidate, spoiled(CANDIDATE, drop=["sentence_id"], target_token_id="3"),
+     "field 'target_token_id' must be an integer, got \"3\""),
+    (QuestionCandidate, spoiled(CANDIDATE, drop=["karaka"], rule="R_X"),
+     "'R_X' is not a valid RuleId"),
+    (QuestionCandidate, spoiled(CANDIDATE, drop=["sentence_id"], rule="R_X"),
+     "missing field 'sentence_id'"),
+    (QuestionCandidate, spoiled(CANDIDATE, drop=["karaka"], tokens=["kaun", 3]),
+     "field 'tokens' must be a list of strings, got [\"kaun\", 3]"),
+    (QuestionCandidate, [{"target_token_id": "3"}],
+     "expected a JSON object, got [{\"target_token_id\": \"3\"}]"),
+    (FilterVerdict, spoiled(VERDICT, kept=True, detail=5),
+     "field 'detail' must be a string, got 5"),
+    (FilterVerdict, spoiled(VERDICT, drop=["candidate_id"], kept=True),
+     'kept is true but dropped_by is "F_ANAPHORA"'),
+    (FilterVerdict, spoiled(VERDICT, kept=True, dropped_by="F_X"),
+     'kept is true but dropped_by is "F_X"'),
+    (FilterVerdict, [spoiled(VERDICT, kept=True)],
+     "expected a JSON object, got [{\"candidate_id\": \"t001:R_K1:1:0\", \"kept\": true, "
+     "\"dropped_by\": \"F_ANAPHORA\", \"detail\": \"why\"}]"),
+], ids=["mistyped-before-missing", "bad-rule-before-missing", "missing-before-bad-rule",
+        "tokens-number-before-missing", "candidate-array", "mistyped-detail-before-kept",
+        "kept-before-missing", "kept-before-bad-filter", "verdict-array"])
+def test_a_line_with_two_faults_names_the_first_in_check_order(tmp_path, record_type, fields,
+                                                                message):
+    path = tmp_path / "records.jsonl"
+    first = CANDIDATE if record_type is QuestionCandidate else VERDICT
+    path.write_text(json.dumps({**first, "candidate_id": "first"}) + "\n"
+                    + json.dumps(fields, ensure_ascii=False) + "\n", encoding="utf-8")
+    with pytest.raises(JsonlError) as exc:
+        read_jsonl(path, record_type)
+    assert str(exc.value) == f"{path}:2: {message}"
+
+
+def test_from_json_dict_checks_each_field_type():
+    with pytest.raises(TypeError, match=r"^field 'target_token_id' must be an integer, got \"3\"$"):
+        QuestionCandidate.from_json_dict({**CANDIDATE, "target_token_id": "3"})

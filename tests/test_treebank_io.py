@@ -112,6 +112,14 @@ def test_bad_feats_item_rejected():
         loads_treebank("1\traam\traam\tPROPN\tMasc\t0\troot\n")
 
 
+@pytest.mark.parametrize("feats, item", [("=Masc|Gender=Fem", "=Masc"), ("Gender=", "Gender="),
+                                         ("Gender=Masc|=", "=")])
+def test_empty_feats_key_or_value_rejected(feats, item):
+    # A dict would hold the empty part, and dumps_treebank would write it back.
+    with pytest.raises(TreebankError, match=rf"^x:2: bad FEATS item {re.escape(repr(item))}$"):
+        loads_treebank(f"# sent_id = f1\n1\tw\tw\tX\t{feats}\t0\troot\n", source="x")
+
+
 def test_repeated_feats_key_rejected():
     # A dict would keep the last value and write back only that one.
     text = "# sent_id = f1\n1\traam\traam\tPROPN\tGender=Masc|Number=Sing|Gender=Fem\t0\troot\n"
