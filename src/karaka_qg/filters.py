@@ -96,19 +96,57 @@ def _dropped(c: QuestionCandidate, fid: FilterId, detail: str) -> FilterVerdict:
     return FilterVerdict(c.candidate_id, False, fid, detail)
 
 
-def filter_anaphora(c: QuestionCandidate, s: ParsedSentence, cfg: FilterConfig) -> FilterVerdict:
+class SentenceFacts(NamedTuple):
+    """What the filters read of one source sentence, worked out once per run."""
+    sentence_id: str
+    pronouns: tuple  # non-interrogative pronoun forms, in source order
+    verb_form: str
+    kya_clashes: bool
+    subject_stranded: bool
+    question_detail: str | None
+    complex_detail: str | None
+
+
+def sentence_facts(s: ParsedSentence, cfg: FilterConfig) -> SentenceFacts:
+    """One sentence's facts under cfg's marker table and theta."""
+    verb = s.main_verb()
+    gender = verb_gender(s, verb.id)
+    kids = s.children(verb.id)
+    subject = next((t for t in kids if t.deprel == "k1"), None)
+    n = len(s.tokens)
+    source_spans = interrogative_spans([t.form for t in s.tokens], cfg.markers)
+    if source_spans:
+        question = f"source sentence already contains an interrogative at position {source_spans[0][0] + 1}"
+    elif s.tokens[-1].form == "?":
+        question = f"source sentence already ends in '?' at position {n}"
+    else:
+        question = None
+    split = next((i for i, t in enumerate(s.tokens)
+                  if t.deprel == "coof" and max(i, n - i - 1) > cfg.theta), None)
+    return SentenceFacts(
+        s.sentence_id,
+        tuple(t.form for t in s.tokens
+              if t.upos in PRONOUN_POS_TAGS and not is_interrogative_form(t.form, cfg.markers)),
+        verb.form,
+        gender == "Fem" and subject is not None and case_of(s, subject.id, cfg.markers) is not None,
+        (gender is not None and not any(t.deprel == "k2" for t in kids)
+         and (gender == "Fem" or verb_number(s, verb.id) == "Plur")),
+        question,
+        None if split is None else (f"conjunct at position {split + 1} splits the sentence into "
+                                    f"{split}+{n - split - 1} tokens, past theta={cfg.theta}"),
+    )
+
+
+def filter_anaphora(c: QuestionCandidate, facts: SentenceFacts, cfg: FilterConfig) -> FilterVerdict:
     """Drop candidates that still contain a non-interrogative pronoun."""
-    candidate_forms = set(c.tokens)
-    for t in s.tokens:
-        if (t.upos in PRONOUN_POS_TAGS
-                and t.form in candidate_forms
-                and not is_interrogative_form(t.form, cfg.markers)):
-            return _dropped(c, FilterId.F_ANAPHORA,
-                            f"retained pronoun {t.form!r} leaves the answer ambiguous")
+    pronoun = next((form for form in facts.pronouns if form in c.tokens), None)
+    if pronoun is not None:
+        return _dropped(c, FilterId.F_ANAPHORA,
+                        f"retained pronoun {pronoun!r} leaves the answer ambiguous")
     return _kept(c)
 
 
-def filter_gender_agreement(c: QuestionCandidate, s: ParsedSentence, cfg: FilterConfig) -> FilterVerdict:
+def filter_gender_agreement(c: QuestionCandidate, facts: SentenceFacts, cfg: FilterConfig) -> FilterVerdict:
     """Drop candidates whose verb agreement clashes with the interrogative.
 
     kya is masculine, so substituting it for the object of a feminine
@@ -116,34 +154,25 @@ def filter_gender_agreement(c: QuestionCandidate, s: ParsedSentence, cfg: Filter
     replaced subject leaves an intransitive verb stranded in feminine or
     plural form, where the question would need masculine singular.
     """
-    verb = s.main_verb()
-    gender = verb_gender(s, verb.id)
-    if gender is None:
-        return _kept(c)
-    if c.rule is RuleId.R_K2 and c.interrogative == "kya" and gender == "Fem":
-        subject = next((t for t in s.children(verb.id) if t.deprel == "k1"), None)
-        if subject is not None and case_of(s, subject.id, cfg.markers) is not None:
-            return _dropped(c, FilterId.F_GENDER_AGREEMENT,
-                            "kya is masculine but the verb group agrees feminine")
-    if c.rule is RuleId.R_K1:
-        transitive = any(t.deprel == "k2" for t in s.children(verb.id))
-        if not transitive and (gender == "Fem" or verb_number(s, verb.id) == "Plur"):
-            return _dropped(c, FilterId.F_GENDER_AGREEMENT,
-                            "subject replaced but the verb is not masculine singular")
+    if c.rule is RuleId.R_K2 and c.interrogative == "kya" and facts.kya_clashes:
+        return _dropped(c, FilterId.F_GENDER_AGREEMENT,
+                        "kya is masculine but the verb group agrees feminine")
+    if c.rule is RuleId.R_K1 and facts.subject_stranded:
+        return _dropped(c, FilterId.F_GENDER_AGREEMENT,
+                        "subject replaced but the verb is not masculine singular")
     return _kept(c)
 
 
-def filter_word_order(c: QuestionCandidate, s: ParsedSentence, cfg: FilterConfig) -> FilterVerdict:
+def filter_word_order(c: QuestionCandidate, facts: SentenceFacts, cfg: FilterConfig) -> FilterVerdict:
     """Drop candidates whose interrogative lands after the main verb."""
-    forms = list(c.tokens)
-    verb_form = s.main_verb().form
-    if verb_form not in forms:
+    forms = c.tokens
+    if facts.verb_form not in forms:
         return _kept(c)
-    verb_index = forms.index(verb_form)
+    verb_index = forms.index(facts.verb_form)
     spans = interrogative_spans(forms, cfg.markers)
     if not spans:
         return _kept(c)
-    inserted = c.interrogative.split(" ")
+    inserted = tuple(c.interrogative.split(" "))
     span = next((sp for sp in spans if forms[sp[0]:sp[1]] == inserted), spans[0])
     if span[0] > verb_index:
         return _dropped(c, FilterId.F_WORD_ORDER,
@@ -152,35 +181,21 @@ def filter_word_order(c: QuestionCandidate, s: ParsedSentence, cfg: FilterConfig
     return _kept(c)
 
 
-def filter_already_question(c: QuestionCandidate, s: ParsedSentence, cfg: FilterConfig) -> FilterVerdict:
+def filter_already_question(c: QuestionCandidate, facts: SentenceFacts, cfg: FilterConfig) -> FilterVerdict:
     """Drop candidates built from questions or carrying two interrogatives."""
-    source_spans = interrogative_spans([t.form for t in s.tokens], cfg.markers)
-    if source_spans:
-        start = source_spans[0][0]
-        return _dropped(c, FilterId.F_ALREADY_QUESTION,
-                        f"source sentence already contains an interrogative "
-                        f"at position {start + 1}")
-    if s.tokens[-1].form == "?":
-        return _dropped(c, FilterId.F_ALREADY_QUESTION,
-                        f"source sentence already ends in '?' at position {len(s.tokens)}")
-    spans = interrogative_spans(list(c.tokens), cfg.markers)
+    if facts.question_detail is not None:
+        return _dropped(c, FilterId.F_ALREADY_QUESTION, facts.question_detail)
+    spans = interrogative_spans(c.tokens, cfg.markers)
     if len(spans) >= 2:
         return _dropped(c, FilterId.F_ALREADY_QUESTION,
                         f"candidate contains {len(spans)} interrogative spans")
     return _kept(c)
 
 
-def filter_complex(c: QuestionCandidate, s: ParsedSentence, cfg: FilterConfig) -> FilterVerdict:
+def filter_complex(c: QuestionCandidate, facts: SentenceFacts, cfg: FilterConfig) -> FilterVerdict:
     """Drop candidates from conjunct sentences too long on either side."""
-    n = len(s.tokens)
-    for index, t in enumerate(s.tokens):
-        if t.deprel == "coof":
-            before = index
-            after = n - index - 1
-            if before > cfg.theta or after > cfg.theta:
-                return _dropped(c, FilterId.F_COMPLEX_COMPOUND,
-                                f"conjunct at position {index + 1} splits the sentence "
-                                f"into {before}+{after} tokens, past theta={cfg.theta}")
+    if facts.complex_detail is not None:
+        return _dropped(c, FilterId.F_COMPLEX_COMPOUND, facts.complex_detail)
     return _kept(c)
 
 
@@ -196,25 +211,27 @@ FILTER_FUNCTIONS = {
 def run_filters(candidates, sentences, cfg: FilterConfig = FilterConfig()):
     """Apply enabled filters in order; the first failure decides.
 
-    Returns (kept_candidates, verdicts). Verdicts cover every input
-    candidate and kept candidates preserve the input order.
+    Each sentence's facts are worked out on its first candidate. Returns
+    (kept_candidates, verdicts). Verdicts cover every input candidate and
+    kept candidates preserve the input order.
     """
     by_id = {s.sentence_id: s for s in sentences}
+    chain = [FILTER_FUNCTIONS[fid] for fid in FILTER_ORDER if fid in cfg.enabled]
+    facts_by_id: dict[str, SentenceFacts] = {}
     kept: list[QuestionCandidate] = []
     verdicts: list[FilterVerdict] = []
     for c in candidates:
-        source = by_id.get(c.sentence_id)
-        if source is None:
-            raise UnknownSentenceError(c.candidate_id, c.sentence_id)
-        verdict = None
-        for fid in FILTER_ORDER:
-            if fid not in cfg.enabled:
-                continue
-            result = FILTER_FUNCTIONS[fid](c, source, cfg)
-            if not result.kept:
-                verdict = result
+        facts = facts_by_id.get(c.sentence_id)
+        if facts is None:
+            source = by_id.get(c.sentence_id)
+            if source is None:
+                raise UnknownSentenceError(c.candidate_id, c.sentence_id)
+            facts = facts_by_id[c.sentence_id] = sentence_facts(source, cfg)
+        for check in chain:
+            verdict = check(c, facts, cfg)
+            if not verdict.kept:
                 break
-        if verdict is None:
+        else:
             verdict = _kept(c)
             kept.append(c)
         verdicts.append(verdict)

@@ -155,21 +155,19 @@ def interrogative_spans(forms, m: MarkerTable = DEFAULT_MARKERS) -> list[tuple[i
 
     Multi-word inventory items are matched as token subsequences; at each
     position the longest match wins, so "kaun si" is one span, not "kaun"
-    plus a stray token.
+    plus a stray token. Only positions whose form starts an item are tried,
+    and a start inside the previous span is skipped.
     """
     phrases_at = _phrases_by_first_token(m.interrogatives)
     forms = tuple(forms)
     spans = []
-    i = 0
-    while i < len(forms):
-        hit = 0
-        for phrase in phrases_at.get(forms[i], ()):
+    end = 0
+    for i in [i for i, form in enumerate(forms) if form in phrases_at]:
+        if i < end:
+            continue
+        for phrase in phrases_at[forms[i]]:
             if forms[i:i + len(phrase)] == phrase:
-                hit = len(phrase)
+                end = i + len(phrase)
+                spans.append((i, end))
                 break
-        if hit:
-            spans.append((i, i + hit))
-            i += hit
-        else:
-            i += 1
     return spans

@@ -1,8 +1,13 @@
 """Tests for the surface filters and their first-failure attribution."""
 
+import hashlib
+import json
+from pathlib import Path
+
 import pytest
 
-from helpers import make_sentence
+from helpers import load_bundled_corpus, make_sentence
+from karaka_qg import filters
 from karaka_qg.filters import (
     FILTER_ORDER,
     FilterConfig,
@@ -14,9 +19,10 @@ from karaka_qg.filters import (
     filter_word_order,
     read_verdicts_jsonl,
     run_filters,
+    sentence_facts,
     write_verdicts_jsonl,
 )
-from karaka_qg.lexicon import SemanticLexicon
+from karaka_qg.lexicon import SemanticLexicon, default_lexicon
 from karaka_qg.rule_engine import QuestionCandidate, RuleId, generate_all
 
 EMPTY = SemanticLexicon()
@@ -198,7 +204,7 @@ def test_candidate_with_two_interrogatives_dropped():
         variation_group="t001:R_K2:2:g0",
         target_token_id=2,
     )
-    verdict = filter_already_question(doubled, s, FilterConfig())
+    verdict = filter_already_question(doubled, sentence_facts(s, FilterConfig()), FilterConfig())
     assert verdict.dropped_by is FilterId.F_ALREADY_QUESTION
     assert "2 interrogative spans" in verdict.detail
 
@@ -232,7 +238,7 @@ def test_word_order_keeps_a_candidate_it_cannot_place(tokens):
     ])
     c = QuestionCandidate("t001:R_K1:1:0", "t001", RuleId.R_K1, "k1", "kaun", tokens,
                           "t001:R_K1:1:g0", 1)
-    assert filter_word_order(c, s, FilterConfig()).kept
+    assert filter_word_order(c, sentence_facts(s, FilterConfig()), FilterConfig()).kept
 
 
 def conjunct_sentence():
@@ -270,7 +276,8 @@ def test_conjunct_side_length_within_theta_keeps():
 def test_complex_detail_reports_split():
     s = conjunct_sentence()
     candidates = generate_all(s, EMPTY)
-    verdict = filter_complex(candidates[0], s, FilterConfig(theta=5))
+    cfg = FilterConfig(theta=5)
+    verdict = filter_complex(candidates[0], sentence_facts(s, cfg), cfg)
     assert "6+6" in verdict.detail
     assert "theta=5" in verdict.detail
 
@@ -325,6 +332,57 @@ def test_unknown_sentence_id_raises():
     )
     with pytest.raises(FilterError, match="candidate zzz:R_K1:1:0: unknown sentence_id 'zzz'"):
         run_filters(candidates + [stray], [s])
+
+
+@pytest.mark.parametrize("enabled", [frozenset(FilterId), frozenset()], ids=["all", "none"])
+def test_first_candidate_of_an_unknown_sentence_is_named(enabled):
+    s = pronoun_sentence()
+    known = generate_all(s, EMPTY)
+    strays = [QuestionCandidate(f"{sid}:R_K1:1:0", sid, RuleId.R_K1, "k1", "kaun",
+                                ("kaun", "gaya", "?"), f"{sid}:R_K1:1:g0", 1)
+              for sid in ("zzz", "yyy")]
+    with pytest.raises(FilterError) as caught:
+        run_filters([known[0], strays[0], known[1], strays[1]], [s], FilterConfig(enabled=enabled))
+    assert caught.value.candidate_id == "zzz:R_K1:1:0"
+
+
+def bundled_candidates():
+    sentences = load_bundled_corpus()
+    lexicon = default_lexicon()
+    candidates = [c for s in sentences for c in generate_all(s, lexicon)]
+    return sorted(candidates, key=lambda c: c.candidate_id), sentences
+
+
+def test_facts_are_worked_out_once_per_sentence(monkeypatch):
+    candidates, sentences = bundled_candidates()
+    built = []
+
+    def counted(s, cfg):
+        built.append(s.sentence_id)
+        return sentence_facts(s, cfg)
+
+    monkeypatch.setattr(filters, "sentence_facts", counted)
+    run_filters(candidates, sentences)
+    assert (len(candidates), len(built), len(set(built))) == (96, 30, 30)
+
+
+# sha256 of the bundled corpus's verdict lines (verdicts.jsonl's bytes), by
+# theta, one per filter subset: bit i of the index enables FILTER_ORDER[i].
+# Recorded while each filter still worked out its sentence's facts per candidate.
+VERDICT_SUBSET_SHA256 = json.loads(
+    (Path(__file__).parent / "verdict_subset_sha256.json").read_text(encoding="utf-8"))
+
+
+@pytest.mark.parametrize("theta", [1, 3, 5, 9])
+def test_every_filter_subset_keeps_its_verdict_bytes(theta):
+    candidates, sentences = bundled_candidates()
+    digests = []
+    for mask in range(32):
+        enabled = frozenset(f for i, f in enumerate(FILTER_ORDER) if mask >> i & 1)
+        _, verdicts = run_filters(candidates, sentences, FilterConfig(theta=theta, enabled=enabled))
+        lines = "".join(v.to_json_line() + "\n" for v in verdicts)
+        digests.append(hashlib.sha256(lines.encode("utf-8")).hexdigest())
+    assert digests == VERDICT_SUBSET_SHA256[str(theta)]
 
 
 def test_theta_must_be_positive():

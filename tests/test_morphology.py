@@ -145,6 +145,29 @@ def test_interrogative_spans_follow_each_marker_tables_inventory():
     assert interrogative_spans(forms, MarkerTable(interrogatives=frozenset({"mein"}))) == []
 
 
+def test_interrogative_span_skips_a_start_inside_an_earlier_span():
+    table = MarkerTable(interrogatives=frozenset({"kis din", "din"}))
+    assert interrogative_spans(["kis", "din", "din"], table) == [(0, 2), (2, 3)]
+
+
+def test_first_token_without_its_whole_item_is_no_span():
+    table = MarkerTable(interrogatives=frozenset({"kis mein"}))
+    assert interrogative_spans(["kis", "ghar"], table) == []
+
+
+def test_empty_form_matches_an_empty_inventory_item():
+    table = MarkerTable(interrogatives=frozenset({""}))
+    assert interrogative_spans(["raam", "", "gaya"], table) == [(1, 2)]
+
+
+def test_interrogative_spans_take_any_iterable_of_forms():
+    forms = ["raam", "kis", "din", "kaun", "gaya"]
+    expected = [(1, 3), (3, 4)]
+    assert interrogative_spans(forms) == expected
+    assert interrogative_spans(tuple(forms)) == expected
+    assert interrogative_spans(form for form in forms) == expected
+
+
 def test_case_markers_union_excludes_non_case_roles():
     markers = DEFAULT_MARKERS.case_markers()
     for form in ("ne", "ko", "se", "ka", "mein", "ke liye"):
