@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import json
 from enum import Enum
-from functools import partial
+from functools import lru_cache, partial
 from typing import NamedTuple
 
 from .morphology import (
@@ -88,8 +88,9 @@ class FilterVerdict(NamedTuple):
     detail: str = ""
 
 
-def _kept(c: QuestionCandidate) -> FilterVerdict:
-    return FilterVerdict(c.candidate_id, True)
+# What a filter returns for a candidate it keeps, shared by every candidate;
+# run_filters records each kept candidate's own verdict.
+PASSED = FilterVerdict("", True)
 
 
 def _dropped(c: QuestionCandidate, fid: FilterId, detail: str) -> FilterVerdict:
@@ -143,7 +144,7 @@ def filter_anaphora(c: QuestionCandidate, facts: SentenceFacts, cfg: FilterConfi
     if pronoun is not None:
         return _dropped(c, FilterId.F_ANAPHORA,
                         f"retained pronoun {pronoun!r} leaves the answer ambiguous")
-    return _kept(c)
+    return PASSED
 
 
 def filter_gender_agreement(c: QuestionCandidate, facts: SentenceFacts, cfg: FilterConfig) -> FilterVerdict:
@@ -160,43 +161,51 @@ def filter_gender_agreement(c: QuestionCandidate, facts: SentenceFacts, cfg: Fil
     if c.rule is RuleId.R_K1 and facts.subject_stranded:
         return _dropped(c, FilterId.F_GENDER_AGREEMENT,
                         "subject replaced but the verb is not masculine singular")
-    return _kept(c)
+    return PASSED
+
+
+@lru_cache(maxsize=1)
+def _candidate_spans(tokens: tuple, m: MarkerTable) -> list:
+    """interrogative_spans of a candidate's tokens. F_WORD_ORDER and
+    F_ALREADY_QUESTION both read them, so the last scan is kept, keyed by
+    the tokens and the table."""
+    return interrogative_spans(tokens, m)
 
 
 def filter_word_order(c: QuestionCandidate, facts: SentenceFacts, cfg: FilterConfig) -> FilterVerdict:
     """Drop candidates whose interrogative lands after the main verb."""
     forms = c.tokens
     if facts.verb_form not in forms:
-        return _kept(c)
+        return PASSED
     verb_index = forms.index(facts.verb_form)
-    spans = interrogative_spans(forms, cfg.markers)
+    spans = _candidate_spans(forms, cfg.markers)
     if not spans:
-        return _kept(c)
+        return PASSED
     inserted = tuple(c.interrogative.split(" "))
     span = next((sp for sp in spans if forms[sp[0]:sp[1]] == inserted), spans[0])
     if span[0] > verb_index:
         return _dropped(c, FilterId.F_WORD_ORDER,
                         f"interrogative at position {span[0] + 1} follows the verb "
                         f"at position {verb_index + 1}")
-    return _kept(c)
+    return PASSED
 
 
 def filter_already_question(c: QuestionCandidate, facts: SentenceFacts, cfg: FilterConfig) -> FilterVerdict:
     """Drop candidates built from questions or carrying two interrogatives."""
     if facts.question_detail is not None:
         return _dropped(c, FilterId.F_ALREADY_QUESTION, facts.question_detail)
-    spans = interrogative_spans(c.tokens, cfg.markers)
+    spans = _candidate_spans(c.tokens, cfg.markers)
     if len(spans) >= 2:
         return _dropped(c, FilterId.F_ALREADY_QUESTION,
                         f"candidate contains {len(spans)} interrogative spans")
-    return _kept(c)
+    return PASSED
 
 
 def filter_complex(c: QuestionCandidate, facts: SentenceFacts, cfg: FilterConfig) -> FilterVerdict:
     """Drop candidates from conjunct sentences too long on either side."""
     if facts.complex_detail is not None:
         return _dropped(c, FilterId.F_COMPLEX_COMPOUND, facts.complex_detail)
-    return _kept(c)
+    return PASSED
 
 
 FILTER_FUNCTIONS = {
@@ -232,7 +241,7 @@ def run_filters(candidates, sentences, cfg: FilterConfig = FilterConfig()):
             if not verdict.kept:
                 break
         else:
-            verdict = _kept(c)
+            verdict = FilterVerdict(c.candidate_id, True)
             kept.append(c)
         verdicts.append(verdict)
     return kept, verdicts

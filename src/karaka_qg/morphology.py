@@ -53,8 +53,9 @@ class MarkerTable(NamedTuple):
         "kis mein", "kis par", "kab", "kis din", "konse din", "kaisa",
     })
 
+    @cache
     def case_markers(self) -> frozenset:
-        """Every postposition that flips a noun into oblique case."""
+        """Every postposition that flips a noun into oblique case; worked out once per table."""
         return (self.ergative | self.accusative | self.instrumental
                 | self.genitive | self.locative | self.benefactive)
 

@@ -27,7 +27,6 @@ from .morphology import (
     GENITIVE_INTERROGATIVES,
     MarkerTable,
     case_marker_tokens,
-    case_of,
 )
 from .textfile import jsonl_record, read_jsonl, write_jsonl
 from .treebank_io import ParsedSentence, Token
@@ -133,8 +132,8 @@ class Substitution(NamedTuple):
     ``Role``. A case not listed skips the target, logged when the row says
     how it ``skip``s (formatted with the marker). Targets are the tokens
     with one of ``labels``, only the main verb's children when
-    ``on_verb``. Interrogatives in ``keeps_marker`` leave the case marker
-    in place. ``notes`` is a note per label.
+    ``on_verb``. Interrogatives in ``keeps_marker`` leave a ``by_case``
+    row's case marker in place. ``notes`` is a note per label.
     """
 
     rule: RuleId
@@ -211,9 +210,9 @@ SUBSTITUTIONS = (
 )
 
 
-def _case_asks(row: Substitution, s: ParsedSentence, target: Token, m: MarkerTable):
-    """The row's ask for the target's case, or None if the row lists no such case."""
-    marker = case_of(s, target.id, m)
+def _case_asks(row: Substitution, target: Token, window: list, m: MarkerTable):
+    """The row's ask for the case a marker window gives, or None if the row lists no such case."""
+    marker = " ".join(t.form for t in window) if window else None
     for key, asks in row.asks.items():
         if (marker is None if key is DIRECT
                 else marker in getattr(m, key.name) and key.marker in (None, marker)):
@@ -230,7 +229,8 @@ def apply_substitution(row: Substitution, s: ParsedSentence, lex: SemanticLexico
     out = []
     pool = s.children(s.main_verb().id) if row.on_verb else s.tokens
     for target in [t for t in pool if t.deprel in row.labels]:
-        asks = _case_asks(row, s, target, m) if row.by_case else row.asks
+        window = case_marker_tokens(s, target.id, m) if row.by_case else None
+        asks = row.asks if window is None else _case_asks(row, target, window, m)
         if asks is None:
             continue
         notes: tuple[str, ...] = ()
@@ -243,7 +243,7 @@ def apply_substitution(row: Substitution, s: ParsedSentence, lex: SemanticLexico
             notes += (row.notes[target.deprel],)
         chunk = unmarked = s.subtree_ids(target.id)
         if row.keeps_marker:
-            unmarked = chunk - {t.id for t in case_marker_tokens(s, target.id, m)}
+            unmarked = chunk - {t.id for t in window}
         index = 0
         for group, whs in enumerate(asks if isinstance(asks, list) else [asks]):
             for wh in whs:
@@ -314,17 +314,23 @@ _FUNCTION_OF = ({row.rule: partial(apply_substitution, row) for row in SUBSTITUT
                 | {RuleId.R_RH: gen_rh, RuleId.R_R6_NONLIVING: gen_r6_nonliving})
 # Every rule as an (s, lex, m) function, in RuleId order.
 RULE_FUNCTIONS = tuple((rule, _FUNCTION_OF[rule]) for rule in RuleId)
+# The labels a rule's targets carry; a sentence holding none of them gets no
+# candidate from it. R_RH looks for a because form, whatever its label.
+_TARGET_LABELS = {row.rule: frozenset(row.labels) for row in SUBSTITUTIONS}
+_TARGET_LABELS[RuleId.R_R6_NONLIVING] = _TARGET_LABELS[RuleId.R_R6]
 
 
 def generate_all(s: ParsedSentence, lex: SemanticLexicon,
                  m: MarkerTable = DEFAULT_MARKERS,
                  enabled: set[RuleId] | None = None) -> list[QuestionCandidate]:
-    """Run every enabled rule over one sentence, in fixed rule order."""
+    """Run every enabled rule whose target labels the sentence holds, in fixed rule order."""
     if enabled is None:
         enabled = set(RuleId)
+    labels = {t.deprel for t in s.tokens}
     out: list[QuestionCandidate] = []
     for rule_id, fn in RULE_FUNCTIONS:
-        if rule_id in enabled:
+        targets = _TARGET_LABELS.get(rule_id)
+        if rule_id in enabled and (targets is None or not labels.isdisjoint(targets)):
             out.extend(fn(s, lex, m))
     return out
 

@@ -23,6 +23,7 @@ from karaka_qg.filters import (
     write_verdicts_jsonl,
 )
 from karaka_qg.lexicon import SemanticLexicon, default_lexicon
+from karaka_qg.morphology import interrogative_spans
 from karaka_qg.rule_engine import QuestionCandidate, RuleId, generate_all
 
 EMPTY = SemanticLexicon()
@@ -364,6 +365,36 @@ def test_facts_are_worked_out_once_per_sentence(monkeypatch):
     monkeypatch.setattr(filters, "sentence_facts", counted)
     run_filters(candidates, sentences)
     assert (len(candidates), len(built), len(set(built))) == (96, 30, 30)
+
+
+def test_each_candidate_is_scanned_for_interrogatives_once(monkeypatch):
+    candidates, sentences = bundled_candidates()
+    scanned = []
+
+    def counted(forms, m):
+        scanned.append(tuple(forms))
+        return interrogative_spans(forms, m)
+
+    monkeypatch.setattr(filters, "interrogative_spans", counted)
+    run_filters(candidates, sentences)
+    # One scan per source sentence, and at most one per candidate.
+    assert len(scanned) <= len(sentences) + len(candidates) == 30 + 96
+
+
+def test_equal_tokens_under_two_marker_tables_get_their_own_spans():
+    s = make_sentence([
+        ("raam", "raam", "PROPN", "_", 2, "k1"),
+        ("gaya", "ja", "VERB", "_", 0, "root"),
+    ])
+    default = FilterConfig()
+    only_kaun = FilterConfig(markers=default.markers._replace(interrogatives=frozenset({"kaun"})))
+    for cfg, two_spans, after_verb in [(default, True, True), (only_kaun, False, False)] * 2:
+        # Built anew each time: equal tuples, not one object.
+        c = QuestionCandidate("t001:R_K1:1:0", "t001", RuleId.R_K1, "k1", "kab",
+                              tuple("kaun gaya kab ?".split()), "t001:R_K1:1:g0", 1)
+        facts = sentence_facts(s, cfg)
+        assert filter_word_order(c, facts, cfg).kept is not after_verb
+        assert filter_already_question(c, facts, cfg).kept is not two_spans
 
 
 # sha256 of the bundled corpus's verdict lines (verdicts.jsonl's bytes), by

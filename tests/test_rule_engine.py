@@ -8,8 +8,8 @@ from typing import NamedTuple
 
 import pytest
 
-from helpers import make_lexicon, make_sentence, texts
-from karaka_qg.lexicon import SemanticCategory, SemanticLexicon
+from helpers import load_bundled_corpus, make_lexicon, make_sentence, texts
+from karaka_qg.lexicon import SemanticCategory, SemanticLexicon, default_lexicon
 from karaka_qg.morphology import DEFAULT_MARKERS, MarkerTable
 from karaka_qg.treebank_io import KARAKA_LABELS
 from karaka_qg.rule_engine import (
@@ -283,6 +283,45 @@ def test_generate_all_respects_enabled_subset():
 
 def test_rule_order_is_fixed():
     assert [rule for rule, _ in RULE_FUNCTIONS] == list(RuleId)
+
+
+# (sentences, lexicon, marker table, a rule the sentences must fire)
+DISPATCH_CASES = {
+    "bundled-corpus": (load_bundled_corpus(), default_lexicon(), M, RuleId.R_K1),
+    "kyunki-not-labelled-rh": ([make_sentence([
+        ("raam", "raam", "PROPN", "_", 2, "k1"),
+        ("gaya", "ja", "VERB", "_", 0, "root"),
+        ("kyunki", "kyunki", "SCONJ", "_", 2, "vmod"),
+        ("thaka", "thak", "VERB", "_", 3, "ccof"),
+    ])], EMPTY, M, RuleId.R_RH),
+    "other-because-form": ([make_sentence([
+        ("raam", "raam", "PROPN", "_", 2, "k1"),
+        ("gaya", "ja", "VERB", "_", 0, "root"),
+        ("chunki", "chunki", "SCONJ", "_", 2, "rh"),
+        ("thaka", "thak", "VERB", "_", 3, "ccof"),
+    ])], EMPTY, M._replace(because=frozenset({"chunki"})), RuleId.R_RH),
+    "only-k7p": ([make_sentence([
+        ("mez", "mez", "NOUN", "_", 3, "k7p"),
+        ("par", "par", "ADP", "_", 1, "psp"),
+        ("hai", "hai", "VERB", "_", 0, "root"),
+    ])], EMPTY, M, RuleId.R_K7S),
+    "r6-of-nonliving": ([make_sentence([
+        ("raam", "raam", "PROPN", "_", 3, "r6"),
+        ("ka", "ka", "ADP", "_", 1, "psp"),
+        ("saamaan", "saamaan", "NOUN", "_", 4, "k1"),
+        ("kho", "kho", "VERB", "_", 0, "root"),
+    ])], make_lexicon(saamaan="NONLIVING"), M, RuleId.R_R6_NONLIVING),
+}
+
+
+@pytest.mark.parametrize("case", DISPATCH_CASES.values(), ids=DISPATCH_CASES)
+def test_label_dispatch_drops_no_candidate(case):
+    sentences, lex, m, fired = case
+    for enabled in [{rule} for rule in RuleId] + [set(RuleId)]:
+        for s in sentences:
+            called = [c for rule, fn in RULE_FUNCTIONS if rule in enabled for c in fn(s, lex, m)]
+            assert generate_all(s, lex, m, enabled) == called, (s.sentence_id, enabled)
+    assert any(c.rule is fired for s in sentences for c in generate_all(s, lex, m))
 
 
 def _table_groups(asks):
