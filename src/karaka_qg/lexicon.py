@@ -30,15 +30,14 @@ class LexiconError(ValueError):
 
 
 class SemanticLexicon:
-    """Lemma to category entries, the files they came from, and the number
-    of rows that repeated a lemma. Its length is its number of entries."""
+    """Lemma to category entries and the number of rows that repeated a
+    lemma. Its length is its number of entries."""
 
-    __slots__ = ("entries", "source_name", "duplicate_count")
+    __slots__ = ("entries", "duplicate_count")
 
     def __init__(self, entries: dict[str, SemanticCategory] | None = None,
-                 source_name: str = "", duplicate_count: int = 0):
+                 duplicate_count: int = 0):
         self.entries = {} if entries is None else entries
-        self.source_name = source_name
         self.duplicate_count = duplicate_count
 
     def lookup(self, lemma: str) -> SemanticCategory:
@@ -67,26 +66,21 @@ def load_lexicon(path) -> SemanticLexicon:
         if lemma in entries:
             duplicates += 1
         entries[lemma] = category
-    return SemanticLexicon(entries, str(path), duplicates)
+    return SemanticLexicon(entries, duplicates)
 
 
 def merge_lexicons(lexicons) -> SemanticLexicon:
     """Combine lexicons; later ones override earlier ones per lemma."""
     merged: dict[str, SemanticCategory] = {}
-    names = []
     duplicates = 0
     for lex in lexicons:
         merged.update(lex.entries)
-        if lex.source_name:
-            names.append(lex.source_name)
         duplicates += lex.duplicate_count
-    return SemanticLexicon(merged, "+".join(names), duplicates)
+    return SemanticLexicon(merged, duplicates)
 
 
 def default_lexicon() -> SemanticLexicon:
     """The category snapshot shipped with the package."""
     path = resources.files("karaka_qg.data") / "lexicon_default.tsv"
     with resources.as_file(path) as p:
-        lex = load_lexicon(p)
-    lex.source_name = "builtin"
-    return lex
+        return load_lexicon(p)

@@ -1,4 +1,4 @@
-"""Reader and writer for karaka-labeled dependency treebanks.
+"""Reader for karaka-labeled dependency treebanks.
 
 Token lines carry seven tab-separated columns:
 
@@ -24,10 +24,6 @@ from .textfile import open_utf8
 KARAKA_ORDER = (
     "k1", "k1s", "k2", "k2p", "k3", "rt", "rh", "k5", "r6", "k7s", "k7t", "k7p",
 )
-
-# Dependency labels the generation and filter rules know about. Anything
-# else is carried through verbatim and simply never matches a rule.
-KARAKA_LABELS = KARAKA_ORDER + ("coof",)
 
 # Label used for postposition tokens attached to the noun they mark.
 PSP = "psp"
@@ -101,12 +97,6 @@ def _parse_feats(field: str, where: str) -> dict:
             raise TreebankError(f"{where}: repeated FEATS key {key!r}")
         feats[key] = value
     return feats
-
-
-def _feats_to_str(feats: dict) -> str:
-    if not feats:
-        return "_"
-    return "|".join(f"{k}={feats[k]}" for k in sorted(feats))
 
 
 def _tree_error(where: str, sentence_id: str, message: str) -> TreebankError:
@@ -233,20 +223,3 @@ def loads_treebank(text: str, source: str = "<string>") -> list[ParsedSentence]:
     """Parse treebank content held in a string, split into lines as a file is."""
     return _parse_blocks(io.StringIO(text, newline=None), source)
 
-
-def dumps_treebank(sentences) -> str:
-    """Serialize sentences back into the column format read by the loader."""
-    blocks = []
-    for s in sentences:
-        lines = [f"# sent_id = {s.sentence_id}"]
-        if s.raw_text is not None:
-            lines.append(f"# text = {s.raw_text}")
-        for t in s.tokens:
-            lines.append(
-                "\t".join(
-                    (str(t.id), t.form, t.lemma, t.upos,
-                     _feats_to_str(t.feats), str(t.head), t.deprel)
-                )
-            )
-        blocks.append("\n".join(lines))
-    return "\n\n".join(blocks) + ("\n" if blocks else "")

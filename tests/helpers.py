@@ -18,10 +18,34 @@ def make_sentence(rows, sentence_id="t001") -> ParsedSentence:
     return loads_treebank("\n".join(lines) + "\n")[0]
 
 
+def _feats_to_str(feats: dict) -> str:
+    if not feats:
+        return "_"
+    return "|".join(f"{k}={feats[k]}" for k in sorted(feats))
+
+
+def dumps_treebank(sentences) -> str:
+    """Serialize sentences into the column format the treebank reader reads."""
+    blocks = []
+    for s in sentences:
+        lines = [f"# sent_id = {s.sentence_id}"]
+        if s.raw_text is not None:
+            lines.append(f"# text = {s.raw_text}")
+        for t in s.tokens:
+            lines.append(
+                "\t".join(
+                    (str(t.id), t.form, t.lemma, t.upos,
+                     _feats_to_str(t.feats), str(t.head), t.deprel)
+                )
+            )
+        blocks.append("\n".join(lines))
+    return "\n\n".join(blocks) + ("\n" if blocks else "")
+
+
 def make_lexicon(**categories) -> SemanticLexicon:
     """Build a lexicon from lemma=CATEGORY keyword pairs."""
     entries = {lemma: SemanticCategory(cat) for lemma, cat in categories.items()}
-    return SemanticLexicon(entries, source_name="test")
+    return SemanticLexicon(entries)
 
 
 def write_ratings(path, rows) -> None:

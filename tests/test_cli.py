@@ -6,6 +6,7 @@ import json
 import logging
 import os
 import pkgutil
+import random
 import re
 import shutil
 import subprocess
@@ -167,6 +168,49 @@ def test_pipeline_matches_stepwise_composition(tmp_path):
     for name in ("candidates.jsonl", "kept.jsonl", "verdicts.jsonl",
                  "generate_summary.json", "filter_summary.json"):
         assert (piped / name).read_bytes() == (stepped / name).read_bytes()
+
+
+def test_reversed_sentence_order_writes_the_same_files(tmp_path):
+    # Candidates are sorted by id, so the order of the treebank's blocks must not show.
+    blocks = bundled_corpus_text().strip("\n").split("\n\n")
+    assert len(blocks) == 30
+    forward, backward = tmp_path / "forward.conllu", tmp_path / "backward.conllu"
+    forward.write_text(bundled_corpus_text(), encoding="utf-8")
+    backward.write_text("\n\n".join(reversed(blocks)) + "\n", encoding="utf-8")
+    for src in (forward, backward):
+        assert main(["pipeline", "--input", str(src), "--out", str(tmp_path / src.stem)]) == 0
+    for name in ("candidates.jsonl", "kept.jsonl", "verdicts.jsonl",
+                 "generate_summary.json", "filter_summary.json"):
+        assert ((tmp_path / "forward" / name).read_bytes()
+                == (tmp_path / "backward" / name).read_bytes()), name
+
+
+def test_filter_on_shuffled_candidates_writes_the_sorted_run_lines_in_file_order(tmp_path):
+    # The candidates of one sentence are not adjacent, so each sentence's facts are
+    # looked up again and again, out of order.
+    src = tmp_path / "corpus.conllu"
+    src.write_text(bundled_corpus_text(), encoding="utf-8")
+    out = tmp_path / "out"
+    assert main(["pipeline", "--input", str(src), "--out", str(out)]) == 0
+    lines = (out / "candidates.jsonl").read_bytes().splitlines(keepends=True)
+    shuffled = lines[:]
+    random.Random(7).shuffle(shuffled)
+    assert shuffled != lines
+    (tmp_path / "shuffled.jsonl").write_bytes(b"".join(shuffled))
+    assert main(["filter", "--input", str(src), "--candidates", str(tmp_path / "shuffled.jsonl"),
+                 "--out", str(tmp_path / "shuffled")]) == 0
+
+    def by_id(path):
+        return {json.loads(line)["candidate_id"]: line
+                for line in path.read_bytes().splitlines(keepends=True)}
+
+    ids = [json.loads(line)["candidate_id"] for line in shuffled]
+    verdicts = (tmp_path / "shuffled" / "verdicts.jsonl").read_bytes().splitlines(keepends=True)
+    sorted_verdicts = by_id(out / "verdicts.jsonl")
+    assert verdicts == [sorted_verdicts[i] for i in ids]
+    kept = (tmp_path / "shuffled" / "kept.jsonl").read_bytes().splitlines(keepends=True)
+    sorted_kept = by_id(out / "kept.jsonl")
+    assert kept == [sorted_kept[i] for i in ids if i in sorted_kept]
 
 
 def test_eval_prints_table_and_before_after(tmp_path, capsys):

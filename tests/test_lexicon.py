@@ -80,13 +80,11 @@ def test_merge_later_lexicon_overrides(tmp_path):
     merged = merge_lexicons([base, override])
     assert merged.lookup("billi") is SemanticCategory.NONLIVING
     assert merged.lookup("raam") is SemanticCategory.HUMAN
-    assert "+" in merged.source_name
 
 
 def test_default_lexicon_is_bundled():
     lex = default_lexicon()
     assert len(lex) > 0
-    assert lex.source_name == "builtin"
     assert lex.lookup("raam") is SemanticCategory.HUMAN
     assert lex.lookup("somvar") is SemanticCategory.DATE
     assert lex.lookup("sadak") is SemanticCategory.PATH

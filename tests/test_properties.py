@@ -7,7 +7,7 @@ from collections import Counter, defaultdict
 
 from hypothesis import example, given, settings, strategies as st
 
-from helpers import load_bundled_corpus, make_rated_candidate, write_ratings
+from helpers import dumps_treebank, load_bundled_corpus, make_rated_candidate, write_ratings
 from karaka_qg.evaluation import (
     RatingRecord,
     RatingsError,
@@ -61,7 +61,6 @@ from karaka_qg.treebank_io import (
     Token,
     TreebankError,
     build_sentence,
-    dumps_treebank,
     load_treebank,
     loads_treebank,
 )

@@ -11,7 +11,7 @@ import pytest
 from helpers import load_bundled_corpus, make_lexicon, make_sentence, texts
 from karaka_qg.lexicon import SemanticCategory, SemanticLexicon, default_lexicon
 from karaka_qg.morphology import DEFAULT_MARKERS, MarkerTable
-from karaka_qg.treebank_io import KARAKA_LABELS
+from karaka_qg.treebank_io import KARAKA_ORDER
 from karaka_qg.rule_engine import (
     DIRECT,
     OTHER,
@@ -344,12 +344,13 @@ def test_substitution_table_stays_inside_the_label_and_interrogative_inventories
         assert emitted <= DEFAULT_MARKERS.interrogatives, (
             row.rule, emitted - DEFAULT_MARKERS.interrogatives)
         assert row.keeps_marker <= emitted, (row.rule, row.keeps_marker - emitted)
-        assert set(row.labels) <= set(KARAKA_LABELS), row.rule
         assert set(row.notes) <= set(row.labels), row.rule
         # The generator reads UNKNOWN and OTHER from every category table.
         for asks in (row.asks.values() if row.by_case else [row.asks]):
             if isinstance(asks, dict):
                 assert {SemanticCategory.UNKNOWN, OTHER} <= set(asks), row.rule
+    # The rows and R_RH's rh clause target exactly the karakas the summaries list.
+    assert {label for row in SUBSTITUTIONS for label in row.labels} | {"rh"} == set(KARAKA_ORDER)
 
 
 def test_case_keys_are_direct_or_roles_of_the_marker_table():

@@ -1,4 +1,5 @@
-"""Tests for the treebank column format reader and writer."""
+"""Tests for the treebank column format reader, and round trips through the
+test-side writer in ``helpers``."""
 
 import re
 import sys
@@ -8,7 +9,7 @@ from pathlib import Path
 import pytest
 
 import karaka_qg
-from helpers import make_sentence
+from helpers import dumps_treebank, make_sentence
 from karaka_qg.evaluation import RatingsError, load_ratings
 from karaka_qg.filters import run_filters
 from karaka_qg.lexicon import SemanticLexicon
@@ -16,7 +17,6 @@ from karaka_qg.rule_engine import generate_all, read_candidates_jsonl
 from karaka_qg.textfile import JsonlError
 from karaka_qg.treebank_io import (
     TreebankError,
-    dumps_treebank,
     load_treebank,
     loads_treebank,
 )
