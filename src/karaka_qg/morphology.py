@@ -17,10 +17,13 @@ from .treebank_io import PSP, ParsedSentence
 # inherits the gender/number suffix of the marker it replaces.
 GENITIVE_INTERROGATIVES = {"ka": "kiska", "ke": "kiske", "ki": "kiski"}
 
-# Progressive auxiliary endings that betray gender/number when the verb
-# itself carries no FEATS.
-AUX_GENDER = {"raha": "Masc", "rahi": "Fem", "rahe": "Masc"}
-AUX_NUMBER = {"raha": "Sing", "rahi": "Sing", "rahe": "Plur"}
+# Progressive auxiliary endings: the FEATS each betrays when the verb itself
+# carries none, and the ending's feminine form.
+PROGRESSIVE_AUX = {
+    "raha": ({"Gender": "Masc", "Number": "Sing"}, "rahi"),
+    "rahi": ({"Gender": "Fem", "Number": "Sing"}, "rahi"),
+    "rahe": ({"Gender": "Masc", "Number": "Plur"}, "rahi"),
+}
 
 _ROLE_FIELDS = {
     "erg": "ergative",
@@ -110,32 +113,18 @@ def case_of(s: ParsedSentence, token_id: int, m: MarkerTable) -> str | None:
     return " ".join(t.form for t in window) if window else None
 
 
-def _verb_feature(s: ParsedSentence, verb_id: int, feat: str, by_aux: dict) -> str | None:
-    """FEATS value, else the one an auxiliary ending betrays, else None."""
+def verb_feature(s: ParsedSentence, verb_id: int, key: str) -> str | None:
+    """The verb's FEATS value for key ("Gender" or "Number"), else the one a
+    progressive ending betrays, in the verb's own form or its first
+    auxiliary child, else None."""
     verb = s.token(verb_id)
-    value = verb.feats.get(feat)
+    value = verb.feats.get(key)
     if value:
         return value
-    if verb.form in by_aux:
-        return by_aux[verb.form]
-    for child in s.children(verb_id):
-        if child.form in by_aux:
-            return by_aux[child.form]
+    for t in (verb,) + s.children(verb_id):
+        if t.form in PROGRESSIVE_AUX:
+            return PROGRESSIVE_AUX[t.form][0][key]
     return None
-
-
-def verb_gender(s: ParsedSentence, verb_id: int) -> str | None:
-    """Gender from FEATS, else from auxiliary endings, else None."""
-    return _verb_feature(s, verb_id, "Gender", AUX_GENDER)
-
-
-def verb_number(s: ParsedSentence, verb_id: int) -> str | None:
-    """Number from FEATS, else from auxiliary endings, else None."""
-    return _verb_feature(s, verb_id, "Number", AUX_NUMBER)
-
-
-def is_interrogative_form(form: str, m: MarkerTable = DEFAULT_MARKERS) -> bool:
-    return form in m.interrogatives
 
 
 @cache

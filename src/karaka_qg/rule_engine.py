@@ -18,13 +18,13 @@ from __future__ import annotations
 
 import logging
 from enum import Enum
-from functools import partial
 from typing import NamedTuple
 
 from .lexicon import SemanticCategory, SemanticLexicon
 from .morphology import (
     DEFAULT_MARKERS,
     GENITIVE_INTERROGATIVES,
+    PROGRESSIVE_AUX,
     MarkerTable,
     case_marker_tokens,
 )
@@ -105,8 +105,6 @@ def _candidate(s: ParsedSentence, rule: RuleId, target: Token, index: int, group
 UNKNOWN = SemanticCategory.UNKNOWN
 # Key of a category entry covering every category the row does not name.
 OTHER = None
-# Case key of a target that carries no postposition, for which case_of gives None.
-DIRECT = None
 
 
 def _unknown_note(lemma: str) -> tuple[str, ...]:
@@ -121,25 +119,30 @@ class Role(NamedTuple):
     marker: str | None = None
 
 
+# Case key of a target that carries no postposition, for which case_of gives None.
+# It is a Role, so a row keyed by DIRECT alone still reads as keyed by case.
+DIRECT = Role("direct")
+
+
 class Substitution(NamedTuple):
     """A rule that swaps a target chunk for interrogatives read from tables.
 
     A leaf of ``asks`` is a tuple of interrogatives, which share a
     variation group, or a list of such tuples, one group each. ``asks`` is
     a leaf, or a dict from lexicon category to one, where OTHER covers the
-    categories not named and UNKNOWN is always named. A ``by_case`` row
-    first keys ``asks`` by the target's case: DIRECT or a MarkerTable
-    ``Role``. A case not listed skips the target, logged when the row says
-    how it ``skip``s (formatted with the marker). Targets are the tokens
-    with one of ``labels``, only the main verb's children when
-    ``on_verb``. Interrogatives in ``keeps_marker`` leave a ``by_case``
-    row's case marker in place. ``notes`` is a note per label.
+    categories not named and UNKNOWN is always named. A row whose ``asks``
+    keys are ``Role``s (DIRECT or a MarkerTable role) is keyed by case: it
+    first keys ``asks`` by the target's case. A case not listed skips the
+    target, logged when the row says how it ``skip``s (formatted with the
+    marker). Targets are the tokens with one of ``labels``, only the main
+    verb's children when ``on_verb``. Interrogatives in ``keeps_marker``
+    leave a case-keyed row's case marker in place. ``notes`` is a note per
+    label.
     """
 
     rule: RuleId
     labels: tuple[str, ...]
     asks: tuple | list | dict
-    by_case: bool = False
     skip: str = ""
     on_verb: bool = True
     keeps_marker: frozenset = frozenset()
@@ -149,7 +152,7 @@ class Substitution(NamedTuple):
 SUBSTITUTIONS = (
     # Agents. The case decides alone; an agent marked with some other
     # postposition is outside the rule.
-    Substitution(RuleId.R_K1, ("k1",), by_case=True, skip="carries non-ergative marker {!r}",
+    Substitution(RuleId.R_K1, ("k1",), skip="carries non-ergative marker {!r}",
                  asks={DIRECT: ("kaun",), Role("ergative"): ("kisne",)}),
     # Copula complements: kaun for people, kaisa for properties.
     Substitution(RuleId.R_K1S, ("k1s",), asks={
@@ -159,12 +162,12 @@ SUBSTITUTIONS = (
         OTHER: ("kaisa",),
     }),
     # Patients: ko-marked ones ask kisko, direct ones kya.
-    Substitution(RuleId.R_K2, ("k2",), by_case=True, skip="carries unexpected marker {!r}",
+    Substitution(RuleId.R_K2, ("k2",), skip="carries unexpected marker {!r}",
                  asks={DIRECT: ("kya",), Role("accusative"): ("kisko",)}),
     # Goal locations.
     Substitution(RuleId.R_K2P, ("k2p",), asks=("kidhar", "kahan")),
     # Instruments; a path also licenses the perlative kisse hokar.
-    Substitution(RuleId.R_K3, ("k3",), by_case=True, asks={
+    Substitution(RuleId.R_K3, ("k3",), asks={
         Role("instrumental", "ke dwaaraa"): ("kiske dwaaraa",),
         Role("instrumental", "se"): {
             SemanticCategory.PATH: ("kisse", "kisse hokar"),
@@ -181,20 +184,20 @@ SUBSTITUTIONS = (
     }),
     # Sources: a place keeps the se and asks kahan se / kidhar se, anything
     # else asks kisse. The two readings differ in meaning.
-    Substitution(RuleId.R_K5, ("k5",), by_case=True, keeps_marker=frozenset({"kahan", "kidhar"}),
+    Substitution(RuleId.R_K5, ("k5",), keeps_marker=frozenset({"kahan", "kidhar"}),
                  asks={Role("instrumental", "se"): {
                      SemanticCategory.PLACE: ("kahan", "kidhar"),
                      UNKNOWN: [("kisse",), ("kahan", "kidhar")],
                      OTHER: ("kisse",),
                  }}),
     # Possessors of any noun: the genitive marker picks kiska/kiske/kiski.
-    Substitution(RuleId.R_R6, ("r6",), on_verb=False, by_case=True, skip="lacks a genitive marker",
+    Substitution(RuleId.R_R6, ("r6",), on_verb=False, skip="lacks a genitive marker",
                  asks={Role("genitive", marker): (wh,)
                        for marker, wh in GENITIVE_INTERROGATIVES.items()}),
     # Spatial locatives: kahan and kidhar drop the marker, kis mein / kis
     # par re-express it. k7p has no rule of its own and is routed here.
     Substitution(
-        RuleId.R_K7S, ("k7s", "k7p"), by_case=True,
+        RuleId.R_K7S, ("k7s", "k7p"),
         notes={"k7p": "k7p token routed through the spatial locative rule"},
         asks={
             Role("locative", "mein"): ("kahan", "kidhar", "kis mein"),
@@ -223,36 +226,41 @@ def _case_asks(row: Substitution, target: Token, window: list, m: MarkerTable):
     return None
 
 
-def apply_substitution(row: Substitution, s: ParsedSentence, lex: SemanticLexicon,
-                       m: MarkerTable) -> list[QuestionCandidate]:
-    """The candidates of one SUBSTITUTIONS row for one sentence."""
-    out = []
-    pool = s.children(s.main_verb().id) if row.on_verb else s.tokens
-    for target in [t for t in pool if t.deprel in row.labels]:
-        window = case_marker_tokens(s, target.id, m) if row.by_case else None
-        asks = row.asks if window is None else _case_asks(row, target, window, m)
-        if asks is None:
-            continue
-        notes: tuple[str, ...] = ()
-        if isinstance(asks, dict):
-            cat = lex.lookup(target.lemma)
-            if cat is UNKNOWN:
-                notes = _unknown_note(target.lemma)
-            asks = asks[cat] if cat in asks else asks[OTHER]
-        if target.deprel in row.notes:
-            notes += (row.notes[target.deprel],)
-        chunk = unmarked = s.subtree_ids(target.id)
-        if row.keeps_marker:
-            unmarked = chunk - {t.id for t in window}
-        index = 0
-        for group, whs in enumerate(asks if isinstance(asks, list) else [asks]):
-            for wh in whs:
-                delete = unmarked if wh in row.keeps_marker else chunk
-                tokens = _build_tokens(s, delete, target.id, wh.split(" "))
-                out.append(_candidate(s, row.rule, target, index, group,
-                                      target.deprel, wh, tokens, notes))
-                index += 1
-    return out
+def apply_substitution(row: Substitution):
+    """The (s, lex, m) function giving one row's candidates for a sentence.
+    Whether the row is keyed by case is read from its asks keys once, here."""
+    by_case = isinstance(row.asks, dict) and isinstance(next(iter(row.asks)), Role)
+
+    def substitute(s: ParsedSentence, lex: SemanticLexicon, m: MarkerTable) -> list[QuestionCandidate]:
+        out = []
+        pool = s.children(s.main_verb().id) if row.on_verb else s.tokens
+        for target in [t for t in pool if t.deprel in row.labels]:
+            window = case_marker_tokens(s, target.id, m) if by_case else None
+            asks = row.asks if window is None else _case_asks(row, target, window, m)
+            if asks is None:
+                continue
+            notes: tuple[str, ...] = ()
+            if isinstance(asks, dict):
+                cat = lex.lookup(target.lemma)
+                if cat is UNKNOWN:
+                    notes = _unknown_note(target.lemma)
+                asks = asks[cat] if cat in asks else asks[OTHER]
+            if target.deprel in row.notes:
+                notes += (row.notes[target.deprel],)
+            chunk = unmarked = s.subtree_ids(target.id)
+            if row.keeps_marker:
+                unmarked = chunk - {t.id for t in window}
+            index = 0
+            for group, whs in enumerate(asks if isinstance(asks, list) else [asks]):
+                for wh in whs:
+                    delete = unmarked if wh in row.keeps_marker else chunk
+                    tokens = _build_tokens(s, delete, target.id, wh.split(" "))
+                    out.append(_candidate(s, row.rule, target, index, group,
+                                          target.deprel, wh, tokens, notes))
+                    index += 1
+        return out
+
+    return substitute
 
 
 def gen_rh(s: ParsedSentence, lex: SemanticLexicon, m: MarkerTable) -> list[QuestionCandidate]:
@@ -296,10 +304,9 @@ def gen_r6_nonliving(s: ParsedSentence, lex: SemanticLexicon, m: MarkerTable) ->
         if marker not in m.genitive:
             continue
         replacements = {t.id: "ki" for t in marker_tokens}
-        group = (verb,) + s.children(verb.id)
-        for t in group:
-            if t.form in ("raha", "rahe"):
-                replacements[t.id] = "rahi"
+        for t in (verb,) + s.children(verb.id):
+            if t.form in PROGRESSIVE_AUX:
+                replacements[t.id] = PROGRESSIVE_AUX[t.form][1]
         tokens = _build_tokens(s, {target.id}, target.id, ["kaun", "si", "vastu"], replacements)
         index = made.get(target.id, 0)
         made[target.id] = index + 1
@@ -310,7 +317,7 @@ def gen_r6_nonliving(s: ParsedSentence, lex: SemanticLexicon, m: MarkerTable) ->
 
 # R_RH and R_R6_NONLIVING reshape the sentence in ways no other rule
 # does, so they stay code rather than rows.
-_FUNCTION_OF = ({row.rule: partial(apply_substitution, row) for row in SUBSTITUTIONS}
+_FUNCTION_OF = ({row.rule: apply_substitution(row) for row in SUBSTITUTIONS}
                 | {RuleId.R_RH: gen_rh, RuleId.R_R6_NONLIVING: gen_r6_nonliving})
 # Every rule as an (s, lex, m) function, in RuleId order.
 RULE_FUNCTIONS = tuple((rule, _FUNCTION_OF[rule]) for rule in RuleId)

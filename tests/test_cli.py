@@ -185,6 +185,37 @@ def test_reversed_sentence_order_writes_the_same_files(tmp_path):
                 == (tmp_path / "backward" / name).read_bytes()), name
 
 
+def test_renamed_sentence_ids_rename_only_the_id_fields(tmp_path):
+    # c001..c030 become r30..r1: reversed, and no longer in numeric order as strings.
+    rename = {f"c{n:03d}": f"r{31 - n}" for n in range(1, 31)}
+    assert sorted(rename.values()) != [rename[k] for k in sorted(rename)]
+    text = bundled_corpus_text()
+    assert text.count("# sent_id = ") == len(rename)
+    renamed = re.sub(r"(?m)^# sent_id = (\S+)$", lambda m: f"# sent_id = {rename[m[1]]}", text)
+    for name, body in (("original", text), ("renamed", renamed)):
+        (tmp_path / f"{name}.conllu").write_text(body, encoding="utf-8")
+        assert main(["pipeline", "--input", str(tmp_path / f"{name}.conllu"),
+                     "--out", str(tmp_path / name)]) == 0
+
+    def renamed_ids(record):
+        for field in ("sentence_id", "candidate_id", "variation_group"):
+            if field in record:
+                sentence_id, sep, rest = record[field].partition(":")
+                record[field] = rename[sentence_id] + sep + rest
+        return json.dumps(record, sort_keys=True)
+
+    def read(run, name):
+        return [json.loads(line) for line in (tmp_path / run / name).read_text("utf-8").splitlines()]
+
+    for name in ("candidates.jsonl", "kept.jsonl", "verdicts.jsonl"):
+        original, records = read("original", name), read("renamed", name)
+        assert original, name
+        assert ({renamed_ids(r) for r in original} == {json.dumps(r, sort_keys=True) for r in records}
+                and len(original) == len(records)), name
+        ids = [r["candidate_id"] for r in records]
+        assert ids == sorted(ids), name
+
+
 def test_filter_on_shuffled_candidates_writes_the_sorted_run_lines_in_file_order(tmp_path):
     # The candidates of one sentence are not adjacent, so each sentence's facts are
     # looked up again and again, out of order.

@@ -14,6 +14,7 @@ from karaka_qg.evaluation import (
     before_after,
     before_after_to_dict,
     eval_table_to_dict,
+    evaluate_ratings,
     load_ratings,
     render_before_after,
     render_eval_table,
@@ -74,6 +75,24 @@ def test_load_ratings_turns_csv_errors_into_line_errors(tmp_path):
             load_ratings(path)
     else:
         assert load_ratings(path)[1] == RatingRecord("c2", "a\x001", 3, 4)
+
+
+@pytest.mark.parametrize("eol", ["\n", "\r\n"], ids=["lf", "crlf"])
+def test_blank_rows_fold_to_the_same_table_and_leave_line_numbers_physical(tmp_path, eol):
+    header = "candidate_id,annotator_id,syntax,semantic"
+    rows = ["c1,a1,5,4", "c1,a2,3,2", "c2,a1,4,1"]
+    plain, spaced = tmp_path / "plain.csv", tmp_path / "spaced.csv"
+    plain.write_text(eol.join([header, *rows]) + eol, encoding="utf-8", newline="")
+    spaced.write_text(eol.join([header, "", rows[0], "", "", rows[1], rows[2], ""]) + eol,
+                      encoding="utf-8", newline="")
+    karaka_of, kept_of = {"c1": "k1", "c2": "k2"}, {"c1": True, "c2": False}
+    assert evaluate_ratings(spaced, karaka_of, kept_of) == evaluate_ratings(plain, karaka_of, kept_of)
+    assert load_ratings(spaced) == load_ratings(plain)
+    # The fault on the sixth physical line is named there, past three blank rows.
+    spaced.write_text(eol.join([header, "", rows[0], "", "", "c2,a1,9,4"]) + eol,
+                      encoding="utf-8", newline="")
+    with pytest.raises(RatingsError, match=r"spaced\.csv:6: syntax score 9 outside 1\.\.5"):
+        evaluate_ratings(spaced, karaka_of, kept_of)
 
 
 def test_load_ratings_rejects_duplicate_pair_with_line(tmp_path):

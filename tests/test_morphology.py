@@ -10,10 +10,8 @@ from karaka_qg.morphology import (
     case_marker_tokens,
     case_of,
     interrogative_spans,
-    is_interrogative_form,
     load_marker_table,
-    verb_gender,
-    verb_number,
+    verb_feature,
 )
 
 
@@ -75,7 +73,7 @@ def test_verb_gender_prefers_feats():
         ("baithi", "baith", "VERB", "Gender=Fem", 0, "root"),
         ("raha", "rah", "AUX", "_", 2, "aux"),
     ])
-    assert verb_gender(s, 2) == "Fem"
+    assert verb_feature(s, 2, "Gender") == "Fem"
 
 
 def test_verb_gender_from_auxiliary_child():
@@ -84,8 +82,8 @@ def test_verb_gender_from_auxiliary_child():
         ("ja", "ja", "VERB", "_", 0, "root"),
         ("rahi", "rah", "AUX", "_", 2, "aux"),
     ])
-    assert verb_gender(s, 2) == "Fem"
-    assert verb_number(s, 2) == "Sing"
+    assert verb_feature(s, 2, "Gender") == "Fem"
+    assert verb_feature(s, 2, "Number") == "Sing"
 
 
 def test_verb_gender_from_own_form():
@@ -93,7 +91,7 @@ def test_verb_gender_from_own_form():
         ("billi", "billi", "NOUN", "_", 2, "k1"),
         ("rahi", "rah", "VERB", "_", 0, "root"),
     ])
-    assert verb_gender(s, 2) == "Fem"
+    assert verb_feature(s, 2, "Gender") == "Fem"
 
 
 def test_verb_number_plural_from_auxiliary():
@@ -102,8 +100,8 @@ def test_verb_number_plural_from_auxiliary():
         ("ja", "ja", "VERB", "_", 0, "root"),
         ("rahe", "rah", "AUX", "_", 2, "aux"),
     ])
-    assert verb_number(s, 2) == "Plur"
-    assert verb_gender(s, 2) == "Masc"
+    assert verb_feature(s, 2, "Number") == "Plur"
+    assert verb_feature(s, 2, "Gender") == "Masc"
 
 
 def test_verb_agreement_unknown_when_no_cue():
@@ -111,15 +109,15 @@ def test_verb_agreement_unknown_when_no_cue():
         ("raam", "raam", "PROPN", "_", 2, "k1"),
         ("gaya", "ja", "VERB", "_", 0, "root"),
     ])
-    assert verb_gender(s, 2) is None
-    assert verb_number(s, 2) is None
+    assert verb_feature(s, 2, "Gender") is None
+    assert verb_feature(s, 2, "Number") is None
 
 
-def test_is_interrogative_form():
-    assert is_interrogative_form("kaun")
-    assert is_interrogative_form("kisne")
-    assert not is_interrogative_form("raam")
-    assert not is_interrogative_form("ne")
+def test_default_interrogatives_hold_question_words_only():
+    assert "kaun" in DEFAULT_MARKERS.interrogatives
+    assert "kisne" in DEFAULT_MARKERS.interrogatives
+    assert "raam" not in DEFAULT_MARKERS.interrogatives
+    assert "ne" not in DEFAULT_MARKERS.interrogatives
 
 
 def test_interrogative_spans_prefer_longest_match():

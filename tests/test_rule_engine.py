@@ -20,6 +20,8 @@ from karaka_qg.rule_engine import (
     QuestionCandidate,
     Role,
     RuleId,
+    Substitution,
+    apply_substitution,
     gen_r6_nonliving,
     gen_rh,
     generate_all,
@@ -246,6 +248,24 @@ def test_unexpected_patient_marker_skipped(caplog):
     assert "unexpected marker" in caplog.text
 
 
+def test_a_row_keyed_by_direct_alone_is_keyed_by_case(caplog):
+    # Were DIRECT the OTHER of a category table, both patients would be asked.
+    assert DIRECT is not OTHER
+    row = Substitution(RuleId.R_K2, ("k2",), asks={DIRECT: ("kya",)}, skip="carries marker {!r}")
+    s = make_sentence([
+        ("raam", "raam", "PROPN", "_", 5, "k1"),
+        ("seb", "seb", "NOUN", "_", 5, "k2"),
+        ("siita", "siita", "PROPN", "_", 5, "k2"),
+        ("ko", "ko", "ADP", "_", 3, "psp"),
+        ("dekha", "dekh", "VERB", "_", 0, "root"),
+    ])
+    with caplog.at_level(logging.INFO, logger="karaka_qg.rule_engine"):
+        cands = apply_substitution(row)(s, EMPTY, M)
+    assert texts(cands) == ["raam kya siita ko dekha ?"]
+    assert [c.target_token_id for c in cands] == [2]
+    assert "token 'siita' carries marker 'ko'; skipped" in caplog.text
+
+
 def test_alias_locative_label_routed_with_note():
     s = make_sentence([
         ("kitaab", "kitaab", "NOUN", "_", 4, "k1"),
@@ -333,6 +353,11 @@ def _table_groups(asks):
     return [asks]
 
 
+def _case_keyed(row):
+    """Whether the generator reads row.asks as keyed by case: its keys are Roles."""
+    return isinstance(row.asks, dict) and isinstance(next(iter(row.asks)), Role)
+
+
 def test_substitution_table_stays_inside_the_label_and_interrogative_inventories():
     # F_WORD_ORDER and F_ALREADY_QUESTION only see interrogatives that the
     # marker table lists, so a table row must not emit any other.
@@ -346,7 +371,7 @@ def test_substitution_table_stays_inside_the_label_and_interrogative_inventories
         assert row.keeps_marker <= emitted, (row.rule, row.keeps_marker - emitted)
         assert set(row.notes) <= set(row.labels), row.rule
         # The generator reads UNKNOWN and OTHER from every category table.
-        for asks in (row.asks.values() if row.by_case else [row.asks]):
+        for asks in (row.asks.values() if _case_keyed(row) else [row.asks]):
             if isinstance(asks, dict):
                 assert {SemanticCategory.UNKNOWN, OTHER} <= set(asks), row.rule
     # The rows and R_RH's rh clause target exactly the karakas the summaries list.
@@ -356,8 +381,10 @@ def test_substitution_table_stays_inside_the_label_and_interrogative_inventories
 def test_case_keys_are_direct_or_roles_of_the_marker_table():
     roles = set(MarkerTable._fields)
     for row in SUBSTITUTIONS:
-        for key in (row.asks if row.by_case else ()):
-            assert key is DIRECT or isinstance(key, Role), (row.rule, key)
+        # A table mixing case and category keys would be read by its first key alone.
+        if isinstance(row.asks, dict):
+            assert len({isinstance(key, Role) for key in row.asks}) == 1, row.rule
+        for key in (row.asks if _case_keyed(row) else ()):
             if key is not DIRECT:
                 assert key.name in roles, (row.rule, key)
                 assert key.marker is None or key.marker in getattr(DEFAULT_MARKERS, key.name), (
