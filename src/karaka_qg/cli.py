@@ -13,6 +13,7 @@ import argparse
 import json
 import logging
 import sys
+from collections import Counter
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -108,7 +109,7 @@ def _write_run_meta(cfg: argparse.Namespace) -> None:
 
 
 def _generate(cfg: argparse.Namespace, markers):
-    """Write the candidates and their summary; return the sentences and candidates."""
+    """Write the candidates' summary; return the sentences and the sorted candidates."""
     lexicon = _load_lexicon(cfg)
     sentences = load_treebank(cfg.input_path)
     candidates = []
@@ -116,47 +117,43 @@ def _generate(cfg: argparse.Namespace, markers):
         candidates.extend(generate_all(s, lexicon, markers, cfg.enabled_rules))
     candidates.sort(key=lambda c: c.candidate_id)
     cfg.output_dir.mkdir(parents=True, exist_ok=True)
-    write_candidates_jsonl(candidates, cfg.output_dir / "candidates.jsonl")
-    summary = {k: 0 for k in KARAKA_ORDER}
-    for c in candidates:
-        summary[c.karaka] = summary.get(c.karaka, 0) + 1
+    # Every karaka of KARAKA_ORDER, then any other in order of first use.
+    summary = {**dict.fromkeys(KARAKA_ORDER, 0), **Counter(c.karaka for c in candidates)}
     _write_json(summary, cfg.output_dir / "generate_summary.json")
     return sentences, candidates
 
 
 def cmd_generate(cfg: argparse.Namespace) -> int:
     sentences, candidates = _generate(cfg, _load_markers(cfg))
+    write_candidates_jsonl(candidates, cfg.output_dir / "candidates.jsonl")
     _write_run_meta(cfg)
     log.info("generated %d candidates from %d sentences",
              len(candidates), len(sentences))
     return 0
 
 
-def _filter(cfg: argparse.Namespace, markers, sentences, candidates):
-    """Write the kept candidates, the verdicts and their summary; return the verdicts.
-    An unknown sentence stops it before the output directory is made."""
-    kept, verdicts = run_filters(candidates, sentences, cfg.filters._replace(markers=markers))
-    cfg.output_dir.mkdir(parents=True, exist_ok=True)
-    write_candidates_jsonl(kept, cfg.output_dir / "kept.jsonl")
+def _write_verdicts(cfg: argparse.Namespace, verdicts) -> None:
+    """Write the verdicts, one per input candidate, and their summary."""
     write_verdicts_jsonl(verdicts, cfg.output_dir / "verdicts.jsonl")
-    drops = {f.value: 0 for f in FilterId}
-    for v in verdicts:
-        if not v.kept:
-            drops[v.dropped_by.value] += 1
-    summary = {"input": len(candidates), "kept": len(kept), "dropped": drops}
+    drops = Counter(v.dropped_by.value for v in verdicts if not v.kept)
+    summary = {"input": len(verdicts), "kept": len(verdicts) - sum(drops.values()),
+               "dropped": {f.value: drops[f.value] for f in FilterId}}
     _write_json(summary, cfg.output_dir / "filter_summary.json")
-    log.info("kept %d of %d candidates", len(kept), len(candidates))
-    return verdicts
+    log.info("kept %d of %d candidates", summary["kept"], len(verdicts))
 
 
 def cmd_filter(cfg: argparse.Namespace) -> int:
     sentences = load_treebank(cfg.input_path)
     line_of = {}
     candidates = read_candidates_jsonl(cfg.candidates_path, line_of=line_of)
+    filters = cfg.filters._replace(markers=_load_markers(cfg))
     try:
-        _filter(cfg, _load_markers(cfg), sentences, candidates)
-    except UnknownSentenceError as exc:
+        kept, verdicts = run_filters(candidates, sentences, filters)
+    except UnknownSentenceError as exc:  # raised before the output directory is made
         raise FilterError(f"{cfg.candidates_path}:{line_of[exc.candidate_id]}: {exc}") from None
+    cfg.output_dir.mkdir(parents=True, exist_ok=True)
+    write_candidates_jsonl(kept, cfg.output_dir / "kept.jsonl")
+    _write_verdicts(cfg, verdicts)
     _write_run_meta(cfg)
     return 0
 
@@ -197,7 +194,11 @@ def cmd_eval(cfg: argparse.Namespace) -> int:
 def cmd_pipeline(cfg: argparse.Namespace) -> int:
     markers = _load_markers(cfg)
     sentences, candidates = _generate(cfg, markers)
-    verdicts = _filter(cfg, markers, sentences, candidates)
+    _, verdicts = run_filters(candidates, sentences, cfg.filters._replace(markers=markers))
+    # Filtered first, so that each candidate is encoded once for both files.
+    write_candidates_jsonl(candidates, cfg.output_dir / "candidates.jsonl",
+                           cfg.output_dir / "kept.jsonl", (v.kept for v in verdicts))
+    _write_verdicts(cfg, verdicts)
     _write_run_meta(cfg)
     if cfg.ratings_path is not None:
         _evaluate(cfg, {c.candidate_id: c.karaka for c in candidates},

@@ -173,14 +173,16 @@ def _candidate_spans(tokens: tuple, m: MarkerTable) -> list:
 def filter_word_order(c: QuestionCandidate, facts: SentenceFacts, cfg: FilterConfig) -> FilterVerdict:
     """Drop candidates whose interrogative lands after the main verb."""
     forms = c.tokens
-    if facts.verb_form not in forms:
+    try:
+        verb_index = forms.index(facts.verb_form)
+    except ValueError:
         return PASSED
-    verb_index = forms.index(facts.verb_form)
     spans = _candidate_spans(forms, cfg.markers)
     if not spans:
         return PASSED
-    inserted = tuple(c.interrogative.split(" "))
-    span = next((sp for sp in spans if forms[sp[0]:sp[1]] == inserted), spans[0])
+    # The span of the inserted interrogative, else the first; a lone span is both.
+    span = spans[0] if len(spans) == 1 else next(
+        (sp for sp in spans if forms[sp[0]:sp[1]] == tuple(c.interrogative.split(" "))), spans[0])
     if span[0] > verb_index:
         return _dropped(c, FilterId.F_WORD_ORDER,
                         f"interrogative at position {span[0] + 1} follows the verb "

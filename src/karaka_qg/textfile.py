@@ -62,11 +62,18 @@ class JsonlError(ValueError):
     """Raised for a malformed or repeated line in a candidates or verdicts file."""
 
 
-def write_jsonl(records, path) -> None:
-    """One record per line, UTF-8, stable key order."""
+def write_jsonl(records, path, kept_path=None, kept=()) -> None:
+    """One record per line, UTF-8, stable key order. Given kept_path, each line
+    whose flag in kept is true goes there too: one encoding serves both files."""
     with open(path, "w", encoding="utf-8") as fh:
-        for r in records:
-            fh.write(r.to_json_line() + "\n")
+        if kept_path is None:
+            fh.writelines(r.to_json_line() + "\n" for r in records)
+            return
+        with open(kept_path, "w", encoding="utf-8") as kept_fh:
+            for r, keep in zip(records, kept, strict=True):
+                fh.write(line := r.to_json_line() + "\n")
+                if keep:
+                    kept_fh.write(line)
 
 
 # The decoder's scanner, without json.loads's Python wrapper around it.

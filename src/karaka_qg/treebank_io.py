@@ -4,17 +4,17 @@ Token lines carry seven tab-separated columns:
 
     ID  FORM  LEMMA  UPOS  FEATS  HEAD  DEPREL
 
-FEATS is either "_" or a "Key=Val|Key=Val" list naming each key once.
-Sentences are separated by blank lines. Comment lines of the form
-"# sent_id = ..." and "# text = ..." carry sentence metadata, before the
-token lines; a sentence without an explicit id gets a positional one
-("s001", "s002", ...).
+FEATS is either "_" or a "Key=Val|Key=Val" list naming each key once; no
+column starts or ends with a space. Sentences are separated by blank lines
+or lines of only whitespace. Comment lines of the form "# sent_id = ..."
+and "# text = ..." carry sentence metadata, before the token lines; a
+sentence without an explicit id gets a positional one ("s001", "s002", ...).
 """
 
 from __future__ import annotations
 
 import io
-from itertools import groupby
+from itertools import chain
 from typing import NamedTuple
 
 from .textfile import open_utf8
@@ -86,8 +86,7 @@ def build_sentence(sentence_id: str, tokens, raw_text: str | None = None) -> Par
 
 
 def _parse_feats(field: str, where: str) -> dict:
-    if field == "_":
-        return {}
+    """The FEATS column other than "_" as a dict."""
     feats = {}
     for item in field.split("|"):
         key, _, value = item.partition("=")
@@ -99,10 +98,6 @@ def _parse_feats(field: str, where: str) -> dict:
     return feats
 
 
-def _tree_error(where: str, sentence_id: str, message: str) -> TreebankError:
-    return TreebankError(f"{where}: sentence {sentence_id}: {message}")
-
-
 def _validate(sentence_id: str, tokens: list[Token], source: str, line_nos: list[int],
               id_line: int, raw_text: str | None) -> ParsedSentence:
     """The sentence, or TreebankError for the checks that need all of it, prefixed
@@ -110,7 +105,7 @@ def _validate(sentence_id: str, tokens: list[Token], source: str, line_nos: list
     tokens[i]) or, for the root count, of the line naming the sentence. Token
     ids are positions and no token heads itself: each line was checked as read."""
     def error(line_no: int, message: str) -> TreebankError:
-        return _tree_error(f"{source}:{line_no}", sentence_id, message)
+        return TreebankError(f"{source}:{line_no}: sentence {sentence_id}: {message}")
 
     n = len(tokens)
     for tok in tokens:
@@ -120,33 +115,18 @@ def _validate(sentence_id: str, tokens: list[Token], source: str, line_nos: list
     if len(s.kids[0]) != 1:
         raise error(id_line, f"expected exactly one root, found {len(s.kids[0])}")
     # The tokens the root does not reach are those whose head chain cycles.
-    reached = s.subtree_ids(s.main_verb().id)
+    reached = list(s.kids[0])
+    for tok in reached:  # the list grows as it is walked
+        reached += s.kids[tok.id]
     if len(reached) != n:
+        reached = s.subtree_ids(s.main_verb().id)
         first = next(t.id for t in tokens if t.id not in reached)
         raise error(line_nos[first - 1], f"cyclic head chain at token {first}")
     return s
 
 
-def _parse_token(line: str, where: str) -> Token:
-    cols = line.split("\t")
-    if len(cols) != 7:
-        raise TreebankError(
-            f"{where}: expected 7 tab-separated columns, got {len(cols)}"
-        )
-    id_s, form, lemma, upos, feats_s, head_s, deprel = cols
-    try:
-        token_id = int(id_s)
-        head = int(head_s)
-    except ValueError:
-        raise TreebankError(
-            f"{where}: ID and HEAD must be integers, got {id_s!r}/{head_s!r}"
-        ) from None
-    if not form or not deprel:
-        raise TreebankError(f"{where}: empty FORM or DEPREL column")
-    return Token(token_id, form, lemma, upos, _parse_feats(feats_s, where), head, deprel)
-
-
 def _parse_blocks(lines, source: str) -> list[ParsedSentence]:
+    """The sentences of the blocks of lines; each line is checked before the next is read."""
     sentences: list[ParsedSentence] = []
     first_line_of: dict[str, int] = {}
 
@@ -155,37 +135,17 @@ def _parse_blocks(lines, source: str) -> list[ParsedSentence]:
             raise TreebankError(f"{source}:{line_no}: duplicate sent_id {sid!r}, "
                                 f"first used at {source}:{first_line_of[sid]}")
 
-    numbered = enumerate((raw.rstrip("\n") for raw in lines), start=1)
-    for in_block, block in groupby(numbered, key=lambda item: bool(item[1].strip())):
-        if not in_block:
-            continue
-        rows: list[Token] = []
-        row_lines: list[int] = []
-        sent_id: str | None = None
-        raw_text: str | None = None
-        given: dict[str, int] = {}  # line of each metadata key in the block
-        positional = f"s{len(sentences) + 1:03d}"  # the id when no sent_id is given
-        # Line naming the sentence (its sent_id comment, else its first token), and the
-        # block's first line. Each line is checked before the next is read, so it faults first.
-        id_line = block_line = 0
-        for line_no, line in block:
+    # The block so far: tokens and their lines, each metadata key's line, metadata, first comment.
+    rows, row_lines, given, sent_id, raw_text, block_line = [], [], {}, None, None, 0
+    # A blank line after the last line ends the last block as any other.
+    for line_no, line in enumerate(chain(lines, ("\n",)), start=1):
+        if line[0] == "#":
             block_line = block_line or line_no
-            where = f"{source}:{line_no}"
-            if not line.startswith("#"):
-                tok = _parse_token(line, where)
-                if tok.id != len(rows) + 1:
-                    raise _tree_error(where, sent_id or positional, f"token ids not contiguous "
-                                      f"from 1 (found id {tok.id} at position {len(rows) + 1})")
-                if tok.head == tok.id:
-                    raise _tree_error(where, sent_id or positional, f"self-loop at token {tok.id}")
-                rows.append(tok)
-                row_lines.append(line_no)
-                id_line = id_line or line_no
-                continue
             key, eq, value = line[1:].partition("=")
             key = key.strip()
             if not eq or key not in ("sent_id", "text"):
                 continue
+            where = f"{source}:{line_no}"
             # Metadata comes first, so the id a token line is checked under is the block's.
             if rows:
                 raise TreebankError(f"{where}: {key} after the sentence's first token "
@@ -201,15 +161,45 @@ def _parse_blocks(lines, source: str) -> list[ParsedSentence]:
             if not sent_id:
                 raise TreebankError(f"{where}: empty sent_id")
             check_unused(sent_id, line_no)
-            id_line = line_no
-        if not rows:
-            if not given:
-                continue
-            raise TreebankError(f"{source}:{block_line}: sentence metadata without token lines")
-        sid = sent_id or positional
-        check_unused(sid, id_line)  # an explicit id was checked at its own line
-        first_line_of[sid] = id_line
-        sentences.append(_validate(sid, rows, source, row_lines, id_line, raw_text))
+        elif line.isspace():  # a line of only whitespace ends a block
+            if rows:
+                # The line naming the sentence: its sent_id comment, else its first token.
+                id_line = given.get("sent_id") or row_lines[0]
+                sid = sent_id or f"s{len(sentences) + 1:03d}"
+                check_unused(sid, id_line)
+                first_line_of[sid] = id_line
+                sentences.append(_validate(sid, rows, source, row_lines, id_line, raw_text))
+            elif given:
+                raise TreebankError(f"{source}:{block_line}: sentence metadata without token lines")
+            rows, row_lines, given, sent_id, raw_text, block_line = [], [], {}, None, None, 0
+        else:
+            cols = line.rstrip("\n").split("\t")
+            if len(cols) != 7:
+                raise TreebankError(f"{source}:{line_no}: expected 7 tab-separated columns, got {len(cols)}")
+            if " " in line:  # FORM and LEMMA may hold a space, but no column starts or ends with one
+                for name, col in zip(Token._fields, cols):
+                    if col != col.strip(" "):
+                        raise TreebankError(f"{source}:{line_no}: {name.upper()} column "
+                                            f"{col!r} starts or ends with a space")
+            id_s, form, lemma, upos, feats_s, head_s, deprel = cols
+            try:
+                token_id = int(id_s)
+                head = int(head_s)
+            except ValueError:
+                raise TreebankError(f"{source}:{line_no}: ID and HEAD must be integers, "
+                                    f"got {id_s!r}/{head_s!r}") from None
+            if not form or not deprel:
+                raise TreebankError(f"{source}:{line_no}: empty FORM or DEPREL column")
+            feats = {} if feats_s == "_" else _parse_feats(feats_s, f"{source}:{line_no}")
+            if token_id != len(rows) + 1 or head == token_id:
+                sid = sent_id or f"s{len(sentences) + 1:03d}"
+                problem = (f"self-loop at token {head}" if token_id == len(rows) + 1 else
+                           f"token ids not contiguous from 1 (found id {token_id} "
+                           f"at position {len(rows) + 1})")
+                raise TreebankError(f"{source}:{line_no}: sentence {sid}: {problem}")
+            # tuple.__new__ builds the row without Token's Python-level __new__.
+            rows.append(tuple.__new__(Token, (token_id, form, lemma, upos, feats, head, deprel)))
+            row_lines.append(line_no)
     return sentences
 
 

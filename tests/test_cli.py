@@ -170,6 +170,25 @@ def test_pipeline_matches_stepwise_composition(tmp_path):
         assert (piped / name).read_bytes() == (stepped / name).read_bytes()
 
 
+def test_pipeline_encodes_each_candidate_once_for_both_candidate_files(tmp_path, monkeypatch):
+    src = tmp_path / "corpus.conllu"
+    src.write_text(bundled_corpus_text(), encoding="utf-8")
+    encode = QuestionCandidate.to_json_line
+    calls = []
+    monkeypatch.setattr(QuestionCandidate, "to_json_line",
+                        lambda self: calls.append(self.candidate_id) or encode(self))
+    out = tmp_path / "out"
+    assert main(["pipeline", "--input", str(src), "--out", str(out)]) == 0
+    # 96 candidates, 75 of them kept: one encoding each, not 96 + 75.
+    assert len(calls) == len(set(calls)) == 96
+    lines = (out / "candidates.jsonl").read_text("utf-8").splitlines(keepends=True)
+    verdicts = [json.loads(line) for line in (out / "verdicts.jsonl").read_text("utf-8").splitlines()]
+    assert [json.loads(line)["candidate_id"] for line in lines] == [v["candidate_id"] for v in verdicts]
+    kept = [line for line, verdict in zip(lines, verdicts) if verdict["kept"]]
+    assert len(kept) == 75
+    assert (out / "kept.jsonl").read_text("utf-8") == "".join(kept)
+
+
 def test_reversed_sentence_order_writes_the_same_files(tmp_path):
     # Candidates are sorted by id, so the order of the treebank's blocks must not show.
     blocks = bundled_corpus_text().strip("\n").split("\n\n")

@@ -429,3 +429,79 @@ def test_tree_work_is_linear_in_sentence_length():
 def test_missing_file_raises_oserror(tmp_path):
     with pytest.raises(OSError):
         load_treebank(tmp_path / "absent.conllu")
+
+
+VERB_ROW = "1\tgaya\tja\tVERB\t_\t0\troot\n"
+
+
+@pytest.mark.parametrize("separator", ["   \n", "\t\n", " \t \n"], ids=["spaces", "tab", "mixed"])
+def test_a_line_of_only_spaces_or_tabs_separates_blocks(separator):
+    text = "# sent_id = a\n" + VERB_ROW + separator + VERB_ROW + separator
+    assert [s.sentence_id for s in loads_treebank(text)] == ["a", "s002"]
+    assert loads_treebank(text) == loads_treebank(text.replace(separator, "\n"))
+
+
+@pytest.mark.parametrize("text, ids", [
+    (VERB_ROW + "\n# just a note\n", ["s001"]),
+    (VERB_ROW + "\n# just a note\n# another", ["s001"]),
+    (VERB_ROW + "\n" + VERB_ROW.rstrip("\n"), ["s001", "s002"]),
+    ("# sent_id = a\n" + VERB_ROW.rstrip("\n"), ["a"]),
+], ids=["comment-block-last", "comment-block-last-no-newline", "last-line-no-newline",
+        "only-line-no-newline"])
+def test_the_last_block_is_read_whatever_ends_the_file(text, ids):
+    sentences = loads_treebank(text)
+    assert [s.sentence_id for s in sentences] == ids
+    assert sentences[-1].tokens[-1].deprel == "root"
+
+
+@pytest.mark.parametrize("tail", [
+    "# sent_id = late\n", "# text = late\n", "# sent_id = late",
+    "# note\n# sent_id = late\n# text = late\n",
+], ids=["sent-id", "text", "sent-id-no-newline", "after-a-plain-comment"])
+def test_metadata_only_last_block_is_rejected_at_its_first_line(tail):
+    # The block starts at line 3, after the verb row and a blank line.
+    with pytest.raises(TreebankError, match=r"^x:3: sentence metadata without token lines$"):
+        loads_treebank(VERB_ROW + "\n" + tail, source="x")
+
+
+@pytest.mark.parametrize("end", ["\n", ""], ids=["newline", "no-newline"])
+def test_positional_id_clash_in_the_last_block_is_rejected(end):
+    text = "# sent_id = s002\n" + VERB_ROW + "\n" + VERB_ROW.rstrip("\n") + end
+    with pytest.raises(TreebankError, match=r"^x:4: duplicate sent_id 's002', first used at x:1$"):
+        loads_treebank(text, source="x")
+
+
+def spaced_row(column, value):
+    """A k1 token line of a three-token sentence with one column replaced by value."""
+    cols = ["1", "raam", "raam", "PROPN", "_", "3", "k1"]
+    cols[("ID", "FORM", "LEMMA", "UPOS", "FEATS", "HEAD", "DEPREL").index(column)] = value
+    return "\t".join(cols) + "\n"
+
+
+@pytest.mark.parametrize("column, value", [
+    ("DEPREL", "k1 "), ("DEPREL", " k1"), ("FORM", " raam"), ("LEMMA", "raam "),
+    ("UPOS", "PROPN "), ("FEATS", " _"), ("ID", " 1"), ("HEAD", "3 "), ("FORM", " "),
+])
+def test_a_column_starting_or_ending_with_a_space_is_named_at_its_line(column, value):
+    # DEPREL "k1 " would otherwise hide the subject from R_K1 without a word.
+    text = ("# sent_id = w\n" + spaced_row(column, value)
+            + "2\tkhaana\tkhaana\tNOUN\t_\t3\tk2\n3\tkhaaya\tkhaa\tVERB\t_\t0\troot\n")
+    with pytest.raises(TreebankError, match=rf"^x:2: {column} column {re.escape(repr(value))} "
+                                            r"starts or ends with a space$"):
+        loads_treebank(text, source="x")
+
+
+def test_a_space_inside_form_or_lemma_is_kept():
+    [s] = loads_treebank("1\tNew Delhi\tnew delhi\tPROPN\t_\t2\tk2p\n2\tgaya\tja\tVERB\t_\t0\troot\n")
+    assert (s.tokens[0].form, s.tokens[0].lemma) == ("New Delhi", "new delhi")
+
+
+@pytest.mark.parametrize("text, message", [
+    ("1\traam \tPROPN\t_\t0\troot\n", "x:1: expected 7 tab-separated columns, got 6"),
+    ("x \tw\tw\tX\t_\t0\troot\n", "x:1: ID column 'x ' starts or ends with a space"),
+    ("1\tw\tw\tX\t_\t0\troot\n2\tw\tw\tX\t_\t1\tk1 \n3\tbad\n",
+     "x:2: DEPREL column 'k1 ' starts or ends with a space"),
+], ids=["column-count-first", "before-the-integer-check", "before-a-later-line"])
+def test_the_space_check_comes_after_the_column_count_and_before_the_rest(text, message):
+    with pytest.raises(TreebankError, match=f"^{re.escape(message)}$"):
+        loads_treebank(text, source="x")
