@@ -10,8 +10,8 @@ ratings reports absent means, never zero.
 from __future__ import annotations
 
 import csv
-from collections import Counter
-from contextlib import closing
+from collections import Counter, defaultdict
+from functools import partial
 from itertools import product
 from typing import NamedTuple
 
@@ -72,15 +72,16 @@ _SCORE_OF = {str(score): score for score in range(1, 6)}
 def load_ratings(path) -> list[RatingRecord]:
     """Read a ratings CSV with header candidate_id,annotator_id,syntax,semantic.
     An error names the first line of its row: a quoted field may span lines."""
-    return [RatingRecord(*row[1:]) for row in _rating_rows(path)]
+    return _read_ratings(path, {}, records=[])
 
 
-def _rating_rows(path):
-    """(line, candidate_id, annotator_id, syntax, semantic) of each row of a
-    ratings CSV, read one at a time; line is the first line of the row. Of
-    the rows before, only each (candidate_id, annotator_id) pair's first line
-    is kept, to name the first use of a repeated pair."""
-    first_line: dict[tuple[str, str], int] = {}
+def _read_ratings(path, index: dict, slots=(), flat=(), records=None):
+    """Read a ratings CSV in one pass. An error names the first line of its row,
+    and a repeated (candidate, annotator) pair the first line of the pair too.
+    Without records, a rating of k = index[candidate_id] counts at flat[slots[k]
+    + 5 * syntax + semantic], and an id index lacks is an error; with records,
+    each row is appended as a RatingRecord, a new id taking the next k."""
+    first_line = defaultdict(dict)  # annotator_id -> k -> the first line of the pair's row
     with open_utf8(path, RatingsError, newline="") as fh:
         reader = csv.reader(fh)
         end = 0  # the last line of the last row read
@@ -93,26 +94,37 @@ def _rating_rows(path):
             end = reader.line_num
             for row in reader:
                 line_no, end = end + 1, reader.line_num
-                if not row:
-                    continue
                 if len(row) != len(RATING_COLUMNS):
+                    if not row:
+                        continue
                     raise RatingsError(f"{path}:{line_no}: expected "
                                        f"{len(RATING_COLUMNS)} columns, got {len(row)}")
                 candidate_id, annotator_id, syntax_s, semantic_s = row
-                key = (candidate_id, annotator_id)
-                if key in first_line:
+                k = index.get(candidate_id)
+                if k is None:
+                    if records is None:  # after the row's scores; an earlier row with it failed
+                        _parse_scores(f"{path}:{line_no}", syntax_s, semantic_s)
+                        raise RatingsError(f"{path}:{line_no}: rating references "
+                                           f"unknown candidate_id {candidate_id!r}")
+                    k = index[candidate_id] = len(index)
+                lines = first_line[annotator_id]
+                if k in lines:
                     raise RatingsError(
-                        f"{path}:{line_no}: duplicate rating for candidate "
-                        f"{key[0]!r} by annotator {key[1]!r}, first used at {path}:{first_line[key]}"
+                        f"{path}:{line_no}: duplicate rating for candidate {candidate_id!r} "
+                        f"by annotator {annotator_id!r}, first used at {path}:{lines[k]}"
                     )
-                first_line[key] = line_no
+                lines[k] = line_no
                 syntax = _SCORE_OF.get(syntax_s)
                 semantic = _SCORE_OF.get(semantic_s)
                 if syntax is None or semantic is None:
                     syntax, semantic = _parse_scores(f"{path}:{line_no}", syntax_s, semantic_s)
-                yield line_no, candidate_id, annotator_id, syntax, semantic
+                if records is None:
+                    flat[slots[k] + 5 * syntax + semantic] += 1
+                else:
+                    records.append(RatingRecord(candidate_id, annotator_id, syntax, semantic))
         except csv.Error as exc:
             raise RatingsError(f"{path}:{end + 1}: {exc}") from None
+    return records
 
 
 def _parse_scores(where: str, syntax_s: str, semantic_s: str) -> tuple[int, int]:
@@ -153,30 +165,25 @@ def _row_stats(count, syntax_counts, semantic_counts) -> RowStats:
 _CELLS = tuple(product((False, True), range(1, 6), range(1, 6)))
 
 
-def _fold(rows, karaka_of: dict, counts: dict, kept_of: dict | None = None, path=None):
-    """The EvalTable and, given kept_of, the BeforeAfter of rows of (line,
-    candidate_id, annotator_id, syntax, semantic), scores in 1..5, in one pass
-    that counts the ratings of each (karaka, kept, syntax, semantic); counts
-    holds each karaka's number of distinct candidates. An id karaka_of lacks
-    raises RatingsError, prefixed with path:line if path is given."""
+def _fold(karaka_of: dict, counts: dict, kept_of: dict | None, count_ratings):
+    """The EvalTable and, given kept_of, the BeforeAfter of the ratings that
+    count_ratings(index, slots, flat) adds to flat: index maps each candidate id
+    to its place k in karaka_of, and a rating (syntax, semantic) of k adds one at
+    flat[slots[k] + 5 * syntax + semantic]. Each karaka in counts, which holds
+    its number of distinct candidates, has a run of len(_CELLS) counts in flat,
+    in the order of _CELLS."""
+    base_of = {karaka: len(_CELLS) * i - 6 for i, karaka in enumerate(counts)}
     kept = kept_of or {}
-    # Each karaka's 50 counts start at its base in flat; (kept, syntax, semantic) is at
-    # offset 25 * kept + 5 * (syntax - 1) + semantic - 1, its index in _CELLS.
-    base_of = {karaka: len(_CELLS) * i for i, karaka in enumerate(counts)}
-    flat = [0] * (len(_CELLS) * len(base_of))
-    for line, candidate_id, _, syntax, semantic in rows:
-        try:
-            base = base_of[karaka_of[candidate_id]]
-        except KeyError:
-            where = f"{path}:{line}: " if path else ""
-            raise RatingsError(f"{where}rating references unknown candidate_id {candidate_id!r}") from None
-        flat[base + (25 if kept.get(candidate_id) else 0) + 5 * syntax + semantic - 6] += 1
-    tally = {(karaka, *_CELLS[i]): flat[base + i] for karaka, base in base_of.items()
-             for i in range(len(_CELLS)) if flat[base + i]}
+    slots = [base_of[karaka] + (25 if kept.get(candidate_id) else 0)
+             for candidate_id, karaka in karaka_of.items()]
+    flat = [0] * (len(_CELLS) * len(counts))
+    count_ratings({candidate_id: k for k, candidate_id in enumerate(karaka_of)}, slots, flat)
     # The (syntax, semantic) score counts of each karaka, of all ratings, and of the kept ones.
     columns = {karaka: (Counter(), Counter()) for karaka in counts}
     totals, kept_split = (Counter(), Counter()), (Counter(), Counter())
-    for (karaka, is_kept, syntax, semantic), n in tally.items():
+    for (karaka, (is_kept, syntax, semantic)), n in zip(product(counts, _CELLS), flat):
+        if not n:
+            continue
         for syntax_counts, semantic_counts in ((columns[karaka], totals, kept_split) if is_kept
                                                else (columns[karaka], totals)):
             syntax_counts[syntax] += n
@@ -185,7 +192,7 @@ def _fold(rows, karaka_of: dict, counts: dict, kept_of: dict | None = None, path
                       _row_stats(len(karaka_of), *totals))
     if kept_of is None:
         return table, None
-    kept_count = sum(1 for candidate_id in karaka_of if kept.get(candidate_id))
+    kept_count = sum(1 for candidate_id in karaka_of if kept_of.get(candidate_id))
     return table, BeforeAfter(
         before=SplitStats(_mean(totals[0]), _mean(totals[1]), len(karaka_of)),
         after=SplitStats(_mean(kept_split[0]), _mean(kept_split[1]), kept_count),
@@ -204,8 +211,7 @@ def evaluate_ratings(path, karaka_of: dict, kept_of: dict | None = None):
     its BeforeAfter, else None; karaka_of maps candidate id -> karaka. Each row
     is folded in as it is read. Faults come in file order, a row's load_ratings
     checks before its candidate_id; a candidate kept_of lacks, after the last row."""
-    with closing(_rating_rows(path)) as rows:  # closes the file when a row fails the fold
-        table, ba = _fold(rows, karaka_of, Counter(karaka_of.values()), kept_of, path)
+    table, ba = _fold(karaka_of, Counter(karaka_of.values()), kept_of, partial(_read_ratings, path))
     if kept_of is not None:
         _check_coverage(karaka_of, kept_of)
     return table, ba
@@ -218,11 +224,16 @@ def _fold_records(ratings, candidates, kept_of=None):
     for c in candidates:
         karaka_of[c.candidate_id] = c.karaka
         ids_of.setdefault(c.karaka, set()).add(c.candidate_id)
-    # Each score is held to the ratings file's rule, as the counts of _fold need.
-    rows = ((None, r.candidate_id, r.annotator_id,
-             *_parse_scores(f"rating of {r.candidate_id!r} by annotator {r.annotator_id!r}",
-                            str(r.syntax), str(r.semantic))) for r in ratings)
-    return _fold(rows, karaka_of, {k: len(ids) for k, ids in ids_of.items()}, kept_of)
+
+    def count_ratings(index, slots, flat):
+        for r in ratings:
+            # Each score is held to the ratings file's rule, as the counts need.
+            syntax, semantic = _parse_scores(f"rating of {r.candidate_id!r} by annotator "
+                                             f"{r.annotator_id!r}", str(r.syntax), str(r.semantic))
+            if (k := index.get(r.candidate_id)) is None:
+                raise RatingsError(f"rating references unknown candidate_id {r.candidate_id!r}")
+            flat[slots[k] + 5 * syntax + semantic] += 1
+    return _fold(karaka_of, {karaka: len(ids) for karaka, ids in ids_of.items()}, kept_of, count_ratings)
 
 
 def aggregate(ratings, candidates) -> EvalTable:

@@ -182,12 +182,11 @@ def _parse_blocks(lines, source: str) -> list[ParsedSentence]:
                         raise TreebankError(f"{source}:{line_no}: {name.upper()} column "
                                             f"{col!r} starts or ends with a space")
             id_s, form, lemma, upos, feats_s, head_s, deprel = cols
-            try:
-                token_id = int(id_s)
-                head = int(head_s)
-            except ValueError:
-                raise TreebankError(f"{source}:{line_no}: ID and HEAD must be integers, "
-                                    f"got {id_s!r}/{head_s!r}") from None
+            # int() alone would also take a sign, "_" between digits and non-ASCII digits.
+            if not (id_s.isdigit() and head_s.isdigit() and (line.isascii() or (id_s + head_s).isascii())):
+                raise TreebankError(f"{source}:{line_no}: ID and HEAD must be integers "
+                                    f"in ASCII digits, got {id_s!r}/{head_s!r}")
+            token_id, head = int(id_s), int(head_s)
             if not form or not deprel:
                 raise TreebankError(f"{source}:{line_no}: empty FORM or DEPREL column")
             feats = {} if feats_s == "_" else _parse_feats(feats_s, f"{source}:{line_no}")

@@ -600,6 +600,59 @@ def test_eval_reports_the_first_fault_in_file_order(tmp_path, caplog, rows, line
         f"{ratings}:{line}: {reason.format(KNOWN=KNOWN, ratings=ratings)}")
 
 
+def eval_and_pipeline(tmp_path, caplog, capsys, rows):
+    """(exit code, last error, stdout) of eval and of pipeline --ratings on rows."""
+    src = write_input(tmp_path)
+    out = tmp_path / "out"
+    assert main(["pipeline", "--input", str(src), "--out", str(out)]) == 0
+    ratings = tmp_path / "ratings.csv"
+    write_ratings(ratings, rows)
+    capsys.readouterr()
+    results = []
+    for args in (["eval", "--out", str(out)],
+                 ["pipeline", "--input", str(src), "--out", str(tmp_path / "piped")]):
+        caplog.clear()
+        with caplog.at_level(logging.ERROR, logger="karaka_qg"):
+            rc = main(args + ["--ratings", str(ratings), "--format", "json"])
+        results.append((rc, caplog.records[-1].getMessage() if caplog.records else None,
+                        capsys.readouterr().out))
+    return ratings, results
+
+
+def test_a_repeat_among_seventy_annotators_names_the_pairs_first_line(tmp_path, caplog, capsys):
+    rows = [(KNOWN, f"a{i}", 5, 4) for i in range(70)] + [(KNOWN, "a66", 3, 3)]
+    ratings, results = eval_and_pipeline(tmp_path, caplog, capsys, rows)
+    # a66 first rates on line 68; its repeat is the last row, on line 72.
+    message = (f"{ratings}:72: duplicate rating for candidate {KNOWN!r} by annotator 'a66', "
+               f"first used at {ratings}:68")
+    assert results == [(1, message, "")] * 2
+
+
+def test_one_annotator_on_two_candidates_is_not_a_repeat(tmp_path, caplog, capsys):
+    rows = [(KNOWN, "a1", 5, 4), ("e001:R_K2:4:0", "a1", 3, 2)]
+    _, results = eval_and_pipeline(tmp_path, caplog, capsys, rows)
+    assert [rc for rc, _, _ in results] == [0, 0] and results[0] == results[1]
+    assert json.loads(results[0][2])["table"]["totals"]["syntax_mean"] == 4.0
+
+
+def test_index_pairs_a_packed_key_would_merge_stay_distinct(tmp_path, caplog, capsys):
+    # Candidate 0 (the first line of candidates.jsonl) is rated by annotators
+    # 0..70, then candidate 1 by annotator 0: a key packing the two indices with
+    # any stride up to 70 would take the last row for a repeat.
+    rows = [(KNOWN, f"a{i}", 5, 5) for i in range(71)] + [("e001:R_K2:4:0", "a0", 1, 1)]
+    _, results = eval_and_pipeline(tmp_path, caplog, capsys, rows)
+    assert [rc for rc, _, _ in results] == [0, 0] and results[0] == results[1]
+    table = json.loads(results[0][2])["table"]["rows"]
+    assert (table["k1"]["syntax_mean"], table["k2"]["syntax_mean"]) == (5.0, 1.0)
+
+
+def test_a_repeated_unknown_id_fails_as_unknown_at_its_first_row(tmp_path, caplog, capsys):
+    rows = [(KNOWN, "a1", 5, 4), ("ghost", "a1", 3, 3), ("ghost", "a1", 3, 3)]
+    ratings, results = eval_and_pipeline(tmp_path, caplog, capsys, rows)
+    message = f"{ratings}:3: rating references unknown candidate_id 'ghost'"
+    assert results == [(1, message, "")] * 2
+
+
 def test_unknown_rating_comes_before_an_uncovered_candidate(tmp_path, caplog):
     src = write_input(tmp_path)
     out = tmp_path / "out"

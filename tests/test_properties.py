@@ -804,11 +804,24 @@ def check_faults_come_from_the_top(read, path, data, exc, cut):
         read(path)
 
 
+# The two candidates CSV_PIECES rate, one kept and one dropped.
+PIECE_CANDIDATES = [make_rated_candidate("c1", "k1"), make_rated_candidate("c2", "k2")]
+PIECE_VERDICTS = [FilterVerdict("c1", True), FilterVerdict("c2", False, FilterId.F_ANAPHORA)]
+
+
+def evaluate_pieces(path):
+    """evaluate_ratings with the maps eval reads for PIECE_CANDIDATES and PIECE_VERDICTS."""
+    return evaluate_ratings(path, {c.candidate_id: c.karaka for c in PIECE_CANDIDATES},
+                            {v.candidate_id: v.kept for v in PIECE_VERDICTS})
+
+
 @settings(max_examples=60, deadline=None)
 @given(data=st.binary(max_size=40) | spliced(CSV_PIECES) | spliced(JSONL_PIECES),
        reader=st.sampled_from([(load_ratings, RatingsError),
+                               (evaluate_pieces, RatingsError),
                                (read_candidates_jsonl, JsonlError),
                                (read_verdicts_jsonl, JsonlError)]))
+@example(data=RATINGS_HEADER + CSV_PIECES[1] + CSV_PIECES[2], reader=(evaluate_pieces, RatingsError))
 def test_eval_readers_parse_any_bytes_or_name_the_line(tmp_path_factory, data, reader):
     read, error = reader
     path = tmp_path_factory.getbasetemp() / "input.bin"
@@ -817,7 +830,14 @@ def test_eval_readers_parse_any_bytes_or_name_the_line(tmp_path_factory, data, r
         records = read(path)
     except error as exc:
         # A quoted CSV field may span lines, so a cut could split its row.
-        check_faults_come_from_the_top(read, path, data, exc, cut=read is not load_ratings)
+        check_faults_come_from_the_top(read, path, data, exc,
+                                       cut=read not in (load_ratings, evaluate_pieces))
+        return
+    if read is evaluate_pieces:
+        # The fold over the file equals the fold over the records it holds.
+        ratings = load_ratings(path)
+        assert records == (aggregate(ratings, PIECE_CANDIDATES),
+                           before_after(ratings, PIECE_CANDIDATES, PIECE_VERDICTS))
         return
     for record in records:
         if read is load_ratings:

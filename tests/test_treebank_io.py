@@ -102,6 +102,23 @@ def test_non_integer_id_or_head_rejected():
         loads_treebank("one\traam\traam\tPROPN\t_\t0\troot\n", source="x")
 
 
+@pytest.mark.parametrize("column, value", [("ID", "+1"), ("HEAD", "0_3"), ("HEAD", "３")],
+                         ids=["signed-id", "underscored-head", "full-width-head"])
+def test_id_and_head_take_ascii_digits_only(column, value):
+    # int() reads each of these as 1 or 3, so the sentence would load without a word.
+    row = spaced_row(column, value)
+    id_s, head_s = row.split("\t")[0], row.split("\t")[5]
+    text = "# sent_id = w\n" + row + "2\tkhaana\tkhaana\tNOUN\t_\t3\tk2\n3\tkhaaya\tkhaa\tVERB\t_\t0\troot\n"
+    with pytest.raises(TreebankError, match=rf"^x:2: ID and HEAD must be integers in ASCII digits, "
+                                            rf"got {re.escape(repr(id_s))}/{re.escape(repr(head_s))}$"):
+        loads_treebank(text, source="x")
+
+
+def test_id_and_head_may_have_leading_zeros():
+    [s] = loads_treebank("01\traam\traam\tPROPN\t_\t02\tk1\n2\tgaya\tja\tVERB\t_\t000\troot\n")
+    assert [(t.id, t.head) for t in s.tokens] == [(1, 2), (2, 0)]
+
+
 def test_empty_form_rejected():
     with pytest.raises(TreebankError, match="empty FORM or DEPREL"):
         loads_treebank("1\t\traam\tPROPN\t_\t0\troot\n")
