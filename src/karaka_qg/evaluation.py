@@ -128,8 +128,11 @@ def _read_ratings(path, index: dict, slots=(), flat=(), records=None):
 
 
 def _parse_scores(where: str, syntax_s: str, semantic_s: str) -> tuple[int, int]:
-    """The two scores of a row, each an integer in 1..5."""
+    """The two scores of a row, each an integer in 1..5 in ASCII digits."""
     try:
+        # int() alone would also take "_" between digits and non-ASCII digits.
+        if not (scores := syntax_s + semantic_s).isascii() or "_" in scores:
+            raise ValueError
         syntax = int(syntax_s)
         semantic = int(semantic_s)
     except ValueError:
@@ -255,33 +258,27 @@ def _sorted_rows(rows) -> list:
     return sorted(rows, key=lambda k: (order.get(k, len(order)), k))
 
 
-def _fmt_mean(value) -> str:
-    return f"{value:.3f}" if value is not None else "-"
+def _fmt(value, spec: str) -> str:
+    return f"{value:{spec}}" if value is not None else "-"
 
 
-def _fmt_median(value) -> str:
-    return str(value) if value is not None else "-"
-
-
-def _table_line(name: str, r: RowStats) -> str:
-    return (f"{name:<8}{_fmt_mean(r.syntax_mean):>10}{_fmt_median(r.syntax_median):>9}"
-            f"{_fmt_mean(r.semantic_mean):>10}{_fmt_median(r.semantic_median):>9}{r.count:>7}")
+def _line(widths, name, *cells) -> str:
+    """name left-aligned in the first width, then each cell right-aligned in the next."""
+    return f"{name:<{widths[0]}}" + "".join(f"{cell:>{width}}" for cell, width in zip(cells, widths[1:]))
 
 
 def render_eval_table(table: EvalTable) -> str:
-    header = f"{'karaka':<8}{'syn_mean':>10}{'syn_med':>9}{'sem_mean':>10}{'sem_med':>9}{'count':>7}"
-    rows = [_table_line(karaka, table.rows[karaka]) for karaka in _sorted_rows(table.rows)]
-    return "\n".join([header, *rows, _table_line("total", table.totals)])
+    widths, specs = (8, 10, 9, 10, 9, 7), (".3f", "", ".3f", "", "")
+    rows = [(karaka, table.rows[karaka]) for karaka in _sorted_rows(table.rows)] + [("total", table.totals)]
+    return "\n".join([_line(widths, "karaka", "syn_mean", "syn_med", "sem_mean", "sem_med", "count"),
+                      *(_line(widths, name, *map(_fmt, r, specs)) for name, r in rows)])
 
 
 def render_before_after(ba: BeforeAfter) -> str:
-    lines = [
-        f"{'':<14}{'before':>10}{'after':>10}",
-        f"{'syntax_mean':<14}{_fmt_mean(ba.before.syntax_mean):>10}{_fmt_mean(ba.after.syntax_mean):>10}",
-        f"{'semantic_mean':<14}{_fmt_mean(ba.before.semantic_mean):>10}{_fmt_mean(ba.after.semantic_mean):>10}",
-        f"{'count':<14}{ba.before.count:>10}{ba.after.count:>10}",
-    ]
-    return "\n".join(lines)
+    widths = (14, 10, 10)
+    return "\n".join([_line(widths, "", "before", "after"), *(
+        _line(widths, name, _fmt(before, spec), _fmt(after, spec))
+        for name, spec, before, after in zip(SplitStats._fields, (".3f", ".3f", ""), ba.before, ba.after))])
 
 
 def eval_table_to_dict(table: EvalTable) -> dict:

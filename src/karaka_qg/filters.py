@@ -1,7 +1,8 @@
 """Surface and syntactic pruning of overgenerated question candidates.
 
-Filters run in a fixed order and only ever drop candidates, never repair
-them. A dropped candidate records the first filter that rejected it.
+Filters run in the fixed order of FILTER_FUNCTIONS and only ever drop
+candidates, never repair them. A dropped candidate records the first
+filter that rejected it.
 """
 
 from __future__ import annotations
@@ -30,8 +31,6 @@ class FilterId(str, Enum):
     F_ALREADY_QUESTION = "F_ALREADY_QUESTION"
     F_COMPLEX_COMPOUND = "F_COMPLEX_COMPOUND"
 
-
-FILTER_ORDER = tuple(FilterId)
 
 PRONOUN_POS_TAGS = frozenset({"PRON", "PRP"})
 
@@ -220,22 +219,18 @@ FILTER_FUNCTIONS = {
 def run_filters(candidates, sentences, cfg: FilterConfig = FilterConfig()):
     """Apply enabled filters in order; the first failure decides.
 
-    Each sentence's facts are worked out on its first candidate. Returns
-    (kept_candidates, verdicts). Verdicts cover every input candidate and
-    kept candidates preserve the input order.
+    Each sentence's facts are worked out once, before the first candidate.
+    Returns (kept_candidates, verdicts). Verdicts cover every input candidate
+    and kept candidates preserve the input order.
     """
-    by_id = {s.sentence_id: s for s in sentences}
-    chain = [FILTER_FUNCTIONS[fid] for fid in FILTER_ORDER if fid in cfg.enabled]
-    facts_by_id: dict[str, SentenceFacts] = {}
+    facts_of = {s.sentence_id: sentence_facts(s, cfg) for s in sentences}
+    chain = [check for fid, check in FILTER_FUNCTIONS.items() if fid in cfg.enabled]
     kept: list[QuestionCandidate] = []
     verdicts: list[FilterVerdict] = []
     for c in candidates:
-        facts = facts_by_id.get(c.sentence_id)
+        facts = facts_of.get(c.sentence_id)
         if facts is None:
-            source = by_id.get(c.sentence_id)
-            if source is None:
-                raise UnknownSentenceError(c.candidate_id, c.sentence_id)
-            facts = facts_by_id[c.sentence_id] = sentence_facts(source, cfg)
+            raise UnknownSentenceError(c.candidate_id, c.sentence_id)
         for check in chain:
             verdict = check(c, facts, cfg)
             if not verdict.kept:

@@ -5,7 +5,7 @@ Token lines carry seven tab-separated columns:
     ID  FORM  LEMMA  UPOS  FEATS  HEAD  DEPREL
 
 FEATS is either "_" or a "Key=Val|Key=Val" list naming each key once; no
-column starts or ends with a space. Sentences are separated by blank lines
+column starts or ends with whitespace. Sentences are separated by blank lines
 or lines of only whitespace. Comment lines of the form "# sent_id = ..."
 and "# text = ..." carry sentence metadata, before the token lines; a
 sentence without an explicit id gets a positional one ("s001", "s002", ...).
@@ -176,14 +176,19 @@ def _parse_blocks(lines, source: str) -> list[ParsedSentence]:
             cols = line.rstrip("\n").split("\t")
             if len(cols) != 7:
                 raise TreebankError(f"{source}:{line_no}: expected 7 tab-separated columns, got {len(cols)}")
-            if " " in line:  # FORM and LEMMA may hold a space, but no column starts or ends with one
+            ascii_line = line.isascii()
+            # FORM and LEMMA may hold a space, but no column starts or ends with whitespace: in an
+            # ASCII line, whitespace other than tabs and the line end is one of these characters.
+            if (" " in line or not ascii_line or "\x0b" in line or "\x0c" in line
+                    or "\x1c" in line or "\x1d" in line or "\x1e" in line or "\x1f" in line):
                 for name, col in zip(Token._fields, cols):
-                    if col != col.strip(" "):
+                    if col != col.strip():
+                        edge = "a space" if col != col.strip(" ") else "whitespace"
                         raise TreebankError(f"{source}:{line_no}: {name.upper()} column "
-                                            f"{col!r} starts or ends with a space")
+                                            f"{col!r} starts or ends with {edge}")
             id_s, form, lemma, upos, feats_s, head_s, deprel = cols
             # int() alone would also take a sign, "_" between digits and non-ASCII digits.
-            if not (id_s.isdigit() and head_s.isdigit() and (line.isascii() or (id_s + head_s).isascii())):
+            if not (id_s.isdigit() and head_s.isdigit() and (ascii_line or (id_s + head_s).isascii())):
                 raise TreebankError(f"{source}:{line_no}: ID and HEAD must be integers "
                                     f"in ASCII digits, got {id_s!r}/{head_s!r}")
             token_id, head = int(id_s), int(head_s)

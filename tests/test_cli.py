@@ -646,6 +646,16 @@ def test_index_pairs_a_packed_key_would_merge_stay_distinct(tmp_path, caplog, ca
     assert (table["k1"]["syntax_mean"], table["k2"]["syntax_mean"]) == (5.0, 1.0)
 
 
+@pytest.mark.parametrize("syntax, semantic", [
+    ("0_5", "4"), ("5", "\uff14"), ("\u0663", "3"), ("4", "1_0"),
+], ids=["underscore", "full-width", "arabic-indic", "underscore-out-of-range"])
+def test_a_score_outside_ascii_digits_is_not_an_integer(tmp_path, caplog, capsys, syntax, semantic):
+    # int() alone would read 0_5 as 5 and the full-width 4 as 4.
+    rows = [(KNOWN, "a1", 5, 4), (KNOWN, "a2", syntax, semantic)]
+    ratings, results = eval_and_pipeline(tmp_path, caplog, capsys, rows)
+    assert results == [(1, f"{ratings}:3: scores must be integers", "")] * 2
+
+
 def test_a_repeated_unknown_id_fails_as_unknown_at_its_first_row(tmp_path, caplog, capsys):
     rows = [(KNOWN, "a1", 5, 4), ("ghost", "a1", 3, 3), ("ghost", "a1", 3, 3)]
     ratings, results = eval_and_pipeline(tmp_path, caplog, capsys, rows)

@@ -62,6 +62,17 @@ def test_load_ratings_reads_scores_as_int_does(tmp_path):
             load_ratings(path)
 
 
+@pytest.mark.parametrize("syntax, semantic", [
+    ("0_5", "4"), ("5", "\uff14"), ("\u0663", "3"), ("4", "1_0"), ("\xa05", "4"),
+], ids=["underscore", "full-width", "arabic-indic", "underscore-out-of-range", "no-break-space"])
+def test_load_ratings_takes_ascii_scores_only(tmp_path, syntax, semantic):
+    # int() alone would read each of these as an integer.
+    path = tmp_path / "ratings.csv"
+    write_ratings(path, [("c1", "a1", 3, 3), ("c2", "a1", syntax, semantic)])
+    with pytest.raises(RatingsError, match=r"^.*ratings\.csv:3: scores must be integers$"):
+        load_ratings(path)
+
+
 def test_load_ratings_turns_csv_errors_into_line_errors(tmp_path):
     path = tmp_path / "ratings.csv"
     path.write_text("candidate_id,annotator_id,syntax,semantic\nc1,a1,3,4\n"

@@ -9,7 +9,7 @@ import pytest
 from helpers import load_bundled_corpus, make_sentence
 from karaka_qg import filters
 from karaka_qg.filters import (
-    FILTER_ORDER,
+    FILTER_FUNCTIONS,
     FilterConfig,
     FilterError,
     FilterId,
@@ -309,7 +309,8 @@ def test_first_failing_filter_wins_attribution():
 
 
 def test_filter_order_is_fixed():
-    assert FILTER_ORDER == (
+    # The chain runs in FILTER_FUNCTIONS' order.
+    assert tuple(FILTER_FUNCTIONS) == (
         FilterId.F_ANAPHORA,
         FilterId.F_GENDER_AGREEMENT,
         FilterId.F_WORD_ORDER,
@@ -367,6 +368,27 @@ def test_facts_are_worked_out_once_per_sentence(monkeypatch):
     assert (len(candidates), len(built), len(set(built))) == (96, 30, 30)
 
 
+def test_a_sentence_without_candidates_changes_no_verdict(monkeypatch):
+    candidates, sentences = bundled_candidates()
+    _, full = run_filters(candidates, sentences)
+    verdict_of = {v.candidate_id: v for v in full}
+    rated = {s.sentence_id for s in sentences[::2]}
+    half = [c for c in candidates if c.sentence_id in rated]
+    built = []
+
+    def counted(s, cfg):
+        built.append(s.sentence_id)
+        return sentence_facts(s, cfg)
+
+    monkeypatch.setattr(filters, "sentence_facts", counted)
+    _, verdicts = run_filters(half, sentences)
+    # Half the sentences have no candidate; their facts are still worked out, once each.
+    assert {c.sentence_id for c in half} == rated and len(rated) == 15
+    assert [v.candidate_id for v in verdicts] == [c.candidate_id for c in half]
+    assert all(v == verdict_of[v.candidate_id] for v in verdicts)
+    assert sorted(built) == sorted(s.sentence_id for s in sentences) and len(built) == 30
+
+
 def test_each_candidate_is_scanned_for_interrogatives_once(monkeypatch):
     candidates, sentences = bundled_candidates()
     scanned = []
@@ -398,7 +420,7 @@ def test_equal_tokens_under_two_marker_tables_get_their_own_spans():
 
 
 # sha256 of the bundled corpus's verdict lines (verdicts.jsonl's bytes), by
-# theta, one per filter subset: bit i of the index enables FILTER_ORDER[i].
+# theta, one per filter subset: bit i of the index enables tuple(FilterId)[i].
 # Recorded while each filter still worked out its sentence's facts per candidate.
 VERDICT_SUBSET_SHA256 = json.loads(
     (Path(__file__).parent / "verdict_subset_sha256.json").read_text(encoding="utf-8"))
@@ -409,7 +431,7 @@ def test_every_filter_subset_keeps_its_verdict_bytes(theta):
     candidates, sentences = bundled_candidates()
     digests = []
     for mask in range(32):
-        enabled = frozenset(f for i, f in enumerate(FILTER_ORDER) if mask >> i & 1)
+        enabled = frozenset(f for i, f in enumerate(FilterId) if mask >> i & 1)
         _, verdicts = run_filters(candidates, sentences, FilterConfig(theta=theta, enabled=enabled))
         lines = "".join(v.to_json_line() + "\n" for v in verdicts)
         digests.append(hashlib.sha256(lines.encode("utf-8")).hexdigest())

@@ -488,10 +488,14 @@ def test_positional_id_clash_in_the_last_block_is_rejected(end):
         loads_treebank(text, source="x")
 
 
+COLUMNS = ("ID", "FORM", "LEMMA", "UPOS", "FEATS", "HEAD", "DEPREL")
+K1_ROW = ("1", "raam", "raam", "PROPN", "_", "3", "k1")
+
+
 def spaced_row(column, value):
     """A k1 token line of a three-token sentence with one column replaced by value."""
-    cols = ["1", "raam", "raam", "PROPN", "_", "3", "k1"]
-    cols[("ID", "FORM", "LEMMA", "UPOS", "FEATS", "HEAD", "DEPREL").index(column)] = value
+    cols = list(K1_ROW)
+    cols[COLUMNS.index(column)] = value
     return "\t".join(cols) + "\n"
 
 
@@ -508,9 +512,25 @@ def test_a_column_starting_or_ending_with_a_space_is_named_at_its_line(column, v
         loads_treebank(text, source="x")
 
 
+@pytest.mark.parametrize("column, value", [
+    (column, value)
+    for (column, cell), space in product(zip(COLUMNS, K1_ROW), ["\xa0", "\u3000", "\x0b", "\x0c", "\x1f"])
+    for value in (space + cell, cell + space)
+])
+def test_a_column_starting_or_ending_with_other_whitespace_is_named_at_its_line(column, value):
+    # DEPREL "k1\xa0" would otherwise hide the subject from R_K1 as "k1 " would.
+    text = ("# sent_id = w\n" + spaced_row(column, value)
+            + "2\tkhaana\tkhaana\tNOUN\t_\t3\tk2\n3\tkhaaya\tkhaa\tVERB\t_\t0\troot\n")
+    with pytest.raises(TreebankError, match=rf"^x:2: {column} column {re.escape(repr(value))} "
+                                            r"starts or ends with whitespace$"):
+        loads_treebank(text, source="x")
+
+
 def test_a_space_inside_form_or_lemma_is_kept():
     [s] = loads_treebank("1\tNew Delhi\tnew delhi\tPROPN\t_\t2\tk2p\n2\tgaya\tja\tVERB\t_\t0\troot\n")
     assert (s.tokens[0].form, s.tokens[0].lemma) == ("New Delhi", "new delhi")
+    [s] = loads_treebank("1\tनई\xa0दिल्ली\tनई\u3000दिल्ली\tPROPN\t_\t2\tk2p\n2\tगया\tजा\tVERB\t_\t0\troot\n")
+    assert (s.tokens[0].form, s.tokens[0].lemma) == ("नई\xa0दिल्ली", "नई\u3000दिल्ली")
 
 
 @pytest.mark.parametrize("text, message", [
