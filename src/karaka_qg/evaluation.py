@@ -10,12 +10,12 @@ ratings reports absent means, never zero.
 from __future__ import annotations
 
 import csv
-from collections import Counter, defaultdict
+from collections import Counter
 from functools import partial
 from itertools import product
 from typing import NamedTuple
 
-from .textfile import open_utf8
+from .textfile import check_edges, open_utf8
 from .treebank_io import KARAKA_ORDER
 
 RATING_COLUMNS = ("candidate_id", "annotator_id", "syntax", "semantic")
@@ -80,8 +80,14 @@ def _read_ratings(path, index: dict, slots=(), flat=(), records=None):
     and a repeated (candidate, annotator) pair the first line of the pair too.
     Without records, a rating of k = index[candidate_id] counts at flat[slots[k]
     + 5 * syntax + semantic], and an id index lacks is an error; with records,
-    each row is appended as a RatingRecord, a new id taking the next k."""
-    first_line = defaultdict(dict)  # annotator_id -> k -> the first line of the pair's row
+    each row is appended as a RatingRecord, a new id taking the next k. A new
+    id must be nonempty with no whitespace at an edge; a known one is not checked."""
+    def check_id(where: str, name: str, value: str) -> None:
+        if not value:
+            raise RatingsError(f"{where}: empty {name}")
+        check_edges(where, RatingsError, ((name, value),))
+
+    first_line = {}  # annotator_id -> k -> the first line of the pair's row
     with open_utf8(path, RatingsError, newline="") as fh:
         reader = csv.reader(fh)
         end = 0  # the last line of the last row read
@@ -100,14 +106,17 @@ def _read_ratings(path, index: dict, slots=(), flat=(), records=None):
                     raise RatingsError(f"{path}:{line_no}: expected "
                                        f"{len(RATING_COLUMNS)} columns, got {len(row)}")
                 candidate_id, annotator_id, syntax_s, semantic_s = row
+                if (lines := first_line.get(annotator_id)) is None:
+                    check_id(f"{path}:{line_no}", "annotator_id", annotator_id)
+                    lines = first_line[annotator_id] = {}
                 k = index.get(candidate_id)
                 if k is None:
                     if records is None:  # after the row's scores; an earlier row with it failed
                         _parse_scores(f"{path}:{line_no}", syntax_s, semantic_s)
                         raise RatingsError(f"{path}:{line_no}: rating references "
                                            f"unknown candidate_id {candidate_id!r}")
+                    check_id(f"{path}:{line_no}", "candidate_id", candidate_id)
                     k = index[candidate_id] = len(index)
-                lines = first_line[annotator_id]
                 if k in lines:
                     raise RatingsError(
                         f"{path}:{line_no}: duplicate rating for candidate {candidate_id!r} "

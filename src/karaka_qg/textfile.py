@@ -1,5 +1,9 @@
 """The line formats more than one module reads or writes: UTF-8 text whose
-decode errors name a line, two-column TSV tables, and JSONL records."""
+decode errors name a line, two-column TSV tables, and JSONL records. Edge
+whitespace in a treebank column or a ratings id is an error (check_edges). A
+read_pairs cell or a "# sent_id"/"# text" value is stripped, which can only
+merge a name with its twin, never split it: a repeated lemma is counted and a
+repeated sent_id is an error. A ratings score keeps int()'s rule (" 5", "+4")."""
 
 from __future__ import annotations
 
@@ -40,11 +44,19 @@ def _checked_lines(fh, path, error):
         yield line
 
 
+def check_edges(where: str, error, columns) -> None:
+    """Raise error at where for the first (name, value) of columns with whitespace at an edge."""
+    for name, value in columns:
+        if value != value.strip():
+            edge = "a space" if value != value.strip(" ") else "whitespace"
+            raise error(f"{where}: {name} column {value!r} starts or ends with {edge}")
+
+
 def read_pairs(path, error):
     """Yield ``("path:line", first, second)`` for each row of a two-column TSV.
 
-    Blank lines and lines starting with "#" are skipped and both columns
-    are stripped. A row with another number of columns raises ``error``.
+    Blank lines and lines starting with "#" are skipped, and both columns are
+    stripped, as the module docstring says. A row with another number of columns raises ``error``.
     """
     with open_utf8(path, error) as fh:
         for line_no, raw in enumerate(fh, start=1):

@@ -17,7 +17,7 @@ import io
 from itertools import chain
 from typing import NamedTuple
 
-from .textfile import open_utf8
+from .textfile import check_edges, open_utf8
 
 # Karaka labels in their canonical order, which generate summaries and
 # evaluation rows follow.
@@ -43,6 +43,9 @@ class Token(NamedTuple):
     feats: dict
     head: int
     deprel: str
+
+
+_COLUMN_NAMES = tuple(name.upper() for name in Token._fields)
 
 
 class ParsedSentence(NamedTuple):
@@ -181,11 +184,7 @@ def _parse_blocks(lines, source: str) -> list[ParsedSentence]:
             # ASCII line, whitespace other than tabs and the line end is one of these characters.
             if (" " in line or not ascii_line or "\x0b" in line or "\x0c" in line
                     or "\x1c" in line or "\x1d" in line or "\x1e" in line or "\x1f" in line):
-                for name, col in zip(Token._fields, cols):
-                    if col != col.strip():
-                        edge = "a space" if col != col.strip(" ") else "whitespace"
-                        raise TreebankError(f"{source}:{line_no}: {name.upper()} column "
-                                            f"{col!r} starts or ends with {edge}")
+                check_edges(f"{source}:{line_no}", TreebankError, zip(_COLUMN_NAMES, cols))
             id_s, form, lemma, upos, feats_s, head_s, deprel = cols
             # int() alone would also take a sign, "_" between digits and non-ASCII digits.
             if not (id_s.isdigit() and head_s.isdigit() and (ascii_line or (id_s + head_s).isascii())):

@@ -11,6 +11,7 @@ import re
 import shutil
 import subprocess
 import sys
+from functools import partial
 from pathlib import Path
 
 import pytest
@@ -18,9 +19,18 @@ import pytest
 import karaka_qg.cli
 from helpers import bundled_corpus_text, make_rated_candidate, write_ratings
 from karaka_qg.cli import main
-from karaka_qg.evaluation import BeforeAfter, EvalTable, RatingRecord, RowStats, SplitStats
+from karaka_qg.evaluation import (
+    BeforeAfter,
+    EvalTable,
+    RatingRecord,
+    RowStats,
+    SplitStats,
+    evaluate_ratings,
+    load_ratings,
+)
 from karaka_qg.filters import FilterConfig, FilterVerdict
-from karaka_qg.morphology import DEFAULT_MARKERS
+from karaka_qg.lexicon import load_lexicon
+from karaka_qg.morphology import DEFAULT_MARKERS, load_marker_table
 from karaka_qg.rule_engine import (
     SUBSTITUTIONS,
     QuestionCandidate,
@@ -28,7 +38,7 @@ from karaka_qg.rule_engine import (
     RuleId,
     write_candidates_jsonl,
 )
-from karaka_qg.treebank_io import Token, build_sentence
+from karaka_qg.treebank_io import Token, build_sentence, load_treebank
 
 # The environment of a fresh interpreter that imports this checkout's package.
 PACKAGE_ENV = {**os.environ, "PYTHONPATH": str(Path(karaka_qg.__file__).resolve().parent.parent)}
@@ -661,6 +671,80 @@ def test_a_repeated_unknown_id_fails_as_unknown_at_its_first_row(tmp_path, caplo
     ratings, results = eval_and_pipeline(tmp_path, caplog, capsys, rows)
     message = f"{ratings}:3: rating references unknown candidate_id 'ghost'"
     assert results == [(1, message, "")] * 2
+
+
+def test_an_empty_annotator_id_is_an_input_error(tmp_path, caplog, capsys):
+    rows = [(KNOWN, "a1", 5, 4), (KNOWN, "", 3, 3)]
+    ratings, results = eval_and_pipeline(tmp_path, caplog, capsys, rows)
+    assert results == [(1, f"{ratings}:3: empty annotator_id", "")] * 2
+
+
+def run_cli(caplog, capsys, argv) -> str:
+    """main(argv)'s standard output, or ValueError with the error it logged."""
+    caplog.clear()
+    with caplog.at_level(logging.ERROR, logger="karaka_qg"):
+        if main(argv) != 0:
+            raise ValueError(caplog.records[-1].getMessage())
+    return capsys.readouterr().out
+
+
+def rate_with(command, cli, path) -> str:
+    """The output of command (eval or pipeline) with --ratings path, over TREEBANK's candidates."""
+    src, out = write_input(path.parent), path.parent / "out"
+    if not out.exists():
+        cli(["pipeline", "--input", str(src), "--out", str(out)])
+    args = {"eval": ["eval", "--out", str(out)],
+            "pipeline": ["pipeline", "--input", str(src), "--out", str(path.parent / "piped")]}
+    return cli(args[command] + ["--ratings", str(path), "--format", "json"])
+
+
+def lexicon_state(path):
+    lexicon = load_lexicon(path)
+    return lexicon.entries, lexicon.duplicate_count
+
+
+SENTENCE = ("1\traam\traam\tPROPN\t_\t3\tk1\n2\tkhaana\tkhaana\tNOUN\t_\t3\t{}\n"
+            "3\tkhaaya\tkhaa\tVERB\t_\t0\troot\n")
+RATED = "candidate_id,annotator_id,syntax,semantic\n{0},a1,5,4\n{1},{2},1,1\n"
+
+# reader (a function of the path, or eval or pipeline), file name, the file with
+# {} where the id goes, the id, and the line of {}. Each file holds the id
+# elsewhere too, so an id read as a second one shows. A fold's candidate_id is
+# not here: one that no candidate has is already an error.
+EDGE_READERS = {
+    "treebank-deprel": (load_treebank, "t.conllu", "# sent_id = a\n" + SENTENCE, "k2", 3),
+    "treebank-sent_id": (load_treebank, "t.conllu", "# sent_id = a\n" + SENTENCE.format("k2")
+                         + "\n# sent_id = {}\n" + SENTENCE.format("k2"), "a", 6),
+    "lexicon-lemma": (lexicon_state, "lexicon.tsv", "kitaab\tNONLIVING\n{}\tPLACE\n", "kitaab", 2),
+    "marker-form": (load_marker_table, "markers.tsv", "erg\tne\nerg\t{}\n", "ne", 2),
+    "load_ratings-candidate_id": (load_ratings, "ratings.csv", RATED.format(KNOWN, "{}", "a1"), KNOWN, 3),
+    **{f"{name}-annotator_id": (read, "ratings.csv", RATED.format(KNOWN, KNOWN, "{}"), "a1", 3)
+       for name, read in (("load_ratings", load_ratings),
+                          ("evaluate_ratings", lambda path: evaluate_ratings(path, {KNOWN: "k1"})),
+                          ("eval", "eval"), ("pipeline-ratings", "pipeline"))},
+}
+
+
+@pytest.mark.parametrize("edge", ["{} ", "\xa0{}"], ids=["trailing-space", "leading-nbsp"])
+@pytest.mark.parametrize("case", list(EDGE_READERS))
+def test_an_id_with_edge_whitespace_is_an_error_at_its_line_or_the_same_id(tmp_path, caplog, capsys,
+                                                                           case, edge):
+    read, name, text, ident, line = EDGE_READERS[case]
+    if isinstance(read, str):
+        read = partial(rate_with, read, partial(run_cli, caplog, capsys))
+    path = tmp_path / name
+    path.write_text(text.format(ident), encoding="utf-8")
+    try:
+        twin = read(path)
+    except ValueError as exc:
+        twin = exc
+    path.write_text(text.format(edge.format(ident)), encoding="utf-8")
+    try:
+        spaced = read(path)
+    except ValueError as exc:
+        assert str(exc).startswith(f"{path}:{line}: "), str(exc)
+    else:
+        assert spaced == twin
 
 
 def test_unknown_rating_comes_before_an_uncovered_candidate(tmp_path, caplog):

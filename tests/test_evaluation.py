@@ -5,6 +5,7 @@ import sys
 
 import pytest
 
+import karaka_qg.evaluation
 from helpers import make_rated_candidate as make_candidate
 from helpers import write_ratings
 from karaka_qg.evaluation import (
@@ -116,6 +117,57 @@ def test_load_ratings_rejects_duplicate_pair_with_line(tmp_path):
     write_ratings(path, [("c1", "a2", 5, 4), ("c1", "a1", 5, 4), ("c1", "a1", 3, 2)])
     with pytest.raises(RatingsError, match=r"ratings\.csv:4: .*, first used at .*ratings\.csv:3$"):
         load_ratings(path)
+
+
+@pytest.mark.parametrize("row, reason", [
+    ("c1,,5,4", "empty annotator_id"),
+    ("c1,a1 ,5,4", "annotator_id column 'a1 ' starts or ends with a space"),
+    ("c1,\ta1,5,4", "annotator_id column '\\ta1' starts or ends with whitespace"),
+], ids=["empty", "space", "tab"])
+def test_an_annotator_id_is_checked_in_both_reads(tmp_path, row, reason):
+    path = tmp_path / "ratings.csv"
+    path.write_text(f"candidate_id,annotator_id,syntax,semantic\nc1,a1,5,4\n{row}\n",
+                    encoding="utf-8")
+    for read in (load_ratings, lambda path: evaluate_ratings(path, {"c1": "k1"})):
+        with pytest.raises(RatingsError, match=re.escape(f"ratings.csv:3: {reason}")):
+            read(path)
+
+
+@pytest.mark.parametrize("candidate_id, reason", [
+    ("", "empty candidate_id"),
+    (" c1", "candidate_id column ' c1' starts or ends with a space"),
+], ids=["empty", "space"])
+def test_a_new_candidate_id_is_checked_by_load_ratings(tmp_path, candidate_id, reason):
+    path = tmp_path / "ratings.csv"
+    write_ratings(path, [("c1", "a1", 5, 4), (candidate_id, "a1", 5, 4)])
+    with pytest.raises(RatingsError, match=re.escape(f"ratings.csv:3: {reason}")):
+        load_ratings(path)
+    # The fold knows its candidates, so an id it lacks keeps its own error.
+    with pytest.raises(RatingsError, match=re.escape(
+            f"ratings.csv:3: rating references unknown candidate_id {candidate_id!r}")):
+        evaluate_ratings(path, {"c1": "k1"})
+
+
+def test_each_annotator_id_is_checked_once(tmp_path, monkeypatch):
+    checked = []
+    check_edges = karaka_qg.evaluation.check_edges
+
+    def counted(where, error, columns):
+        checked.append(columns)
+        check_edges(where, error, columns)
+
+    monkeypatch.setattr(karaka_qg.evaluation, "check_edges", counted)
+    path = tmp_path / "ratings.csv"
+    rows = [(f"c{i}", f"a{j}", 5, 4) for i in range(4) for j in (2, 1, 3)]
+    write_ratings(path, rows)
+    table, _ = evaluate_ratings(path, {f"c{i}": "k1" for i in range(4)})
+    assert table.totals.count == 4
+    assert checked == [(("annotator_id", f"a{j}"),) for j in (2, 1, 3)]
+    # load_ratings checks each new candidate_id too, once.
+    checked.clear()
+    assert len(load_ratings(path)) == 12
+    assert sorted(checked) == sorted([(("annotator_id", f"a{j}"),) for j in (2, 1, 3)]
+                                     + [(("candidate_id", f"c{i}"),) for i in range(4)])
 
 
 def test_load_ratings_rejects_non_integer_scores(tmp_path):
