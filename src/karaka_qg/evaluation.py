@@ -9,19 +9,18 @@ ratings reports absent means, never zero.
 
 from __future__ import annotations
 
-import csv
 from collections import Counter
 from functools import partial
 from itertools import product
 from typing import NamedTuple
 
-from .textfile import check_edges, open_utf8
+from .textfile import InputError, check_edges, open_utf8
 from .treebank_io import KARAKA_ORDER
 
 RATING_COLUMNS = ("candidate_id", "annotator_id", "syntax", "semantic")
 
 
-class RatingsError(ValueError):
+class RatingsError(InputError):
     """Raised for malformed rating files or unmatched candidate ids."""
 
 
@@ -86,6 +85,8 @@ def _read_ratings(path, index: dict, slots=(), flat=(), records=None):
         if not value:
             raise RatingsError(f"{where}: empty {name}")
         check_edges(where, RatingsError, ((name, value),))
+
+    import csv  # here, so that a command that reads no ratings does not load it
 
     first_line = {}  # annotator_id -> k -> the first line of the pair's row
     with open_utf8(path, RatingsError, newline="") as fh:

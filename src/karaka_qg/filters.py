@@ -20,7 +20,7 @@ from .morphology import (
     verb_feature,
 )
 from .rule_engine import QuestionCandidate, RuleId
-from .textfile import jsonl_record, read_jsonl, write_jsonl
+from .textfile import InputError, jsonl_record, read_jsonl, write_jsonl
 from .treebank_io import ParsedSentence
 
 
@@ -35,7 +35,7 @@ class FilterId(str, Enum):
 PRONOUN_POS_TAGS = frozenset({"PRON", "PRP"})
 
 
-class FilterError(ValueError):
+class FilterError(InputError):
     """Raised when candidates cannot be matched to their source sentences."""
 
 

@@ -10,7 +10,7 @@ from __future__ import annotations
 from enum import Enum
 from importlib import resources
 
-from .textfile import read_pairs
+from .textfile import InputError, read_pairs
 
 
 class SemanticCategory(str, Enum):
@@ -25,7 +25,7 @@ class SemanticCategory(str, Enum):
     UNKNOWN = "UNKNOWN"
 
 
-class LexiconError(ValueError):
+class LexiconError(InputError):
     """Raised for malformed lexicon files."""
 
 

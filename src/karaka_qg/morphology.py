@@ -10,7 +10,7 @@ from __future__ import annotations
 from functools import cache
 from typing import NamedTuple
 
-from .textfile import read_pairs
+from .textfile import InputError, read_pairs
 from .treebank_io import PSP, ParsedSentence
 
 # Builtin genitive postposition to possessive interrogative. The interrogative
@@ -37,7 +37,7 @@ _ROLE_FIELDS = {
 }
 
 
-class MarkerTableError(ValueError):
+class MarkerTableError(InputError):
     """Raised for malformed marker table files."""
 
 

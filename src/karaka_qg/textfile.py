@@ -15,6 +15,10 @@ from functools import partial
 from json.encoder import encode_basestring
 
 
+class InputError(ValueError):
+    """The base of every reader's error: a file that cannot be read as its format says."""
+
+
 @contextmanager
 def open_utf8(path, error, newline=None):
     """The lines of the file at path, read once as UTF-8 text.
@@ -70,7 +74,7 @@ def read_pairs(path, error):
             yield where, cols[0].strip(), cols[1].strip()
 
 
-class JsonlError(ValueError):
+class JsonlError(InputError):
     """Raised for a malformed or repeated line in a candidates or verdicts file."""
 
 
@@ -212,7 +216,9 @@ def jsonl_record(cls, check=None):
     field order) and from_json_dict from its fields and their annotations,
     once. A field with a default may be absent from a line; check(d) vets a
     line after its JSON types and before its missing fields and values.
-    to_json_line and json_values are compiled to straight-line code, once;
+    to_json_line and json_values are compiled to straight-line code, once
+    each: to_json_line when the class is defined, json_values when its first
+    line is decoded, so a process that reads no line compiles no decoder.
     to_json_line is one f-string, which equals
     json.dumps(self.to_json_dict(), ensure_ascii=False)."""
     hints = typing.get_type_hints(cls)
@@ -224,18 +230,29 @@ def jsonl_record(cls, check=None):
         return {name: getattr(self, name) if encode is None else encode(getattr(self, name))
                 for name, encode in encodes}
 
-    items = ", ".join(f'"{name}": ' + text("self." + name) for name, *_, text in forms)
     namespace = {"s": encode_basestring, "j": partial(json.dumps, ensure_ascii=False),
                  "A": object(), "c": check, "D": cls._field_defaults,
                  **{f"f{i}": decode for i, (_, _, decode, *_) in enumerate(forms)}}
-    exec("def to_json_line(self):\n    return f'''{{%s}}'''\n" % items
-         + _json_values_source(forms, cls._field_defaults, check is not None), namespace)
-    for name in ("to_json_line", "json_values"):
-        namespace[name].__module__ = cls.__module__
-        namespace[name].__qualname__ = f"{cls.__qualname__}.{name}"
-    json_values = namespace["json_values"]
-    cls.to_json_line = namespace["to_json_line"]
+
+    def compile_function(name: str, source: str):
+        exec(source, namespace)
+        fn = namespace[name]
+        fn.__module__ = cls.__module__
+        fn.__qualname__ = f"{cls.__qualname__}.{name}"
+        return fn
+
+    def json_values(d):
+        # Stands in for the compiled function until the first call, which
+        # compiles it; a caller that kept this one still compiles it once.
+        if "json_values" not in namespace:
+            cls.json_values = staticmethod(compile_function("json_values", _json_values_source(
+                forms, cls._field_defaults, check is not None)))
+        return namespace["json_values"](d)
+
+    items = ", ".join(f'"{name}": ' + text("self." + name) for name, *_, text in forms)
+    cls.to_json_line = compile_function(
+        "to_json_line", "def to_json_line(self):\n    return f'''{{%s}}'''\n" % items)
     cls.to_json_dict = to_json_dict
     cls.json_values = staticmethod(json_values)
-    cls.from_json_dict = staticmethod(lambda d: cls(*json_values(d)))
+    cls.from_json_dict = staticmethod(lambda d: cls(*cls.json_values(d)))
     return cls

@@ -17,7 +17,7 @@ import io
 from itertools import chain
 from typing import NamedTuple
 
-from .textfile import check_edges, open_utf8
+from .textfile import InputError, check_edges, open_utf8
 
 # Karaka labels in their canonical order, which generate summaries and
 # evaluation rows follow.
@@ -29,7 +29,7 @@ KARAKA_ORDER = (
 PSP = "psp"
 
 
-class TreebankError(ValueError):
+class TreebankError(InputError):
     """Raised for malformed treebank files or invalid dependency graphs."""
 
 

@@ -1,5 +1,6 @@
 """End-to-end tests for the command line interface."""
 
+import argparse
 import ast
 import importlib.metadata
 import json
@@ -11,6 +12,7 @@ import re
 import shutil
 import subprocess
 import sys
+from datetime import datetime, timedelta, timezone
 from functools import partial
 from pathlib import Path
 
@@ -121,7 +123,11 @@ def test_run_meta_records_every_setting(tmp_path):
         assert main(argv) == 0
         meta = json.loads((out / "run_meta.json").read_text(encoding="utf-8"))
         assert list(meta) == [*expected, "written_at"]
-        del meta["written_at"]
+        # ISO 8601 UTC to the microsecond, always six digits.
+        assert re.fullmatch(r"\d{4}-\d\d-\d\dT\d\d:\d\d:\d\d\.\d{6}\+00:00", meta["written_at"])
+        written_at = datetime.fromisoformat(meta.pop("written_at"))
+        assert written_at.utcoffset() == timedelta(0)
+        assert abs(datetime.now(timezone.utc) - written_at) < timedelta(minutes=1)
         assert meta == expected
 
 
@@ -1037,13 +1043,107 @@ def test_installed_console_script_matches_declaration(tmp_path):
 def test_importing_the_cli_does_not_import_statistics():
     # The ratings fold counts scores itself, and the records are named tuples: statistics
     # and dataclasses (with the inspect it imports) cost start-up time on every command.
+    # The ratings stage (with csv) is imported by the commands that read ratings, and the
+    # run_meta.json timestamp comes from time, so no other command pays for them.
+    unloaded = ("statistics", "dataclasses", "csv", "datetime", "karaka_qg.evaluation")
     proc = subprocess.run(
         [sys.executable, "-c", "import sys, karaka_qg.cli; "
-                               "print('statistics' in sys.modules, 'dataclasses' in sys.modules)"],
+                               "print(*[m for m in sys.argv[1:] if m in sys.modules])", *unloaded],
         capture_output=True, text=True, env=PACKAGE_ENV,
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout == "False False\n"
+    assert proc.stdout == "\n"
+
+
+def test_the_cli_serves_the_traced_ratings_functions_on_first_use():
+    import karaka_qg.evaluation
+
+    for name in ("load_ratings", "aggregate", "before_after"):
+        assert getattr(karaka_qg.cli, name) is getattr(karaka_qg.evaluation, name)
+    with pytest.raises(AttributeError, match="has no attribute 'render_eval_table'"):
+        karaka_qg.cli.render_eval_table
+
+
+def test_each_jsonl_decoder_is_compiled_on_its_first_line_only(tmp_path):
+    # pipeline decodes no line, so it compiles no decoder; eval compiles one per record
+    # type it reads, however many lines; filter reads candidates only.
+    child = ("import sys\n"
+             "from karaka_qg import cli, textfile\n"
+             "compiled = []\n"
+             "source = textfile._json_values_source\n"
+             "textfile._json_values_source = lambda *args: compiled.append(1) or source(*args)\n"
+             "rc = cli.main(sys.argv[1:])\n"
+             "print(rc, len(compiled))\n")
+    (tmp_path / "corpus.conllu").write_text(bundled_corpus_text(), encoding="utf-8")
+    out = tmp_path / "out"
+    runs = [
+        (["pipeline", "--input", "corpus.conllu", "--out", "out"], "0 0"),
+        (["eval", "--out", "out", "--ratings", "ratings.csv"], "0 2"),
+        (["filter", "--input", "corpus.conllu", "--candidates", "out/candidates.jsonl",
+          "--out", "filtered"], "0 1"),
+    ]
+    for argv, expected in runs:
+        if argv[0] == "eval":
+            ids = [row["candidate_id"] for row in read_jsonl(out / "candidates.jsonl")]
+            assert len(ids) == 96
+            write_ratings(tmp_path / "ratings.csv", [(i, a, 4, 3) for i in ids for a in ("a1", "a2")])
+        proc = subprocess.run([sys.executable, "-c", child, *argv], capture_output=True,
+                              text=True, env=PACKAGE_ENV, cwd=tmp_path)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines()[-1] == expected, argv
+
+
+def test_every_reader_error_is_an_input_error():
+    # main exits 1 on any InputError; a bad flag value is a ConfigError and exits 2.
+    from karaka_qg.evaluation import RatingsError, UncoveredCandidateError
+    from karaka_qg.filters import FilterError, UnknownSentenceError
+    from karaka_qg.lexicon import LexiconError
+    from karaka_qg.morphology import MarkerTableError
+    from karaka_qg.textfile import InputError, JsonlError
+    from karaka_qg.treebank_io import TreebankError
+
+    for error in (TreebankError, LexiconError, MarkerTableError, RatingsError,
+                  UncoveredCandidateError, FilterError, UnknownSentenceError, JsonlError):
+        assert issubclass(error, InputError), error
+    assert issubclass(InputError, ValueError)
+    assert not issubclass(karaka_qg.cli.ConfigError, InputError)
+
+
+def test_each_command_takes_its_flags():
+    # (option strings, dest, default, required) of each subcommand's flags, in --help order.
+    path = Path(".")
+    expected = {
+        "generate": [
+            ("--input", "input_path", None, True), ("--out", "output_dir", path, False),
+            ("--markers", "marker_table_path", None, False), ("--lexicon", "lexicon_paths", [], False),
+            ("--rules", "rules", "all", False),
+        ],
+        "filter": [
+            ("--input", "input_path", None, True), ("--out", "output_dir", path, False),
+            ("--markers", "marker_table_path", None, False),
+            ("--candidates", "candidates_path", None, False), ("--theta", "theta", 5, False),
+            ("--disable-filter", "disabled_filters", [], False),
+        ],
+        "eval": [
+            ("--out", "output_dir", path, False), ("--candidates", "candidates_path", None, False),
+            ("--format", "fmt", "text", False), ("--verdicts", "verdicts_path", None, False),
+            ("--ratings", "ratings_path", None, True),
+        ],
+        "pipeline": [
+            ("--input", "input_path", None, True), ("--out", "output_dir", path, False),
+            ("--markers", "marker_table_path", None, False), ("--lexicon", "lexicon_paths", [], False),
+            ("--rules", "rules", "all", False), ("--theta", "theta", 5, False),
+            ("--disable-filter", "disabled_filters", [], False), ("--format", "fmt", "text", False),
+            ("--ratings", "ratings_path", None, False),
+        ],
+    }
+    parser = karaka_qg.cli.build_parser()
+    [sub] = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    assert list(sub.choices) == list(expected)
+    for command, flags in expected.items():
+        actions = [a for a in sub.choices[command]._actions if a.dest != "help"]
+        assert [(*a.option_strings, a.dest, a.default, a.required) for a in actions] == flags, command
+        assert all(type(a.default) is type(f[2]) for a, f in zip(actions, flags)), command
 
 
 def modules_each_import_loads():
