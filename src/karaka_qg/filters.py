@@ -112,7 +112,7 @@ def sentence_facts(s: ParsedSentence, cfg: FilterConfig) -> SentenceFacts:
     kids = s.children(verb.id)
     subject = next((t for t in kids if t.deprel == "k1"), None)
     n = len(s.tokens)
-    source_spans = interrogative_spans([t.form for t in s.tokens], cfg.markers)
+    source_spans = interrogative_spans(s.forms, cfg.markers)
     if source_spans:
         question = f"source sentence already contains an interrogative at position {source_spans[0][0] + 1}"
     elif s.tokens[-1].form == "?":

@@ -73,20 +73,32 @@ def _build_tokens(s: ParsedSentence, delete_ids: set[int], insert_at: int,
                   insert_forms: list[str], replacements: dict[int, str] | None = None) -> tuple[str, ...]:
     """Copy the sentence, dropping delete_ids and inserting at a token slot.
 
-    insert_forms land immediately before the token with id insert_at,
-    which itself is kept or dropped according to delete_ids. Surviving
-    tokens listed in replacements change surface form in place.
+    insert_forms land immediately before the token with id insert_at, one
+    of the sentence's ids, which itself is kept or dropped according to
+    delete_ids. Surviving tokens listed in replacements change surface
+    form in place.
     """
-    out: list[str] = []
-    for t in s.tokens:
-        if t.id == insert_at:
-            out.extend(insert_forms)
-        if t.id in delete_ids:
-            continue
-        if replacements and t.id in replacements:
-            out.append(replacements[t.id])
+    forms = s.forms
+    if replacements:
+        forms = list(forms)
+        for token_id, form in replacements.items():
+            forms[token_id - 1] = form
+    n = len(delete_ids)
+    if n and max(delete_ids) - (lo := min(delete_ids)) + 1 == n:
+        # One run of ids, as a projective chunk is: copy the forms around it by slices.
+        if lo <= insert_at < lo + n:
+            out = [*forms[:lo - 1], *insert_forms, *forms[lo - 1 + n:]]
         else:
-            out.append(t.form)
+            out = [*forms[:lo - 1], *forms[lo - 1 + n:]]
+            at = insert_at - 1 if insert_at < lo else insert_at - 1 - n
+            out[at:at] = insert_forms
+    else:
+        out = []
+        for token_id, form in enumerate(forms, 1):
+            if token_id == insert_at:
+                out.extend(insert_forms)
+            if token_id not in delete_ids:
+                out.append(form)
     if out and out[-1] in TERMINAL_PUNCT:
         out.pop()
     out.append("?")

@@ -54,6 +54,7 @@ class ParsedSentence(NamedTuple):
     sentence_id: str
     tokens: tuple[Token, ...]
     kids: tuple[tuple[Token, ...], ...]  # kids[i]: token i's children in surface order; kids[0]: roots
+    forms: tuple[str, ...]  # forms[i]: the form of token i + 1
     raw_text: str | None = None
 
     def token(self, token_id: int) -> Token:
@@ -81,11 +82,12 @@ class ParsedSentence(NamedTuple):
 
 
 def build_sentence(sentence_id: str, tokens, raw_text: str | None = None) -> ParsedSentence:
-    """The sentence over ``tokens`` (ids 1..n, heads in 0..n) with its children index."""
+    """The sentence over ``tokens`` (ids 1..n, heads in 0..n) with its children index and forms."""
     kids = [[] for _ in range(len(tokens) + 1)]
     for tok in tokens:
         kids[tok.head].append(tok)
-    return ParsedSentence(sentence_id, tuple(tokens), tuple(map(tuple, kids)), raw_text)
+    return ParsedSentence(sentence_id, tuple(tokens), tuple(map(tuple, kids)),
+                          tuple([tok.form for tok in tokens]), raw_text)
 
 
 def _parse_feats(field: str, where: str) -> dict:

@@ -2,6 +2,7 @@
 
 import argparse
 import ast
+import gc
 import importlib.metadata
 import json
 import logging
@@ -913,6 +914,87 @@ def test_pipeline_json_format_without_ratings_is_a_config_error(tmp_path, caplog
 
 def test_missing_subcommand_is_a_usage_error(capsys):
     assert main([]) == 2
+    capsys.readouterr()
+
+
+@pytest.mark.parametrize("collecting", [True, False], ids=["collector-on", "collector-off"])
+@pytest.mark.parametrize("case, code", [("done", 0), ("bad-line", 1), ("unknown-rule", 2),
+                                        ("usage", 2), ("raises", None)])
+def test_main_leaves_the_collector_as_it_found_it(tmp_path, capsys, monkeypatch, case, code,
+                                                  collecting):
+    src = write_input(tmp_path)
+    bad = tmp_path / "bad.conllu"
+    bad.write_text("1\traam\n", encoding="utf-8")
+    argv = {"done": ["--input", str(src)], "bad-line": ["--input", str(bad)],
+            "unknown-rule": ["--input", str(src), "--rules", "k99"], "usage": [],
+            "raises": ["--input", str(src)]}[case]
+    during = []
+
+    def fail(cfg):
+        during.append(gc.isenabled())
+        raise RuntimeError("not an input error")
+
+    if case == "raises":
+        monkeypatch.setitem(karaka_qg.cli.COMMANDS, "generate", fail)
+    (gc.enable if collecting else gc.disable)()
+    try:
+        if code is None:
+            with pytest.raises(RuntimeError):
+                main(["generate", "--out", str(tmp_path / "out"), *argv])
+            assert during == [False]  # paused while the command ran
+        else:
+            assert main(["generate", "--out", str(tmp_path / "out"), *argv]) == code
+        assert gc.isenabled() is collecting
+    finally:
+        gc.enable()
+    capsys.readouterr()
+
+
+def bundled_copies(tmp_path, copies):
+    """The bundled corpus `copies` times, each copy's sentence ids renamed, and a
+    ratings file rating every candidate pipeline makes of it."""
+    text = bundled_corpus_text().strip("\n")
+    assert text.count("# sent_id = ") == 30
+    src = tmp_path / f"x{copies}.conllu"
+    src.write_text("\n\n".join(text.replace("# sent_id = ", f"# sent_id = x{k}-")
+                               for k in range(copies)) + "\n", encoding="utf-8")
+    base = tmp_path / f"x{copies}-base"
+    assert main(["pipeline", "--input", str(src), "--out", str(base)]) == 0
+    ids = [r["candidate_id"] for r in read_jsonl(base / "candidates.jsonl")]
+    assert len(ids) == 96 * copies
+    ratings = tmp_path / f"x{copies}.csv"
+    write_ratings(ratings, [(candidate_id, "a1", 4, 3) for candidate_id in ids])
+    return src, base, ratings
+
+
+@pytest.mark.parametrize("command", ["pipeline", "generate", "filter", "eval", "pipeline-ratings"])
+def test_a_commands_cyclic_garbage_does_not_grow_with_its_input(tmp_path, capsys, command):
+    # cli.main pauses the collector for a command on the premise that the command's
+    # records hold no reference cycles. Cycles made per sentence or per candidate
+    # would grow with the input, which a paused collector would not reclaim.
+    def argv(copies, out):
+        src, base, ratings = inputs[copies]
+        return {"pipeline": ["pipeline", "--input", str(src)],
+                "generate": ["generate", "--input", str(src)],
+                "filter": ["filter", "--input", str(src),
+                           "--candidates", str(base / "candidates.jsonl")],
+                "eval": ["eval", "--candidates", str(base / "candidates.jsonl"),
+                         "--verdicts", str(base / "verdicts.jsonl"), "--ratings", str(ratings)],
+                "pipeline-ratings": ["pipeline", "--input", str(src), "--ratings", str(ratings)],
+                }[command] + ["--out", str(tmp_path / out)]
+
+    def garbage(copies, out):
+        gc.collect()
+        gc.disable()
+        try:
+            assert main(argv(copies, out)) == 0
+            return gc.collect()
+        finally:
+            gc.enable()
+
+    inputs = {copies: bundled_copies(tmp_path, copies) for copies in (1, 4)}
+    assert main(argv(1, "warm-up")) == 0  # imports and compiles what the command first uses
+    assert garbage(1, "x1") == garbage(4, "x4")
     capsys.readouterr()
 
 

@@ -4,6 +4,7 @@ import json
 import logging
 import re
 from enum import Enum
+from itertools import combinations
 from typing import NamedTuple
 
 import pytest
@@ -17,10 +18,12 @@ from karaka_qg.rule_engine import (
     OTHER,
     RULE_FUNCTIONS,
     SUBSTITUTIONS,
+    TERMINAL_PUNCT,
     QuestionCandidate,
     Role,
     RuleId,
     Substitution,
+    _build_tokens,
     apply_substitution,
     gen_r6_nonliving,
     gen_rh,
@@ -72,6 +75,45 @@ def test_terminal_punctuation_replaced_by_question_mark():
     for cand in RULE[RuleId.R_K2P](goal_sentence(), EMPTY, M):
         assert cand.tokens[-1] == "?"
         assert "।" not in cand.tokens
+
+
+def tokens_by_walk(s, delete_ids, insert_at, insert_forms, replacements=None):
+    """The reference copy: _build_tokens as a walk over every token, before it took slices."""
+    out = []
+    for t in s.tokens:
+        if t.id == insert_at:
+            out.extend(insert_forms)
+        if t.id in delete_ids:
+            continue
+        if replacements and t.id in replacements:
+            out.append(replacements[t.id])
+        else:
+            out.append(t.form)
+    if out and out[-1] in TERMINAL_PUNCT:
+        out.pop()
+    out.append("?")
+    return tuple(out)
+
+
+def test_token_copy_matches_the_walk_for_every_deletion_and_insertion_point():
+    s = make_sentence([
+        ("kal", "kal", "NOUN", "_", 5, "k7t"),
+        ("raam", "raam", "PROPN", "_", 5, "k1"),
+        ("ne", "ne", "ADP", "_", 2, "psp"),
+        ("seb", "seb", "NOUN", "_", 5, "k2"),
+        ("khaaya", "khaa", "VERB", "_", 0, "root"),
+        ("।", "।", "PUNCT", "_", 5, "punct"),
+    ])
+    ids = range(1, 7)
+    delete_sets = [set(c) for k in range(7) for c in combinations(ids, k)]
+    # One run of ids is copied by slices, any other set by a walk; both are compared here.
+    runs = [d for d in delete_sets if d and max(d) - min(d) + 1 == len(d)]
+    assert len(delete_sets) == 64 and len(runs) == 21
+    for replacements in (None, {3: "ki"}, {2: "usne", 5: "khaayi", 6: "."}):
+        for delete in delete_sets:
+            for insert_at in ids:
+                args = (s, delete, insert_at, ["kaun", "si"], replacements)
+                assert _build_tokens(*args) == tokens_by_walk(*args), args[1:]
 
 
 def test_whole_chunk_leaves_with_its_head():
