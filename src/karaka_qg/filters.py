@@ -17,7 +17,7 @@ from .morphology import (
     MarkerTable,
     case_of,
     interrogative_spans,
-    verb_feature,
+    verb_agreement,
 )
 from .rule_engine import QuestionCandidate, RuleId
 from .textfile import InputError, jsonl_record, read_jsonl, write_jsonl
@@ -108,7 +108,7 @@ class SentenceFacts(NamedTuple):
 def sentence_facts(s: ParsedSentence, cfg: FilterConfig) -> SentenceFacts:
     """One sentence's facts under cfg's marker table and theta."""
     verb = s.main_verb()
-    gender = verb_feature(s, verb.id, "Gender")
+    gender, number, _ = verb_agreement(s, verb.id)
     kids = s.children(verb.id)
     subject = next((t for t in kids if t.deprel == "k1"), None)
     n = len(s.tokens)
@@ -126,9 +126,9 @@ def sentence_facts(s: ParsedSentence, cfg: FilterConfig) -> SentenceFacts:
         tuple(t.form for t in s.tokens
               if t.upos in PRONOUN_POS_TAGS and t.form not in cfg.markers.interrogatives),
         verb.form,
-        gender == "Fem" and subject is not None and case_of(s, subject.id, cfg.markers) is not None,
+        gender == "Fem" and subject is not None and case_of(s, subject.id, cfg.markers)[0] is not None,
         (gender is not None and not any(t.deprel == "k2" for t in kids)
-         and (gender == "Fem" or verb_feature(s, verb.id, "Number") == "Plur")),
+         and (gender == "Fem" or number == "Plur")),
         question,
         None if split is None else (f"conjunct at position {split + 1} splits the sentence into "
                                     f"{split}+{n - split - 1} tokens, past theta={cfg.theta}"),

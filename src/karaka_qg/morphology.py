@@ -80,15 +80,16 @@ def load_marker_table(path) -> MarkerTable:
     return DEFAULT_MARKERS._replace(**{name: frozenset(forms) for name, forms in by_field.items()})
 
 
-def case_marker_tokens(s: ParsedSentence, token_id: int, m: MarkerTable) -> list:
-    """The psp child tokens realizing the noun's case marker, if any.
+def case_of(s: ParsedSentence, token_id: int, m: MarkerTable) -> tuple[str | None, list]:
+    """The noun's case marker and the psp child tokens realizing it, or
+    (None, []) for direct case.
 
     Multi-token postpositions ("ke dwaaraa", "ke liye") must appear as
     adjacent psp children; longer matches win over shorter ones.
     """
     psp_children = [t for t in s.children(token_id) if t.deprel == PSP]
     if not psp_children:
-        return []
+        return None, []
     markers = m.case_markers()
     # Group psp children into runs of adjacent token ids.
     runs = [[psp_children[0]]]
@@ -103,28 +104,19 @@ def case_marker_tokens(s: ParsedSentence, token_id: int, m: MarkerTable) -> list
                 window = run[start:start + length]
                 phrase = " ".join(t.form for t in window)
                 if phrase in markers:
-                    return window
-    return []
+                    return phrase, window
+    return None, []
 
 
-def case_of(s: ParsedSentence, token_id: int, m: MarkerTable) -> str | None:
-    """The case marker found among psp children, or None for direct case."""
-    window = case_marker_tokens(s, token_id, m)
-    return " ".join(t.form for t in window) if window else None
-
-
-def verb_feature(s: ParsedSentence, verb_id: int, key: str) -> str | None:
-    """The verb's FEATS value for key ("Gender" or "Number"), else the one a
-    progressive ending betrays, in the verb's own form or its first
-    auxiliary child, else None."""
+def verb_agreement(s: ParsedSentence, verb_id: int) -> tuple[str | None, str | None, dict]:
+    """The verb's (gender, number, feminine): each feature is its FEATS value,
+    else the one the first progressive ending among the verb and its children
+    betrays, else None; feminine maps each progressive token's id to its feminine form."""
     verb = s.token(verb_id)
-    value = verb.feats.get(key)
-    if value:
-        return value
-    for t in (verb,) + s.children(verb_id):
-        if t.form in PROGRESSIVE_AUX:
-            return PROGRESSIVE_AUX[t.form][0][key]
-    return None
+    aux = [t for t in (verb,) + s.children(verb_id) if t.form in PROGRESSIVE_AUX]
+    # FEATS values are never empty (the reader rejects them), so a merge keeps FEATS first.
+    feats = PROGRESSIVE_AUX[aux[0].form][0] | verb.feats if aux else verb.feats
+    return feats.get("Gender"), feats.get("Number"), {t.id: PROGRESSIVE_AUX[t.form][1] for t in aux}
 
 
 @cache

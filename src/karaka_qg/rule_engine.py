@@ -24,9 +24,9 @@ from .lexicon import SemanticCategory, SemanticLexicon
 from .morphology import (
     DEFAULT_MARKERS,
     GENITIVE_INTERROGATIVES,
-    PROGRESSIVE_AUX,
     MarkerTable,
-    case_marker_tokens,
+    case_of,
+    verb_agreement,
 )
 from .textfile import jsonl_record, read_jsonl, write_jsonl
 from .treebank_io import ParsedSentence, Token
@@ -131,7 +131,7 @@ class Role(NamedTuple):
     marker: str | None = None
 
 
-# Case key of a target that carries no postposition, for which case_of gives None.
+# Case key of a target that carries no postposition, whose case_of marker is None.
 # It is a Role, so a row keyed by DIRECT alone still reads as keyed by case.
 DIRECT = Role("direct")
 
@@ -225,9 +225,8 @@ SUBSTITUTIONS = (
 )
 
 
-def _case_asks(row: Substitution, target: Token, window: list, m: MarkerTable):
-    """The row's ask for the case a marker window gives, or None if the row lists no such case."""
-    marker = " ".join(t.form for t in window) if window else None
+def _case_asks(row: Substitution, target: Token, marker: str | None, m: MarkerTable):
+    """The row's ask for the target's case marker, or None if the row lists no such case."""
     for key, asks in row.asks.items():
         if (marker is None if key is DIRECT
                 else marker in getattr(m, key.name) and key.marker in (None, marker)):
@@ -247,8 +246,8 @@ def apply_substitution(row: Substitution):
         out = []
         pool = s.children(s.main_verb().id) if row.on_verb else s.tokens
         for target in [t for t in pool if t.deprel in row.labels]:
-            window = case_marker_tokens(s, target.id, m) if by_case else None
-            asks = row.asks if window is None else _case_asks(row, target, window, m)
+            marker, window = case_of(s, target.id, m) if by_case else (None, [])
+            asks = _case_asks(row, target, marker, m) if by_case else row.asks
             if asks is None:
                 continue
             notes: tuple[str, ...] = ()
@@ -302,7 +301,7 @@ def gen_r6_nonliving(s: ParsedSentence, lex: SemanticLexicon, m: MarkerTable) ->
     does not trigger it.
     """
     out = []
-    verb = s.main_verb()
+    feminine = verb_agreement(s, s.main_verb().id)[2]
     # Possessors of one noun share its count, so their ids stay distinct.
     made: dict[int, int] = {}
     for possessor in s.tokens:
@@ -311,14 +310,10 @@ def gen_r6_nonliving(s: ParsedSentence, lex: SemanticLexicon, m: MarkerTable) ->
         target = s.token(possessor.head)
         if lex.lookup(target.lemma) is not SemanticCategory.NONLIVING:
             continue
-        marker_tokens = case_marker_tokens(s, possessor.id, m)
-        marker = " ".join(t.form for t in marker_tokens)
+        marker, window = case_of(s, possessor.id, m)
         if marker not in m.genitive:
             continue
-        replacements = {t.id: "ki" for t in marker_tokens}
-        for t in (verb,) + s.children(verb.id):
-            if t.form in PROGRESSIVE_AUX:
-                replacements[t.id] = PROGRESSIVE_AUX[t.form][1]
+        replacements = {t.id: "ki" for t in window} | feminine
         tokens = _build_tokens(s, {target.id}, target.id, ["kaun", "si", "vastu"], replacements)
         index = made.get(target.id, 0)
         made[target.id] = index + 1

@@ -7,11 +7,10 @@ from karaka_qg.morphology import (
     DEFAULT_MARKERS,
     MarkerTable,
     MarkerTableError,
-    case_marker_tokens,
     case_of,
     interrogative_spans,
     load_marker_table,
-    verb_feature,
+    verb_agreement,
 )
 
 
@@ -21,7 +20,9 @@ def test_case_of_single_marker():
         ("ne", "ne", "ADP", "_", 1, "psp"),
         ("gaya", "ja", "VERB", "_", 0, "root"),
     ])
-    assert case_of(s, 1, DEFAULT_MARKERS) == "ne"
+    marker, window = case_of(s, 1, DEFAULT_MARKERS)
+    assert marker == "ne"
+    assert [t.id for t in window] == [2]
 
 
 def test_case_of_unmarked_token_is_direct():
@@ -29,7 +30,7 @@ def test_case_of_unmarked_token_is_direct():
         ("raam", "raam", "PROPN", "_", 2, "k1"),
         ("gaya", "ja", "VERB", "_", 0, "root"),
     ])
-    assert case_of(s, 1, DEFAULT_MARKERS) is None
+    assert case_of(s, 1, DEFAULT_MARKERS) == (None, [])
 
 
 def test_case_of_multiword_marker():
@@ -39,8 +40,8 @@ def test_case_of_multiword_marker():
         ("dwaaraa", "dwaaraa", "ADP", "_", 1, "psp"),
         ("gaya", "ja", "VERB", "_", 0, "root"),
     ])
-    assert case_of(s, 1, DEFAULT_MARKERS) == "ke dwaaraa"
-    window = case_marker_tokens(s, 1, DEFAULT_MARKERS)
+    marker, window = case_of(s, 1, DEFAULT_MARKERS)
+    assert marker == "ke dwaaraa"
     assert [t.form for t in window] == ["ke", "dwaaraa"]
 
 
@@ -54,7 +55,9 @@ def test_multiword_marker_requires_adjacent_tokens():
     ])
     # "ke" and "dwaaraa" are split by another token, so the two-token
     # instrumental never matches; the lone "ke" falls back to genitive.
-    assert case_of(s, 1, DEFAULT_MARKERS) == "ke"
+    marker, window = case_of(s, 1, DEFAULT_MARKERS)
+    assert marker == "ke"
+    assert [t.id for t in window] == [2]
 
 
 def test_longest_marker_match_wins():
@@ -64,7 +67,9 @@ def test_longest_marker_match_wins():
         ("liye", "liye", "ADP", "_", 1, "psp"),
         ("likha", "likh", "VERB", "_", 0, "root"),
     ])
-    assert case_of(s, 1, DEFAULT_MARKERS) == "ke liye"
+    marker, window = case_of(s, 1, DEFAULT_MARKERS)
+    assert marker == "ke liye"
+    assert [t.id for t in window] == [2, 3]
 
 
 def test_verb_gender_prefers_feats():
@@ -73,7 +78,8 @@ def test_verb_gender_prefers_feats():
         ("baithi", "baith", "VERB", "Gender=Fem", 0, "root"),
         ("raha", "rah", "AUX", "_", 2, "aux"),
     ])
-    assert verb_feature(s, 2, "Gender") == "Fem"
+    # Each feature falls back on its own: Gender from FEATS, Number from raha.
+    assert verb_agreement(s, 2) == ("Fem", "Sing", {3: "rahi"})
 
 
 def test_verb_gender_from_auxiliary_child():
@@ -82,8 +88,7 @@ def test_verb_gender_from_auxiliary_child():
         ("ja", "ja", "VERB", "_", 0, "root"),
         ("rahi", "rah", "AUX", "_", 2, "aux"),
     ])
-    assert verb_feature(s, 2, "Gender") == "Fem"
-    assert verb_feature(s, 2, "Number") == "Sing"
+    assert verb_agreement(s, 2) == ("Fem", "Sing", {3: "rahi"})
 
 
 def test_verb_gender_from_own_form():
@@ -91,7 +96,15 @@ def test_verb_gender_from_own_form():
         ("billi", "billi", "NOUN", "_", 2, "k1"),
         ("rahi", "rah", "VERB", "_", 0, "root"),
     ])
-    assert verb_feature(s, 2, "Gender") == "Fem"
+    assert verb_agreement(s, 2) == ("Fem", "Sing", {2: "rahi"})
+    # The verb's own ending comes before its children's; every ending turns feminine.
+    s = make_sentence([
+        ("log", "log", "NOUN", "_", 2, "k1"),
+        ("rahe", "rah", "VERB", "_", 0, "root"),
+        ("raha", "rah", "AUX", "_", 2, "aux"),
+        ("rahi", "rah", "AUX", "_", 2, "aux"),
+    ])
+    assert verb_agreement(s, 2) == ("Masc", "Plur", {2: "rahi", 3: "rahi", 4: "rahi"})
 
 
 def test_verb_number_plural_from_auxiliary():
@@ -100,8 +113,7 @@ def test_verb_number_plural_from_auxiliary():
         ("ja", "ja", "VERB", "_", 0, "root"),
         ("rahe", "rah", "AUX", "_", 2, "aux"),
     ])
-    assert verb_feature(s, 2, "Number") == "Plur"
-    assert verb_feature(s, 2, "Gender") == "Masc"
+    assert verb_agreement(s, 2) == ("Masc", "Plur", {3: "rahi"})
 
 
 def test_verb_agreement_unknown_when_no_cue():
@@ -109,8 +121,7 @@ def test_verb_agreement_unknown_when_no_cue():
         ("raam", "raam", "PROPN", "_", 2, "k1"),
         ("gaya", "ja", "VERB", "_", 0, "root"),
     ])
-    assert verb_feature(s, 2, "Gender") is None
-    assert verb_feature(s, 2, "Number") is None
+    assert verb_agreement(s, 2) == (None, None, {})
 
 
 def test_default_interrogatives_hold_question_words_only():

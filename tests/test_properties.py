@@ -35,7 +35,6 @@ from karaka_qg.morphology import (
     GENITIVE_INTERROGATIVES,
     MarkerTable,
     MarkerTableError,
-    case_marker_tokens,
     case_of,
     interrogative_spans,
     load_marker_table,
@@ -280,9 +279,10 @@ def reference_gen_k5(s, lex, m):
     """R_K5 as coded before it became a SUBSTITUTIONS row."""
     out = []
     for target in [t for t in s.children(s.main_verb().id) if t.deprel == "k5"]:
-        if case_of(s, target.id, m) != "se":
+        marker, window = case_of(s, target.id, m)
+        if marker != "se":
             continue
-        marker_ids = {t.id for t in case_marker_tokens(s, target.id, m)}
+        marker_ids = {t.id for t in window}
         keep_marker = s.subtree_ids(target.id) - marker_ids
         cat = lex.lookup(target.lemma)
         if cat is SemanticCategory.PLACE:
@@ -304,7 +304,7 @@ def reference_gen_r6(s, lex, m):
     """R_R6 as coded before it became a SUBSTITUTIONS row."""
     out = []
     for target in [t for t in s.tokens if t.deprel == "r6"]:
-        marker = case_of(s, target.id, m)
+        marker, _ = case_of(s, target.id, m)
         if marker is None or marker not in m.genitive:
             continue
         try:

@@ -192,6 +192,22 @@ def test_two_possessors_of_one_nonliving_noun_get_distinct_ids():
         "mohan ki ghar ka kaun si vastu kho gaya ?",
         "mohan ka ghar ki kaun si vastu kho gaya ?",
     ]
+    # The verb's raha is read once per sentence: both candidates turn it into
+    # rahi, and each rewrites only its own possessor's marker.
+    s = make_sentence([
+        ("mohan", "mohan", "PROPN", "_", 5, "r6"),
+        ("ka", "ka", "ADP", "_", 1, "psp"),
+        ("ghar", "ghar", "NOUN", "_", 5, "r6"),
+        ("ka", "ka", "ADP", "_", 3, "psp"),
+        ("saamaan", "saamaan", "NOUN", "_", 6, "k1"),
+        ("kho", "kho", "VERB", "_", 0, "root"),
+        ("raha", "rah", "AUX", "_", 6, "aux"),
+        ("hai", "hai", "AUX", "_", 6, "aux"),
+    ])
+    assert texts(gen_r6_nonliving(s, make_lexicon(saamaan="NONLIVING"), M)) == [
+        "mohan ki ghar ka kaun si vastu kho rahi hai ?",
+        "mohan ka ghar ki kaun si vastu kho rahi hai ?",
+    ]
 
 
 def test_possessor_question_keeps_possessed_noun():
@@ -384,6 +400,23 @@ def test_label_dispatch_drops_no_candidate(case):
             called = [c for rule, fn in RULE_FUNCTIONS if rule in enabled for c in fn(s, lex, m)]
             assert generate_all(s, lex, m, enabled) == called, (s.sentence_id, enabled)
     assert any(c.rule is fired for s in sentences for c in generate_all(s, lex, m))
+
+
+def test_an_empty_lexicon_asks_everything_the_default_lexicon_asks():
+    # A lemma whose category is unknown gets every variant, so forgetting the
+    # lexicon only adds questions. R_R6_NONLIVING asks only about a noun the
+    # lexicon calls nonliving, so it is exempt.
+    def keys(s, lex):
+        return {(c.rule, c.target_token_id, c.interrogative, c.tokens)
+                for c in generate_all(s, lex) if c.rule is not RuleId.R_R6_NONLIVING}
+
+    known = unknown = 0
+    for s in load_bundled_corpus():
+        with_lexicon, without = keys(s, default_lexicon()), keys(s, SemanticLexicon())
+        assert with_lexicon <= without, (s.sentence_id, with_lexicon - without)
+        known += len(with_lexicon)
+        unknown += len(without)
+    assert (known, unknown) == (94, 107)
 
 
 def _table_groups(asks):
