@@ -17,8 +17,6 @@ from typing import NamedTuple
 from .textfile import InputError, check_edges, open_utf8
 from .treebank_io import KARAKA_ORDER
 
-RATING_COLUMNS = ("candidate_id", "annotator_id", "syntax", "semantic")
-
 
 class RatingsError(InputError):
     """Raised for malformed rating files or unmatched candidate ids."""
@@ -38,6 +36,9 @@ class RatingRecord(NamedTuple):
     annotator_id: str
     syntax: int
     semantic: int
+
+
+RATING_COLUMNS = RatingRecord._fields
 
 
 class RowStats(NamedTuple):
@@ -95,9 +96,8 @@ def _read_ratings(path, index: dict, slots=(), flat=(), records=None):
         try:
             header = next(reader, None)
             if header is None or tuple(header) != RATING_COLUMNS:
-                raise RatingsError(
-                    f"{path}:1: expected header {','.join(RATING_COLUMNS)}, got {header}"
-                )
+                raise RatingsError(f"{path}:1: expected header "
+                                   f"{','.join(RATING_COLUMNS)}, got {header}")
             end = reader.line_num
             for row in reader:
                 line_no, end = end + 1, reader.line_num

@@ -20,7 +20,7 @@ from .morphology import (
     verb_agreement,
 )
 from .rule_engine import QuestionCandidate, RuleId
-from .textfile import InputError, jsonl_record, read_jsonl, write_jsonl
+from .textfile import InputError, jsonl_record, read_jsonl
 from .treebank_io import ParsedSentence
 
 
@@ -240,9 +240,6 @@ def run_filters(candidates, sentences, cfg: FilterConfig = FilterConfig()):
             kept.append(c)
         verdicts.append(verdict)
     return kept, verdicts
-
-
-write_verdicts_jsonl = write_jsonl
 
 
 def read_verdicts_jsonl(path, project: str | None = None):

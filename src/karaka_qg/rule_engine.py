@@ -28,7 +28,7 @@ from .morphology import (
     case_of,
     verb_agreement,
 )
-from .textfile import jsonl_record, read_jsonl, write_jsonl
+from .textfile import jsonl_record, read_jsonl
 from .treebank_io import ParsedSentence, Token
 
 log = logging.getLogger(__name__)
@@ -347,9 +347,6 @@ def generate_all(s: ParsedSentence, lex: SemanticLexicon,
         if rule_id in enabled and (targets is None or not labels.isdisjoint(targets)):
             out.extend(fn(s, lex, m))
     return out
-
-
-write_candidates_jsonl = write_jsonl
 
 
 def read_candidates_jsonl(path, project: str | None = None, line_of: dict | None = None):

@@ -39,8 +39,8 @@ from karaka_qg.rule_engine import (
     QuestionCandidate,
     Role,
     RuleId,
-    write_candidates_jsonl,
 )
+from karaka_qg.textfile import write_jsonl
 from karaka_qg.treebank_io import Token, build_sentence, load_treebank
 
 # The environment of a fresh interpreter that imports this checkout's package.
@@ -572,7 +572,7 @@ def test_unknown_candidate_names_the_first_line_of_a_multi_line_row(tmp_path, ca
     names = ["c0", "c1", "c2", "c3"]
     ids = [name + "\nx" if i % 2 else name for i, name in enumerate(names)]
     candidates = tmp_path / "candidates.jsonl"
-    write_candidates_jsonl([make_rated_candidate(cid, "k1") for cid in ids], candidates)
+    write_jsonl([make_rated_candidate(cid, "k1") for cid in ids], candidates)
     ratings = tmp_path / "ratings.csv"
     ratings.write_text(MULTI_LINE_RATINGS.format(*names), encoding="utf-8")
     argv = ["eval", "--candidates", str(candidates), "--ratings", str(ratings)]

@@ -20,11 +20,11 @@ from karaka_qg.filters import (
     read_verdicts_jsonl,
     run_filters,
     sentence_facts,
-    write_verdicts_jsonl,
 )
 from karaka_qg.lexicon import SemanticLexicon, default_lexicon
 from karaka_qg.morphology import interrogative_spans
 from karaka_qg.rule_engine import QuestionCandidate, RuleId, generate_all
+from karaka_qg.textfile import write_jsonl
 
 EMPTY = SemanticLexicon()
 
@@ -450,7 +450,7 @@ def test_verdicts_jsonl_round_trip(tmp_path):
     candidates = generate_all(s, EMPTY)
     _, verdicts = run_filters(candidates, [s])
     path = tmp_path / "verdicts.jsonl"
-    write_verdicts_jsonl(verdicts, path)
+    write_jsonl(verdicts, path)
     assert read_verdicts_jsonl(path) == verdicts
     assert all(isinstance(v, FilterVerdict) for v in read_verdicts_jsonl(path))
 

@@ -29,10 +29,9 @@ from karaka_qg.rule_engine import (
     gen_rh,
     generate_all,
     read_candidates_jsonl,
-    write_candidates_jsonl,
 )
 from karaka_qg.filters import FilterId, FilterVerdict
-from karaka_qg.textfile import JsonlError, jsonl_record, read_jsonl
+from karaka_qg.textfile import JsonlError, jsonl_record, read_jsonl, write_jsonl
 
 M = DEFAULT_MARKERS
 RULE = dict(RULE_FUNCTIONS)
@@ -507,7 +506,7 @@ def test_candidates_jsonl_round_trip(tmp_path):
     s = goal_sentence()
     cands = generate_all(s, EMPTY, M)
     path = tmp_path / "candidates.jsonl"
-    write_candidates_jsonl(cands, path)
+    write_jsonl(cands, path)
     loaded = read_candidates_jsonl(path)
     assert loaded == cands
     assert all(isinstance(c, QuestionCandidate) for c in loaded)
