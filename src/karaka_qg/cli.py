@@ -1,8 +1,9 @@
 """Command line front end: generate, filter, eval, and pipeline.
 
-Data goes to files under --out (and evaluation results to stdout); logs
-go to stderr. Data files are byte-identical across reruns on the same
-inputs; per-run metadata is kept out of them in run_meta.json.
+Data goes to files under --out (and evaluation results to stdout); INFO and
+ERROR lines go to the current sys.stderr, or nowhere when it cannot take them.
+Data files are byte-identical across reruns on the same inputs; per-run
+metadata is kept out of them in run_meta.json.
 
 Exit codes: 0 on success, 1 for input errors (textfile.InputError, the base of
 every reader's error, or OSError), 2 for configuration errors (ConfigError).
@@ -18,7 +19,6 @@ from __future__ import annotations
 import argparse
 import gc
 import json
-import logging
 import sys
 import time
 from collections import Counter
@@ -38,8 +38,6 @@ from .rule_engine import RuleId, generate_all, read_candidates_jsonl
 from .textfile import InputError, write_jsonl
 from .treebank_io import KARAKA_ORDER, load_treebank
 
-log = logging.getLogger("karaka_qg")
-
 # perfbench/tracing.py wraps the calls made through these names: write_jsonl
 # under the two span names it times apart, and the evaluation functions that
 # __getattr__ serves on first use. Both go with the benchmark-only ROADMAP item.
@@ -51,6 +49,14 @@ def __getattr__(name: str):
         from . import evaluation
         return getattr(evaluation, name)
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def _say(level: str, message: object) -> None:
+    """Write "LEVEL message" to sys.stderr as it is now; drop a line it cannot take."""
+    try:
+        sys.stderr.write(f"{level} {message}\n")
+    except (AttributeError, OSError, ValueError):  # no stderr, or a closed or failing one
+        pass
 
 
 class ConfigError(ValueError):
@@ -124,9 +130,11 @@ def _generate(cfg: argparse.Namespace, markers):
     """Write the candidates' summary; return the sentences and the sorted candidates."""
     lexicon = _load_lexicon(cfg)
     sentences = load_treebank(cfg.input_path)
-    candidates = []
+    candidates, skipped = [], []
     for s in sentences:
-        candidates.extend(generate_all(s, lexicon, markers, cfg.enabled_rules))
+        candidates.extend(generate_all(s, lexicon, markers, cfg.enabled_rules, skipped))
+    for token, reason in skipped:
+        _say("INFO", f"{token.deprel} token {token.form!r} {reason}; skipped")
     candidates.sort(key=lambda c: c.candidate_id)
     cfg.output_dir.mkdir(parents=True, exist_ok=True)
     # Every karaka of KARAKA_ORDER, then any other in order of first use.
@@ -139,8 +147,7 @@ def cmd_generate(cfg: argparse.Namespace) -> int:
     sentences, candidates = _generate(cfg, _load_markers(cfg))
     write_candidates_jsonl(candidates, cfg.output_dir / "candidates.jsonl")
     _write_run_meta(cfg)
-    log.info("generated %d candidates from %d sentences",
-             len(candidates), len(sentences))
+    _say("INFO", f"generated {len(candidates)} candidates from {len(sentences)} sentences")
     return 0
 
 
@@ -151,7 +158,7 @@ def _write_verdicts(cfg: argparse.Namespace, verdicts) -> None:
     summary = {"input": len(verdicts), "kept": len(verdicts) - sum(drops.values()),
                "dropped": {f.value: drops[f.value] for f in FilterId}}
     _write_json(summary, cfg.output_dir / "filter_summary.json")
-    log.info("kept %d of %d candidates", summary["kept"], len(verdicts))
+    _say("INFO", f"kept {summary['kept']} of {len(verdicts)} candidates")
 
 
 def cmd_filter(cfg: argparse.Namespace) -> int:
@@ -199,7 +206,7 @@ def cmd_eval(cfg: argparse.Namespace) -> int:
     if cfg.verdicts_path is not None or verdicts_path.exists():
         kept_of = read_verdicts_jsonl(verdicts_path, "kept")
     else:
-        log.info("no verdicts at %s; skipping the before/after block", verdicts_path)
+        _say("INFO", f"no verdicts at {verdicts_path}; skipping the before/after block")
     try:
         _evaluate(cfg, karaka_of, kept_of)
     except UncoveredCandidateError as exc:
@@ -297,8 +304,6 @@ COMMANDS = {
 
 
 def main(argv=None) -> int:
-    logging.basicConfig(stream=sys.stderr, level=logging.INFO,
-                        format="%(levelname)s %(message)s")
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
@@ -308,7 +313,7 @@ def main(argv=None) -> int:
     try:
         cfg = _config_from_args(args)
     except ConfigError as exc:
-        log.error("%s", exc)
+        _say("ERROR", exc)
         return 2
     # A command's records hold no reference cycles, so collector passes would find nothing.
     collecting = gc.isenabled()
@@ -316,7 +321,7 @@ def main(argv=None) -> int:
     try:
         return COMMANDS[args.command](cfg)
     except (InputError, OSError) as exc:
-        log.error("%s", exc)
+        _say("ERROR", exc)
         return 1
     finally:
         if collecting:

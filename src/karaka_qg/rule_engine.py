@@ -16,7 +16,6 @@ variation_group; variants with different meanings get distinct groups.
 
 from __future__ import annotations
 
-import logging
 from enum import Enum
 from typing import NamedTuple
 
@@ -30,8 +29,6 @@ from .morphology import (
 )
 from .textfile import jsonl_record, read_jsonl
 from .treebank_io import ParsedSentence, Token
-
-log = logging.getLogger(__name__)
 
 # Terminal punctuation replaced by the appended question mark.
 TERMINAL_PUNCT = {"।", ".", "|", "?", "!"}
@@ -145,7 +142,7 @@ class Substitution(NamedTuple):
     categories not named and UNKNOWN is always named. A row whose ``asks``
     keys are ``Role``s (DIRECT or a MarkerTable role) is keyed by case: it
     first keys ``asks`` by the target's case. A case not listed skips the
-    target, logged when the row says how it ``skip``s (formatted with the
+    target, reported when the row says how it ``skip``s (formatted with the
     marker). Targets are the tokens with one of ``labels``, only the main
     verb's children when ``on_verb``. Interrogatives in ``keeps_marker``
     leave a case-keyed row's case marker in place. ``notes`` is a note per
@@ -225,30 +222,30 @@ SUBSTITUTIONS = (
 )
 
 
-def _case_asks(row: Substitution, target: Token, marker: str | None, m: MarkerTable):
+def _case_asks(row: Substitution, marker: str | None, m: MarkerTable):
     """The row's ask for the target's case marker, or None if the row lists no such case."""
     for key, asks in row.asks.items():
         if (marker is None if key is DIRECT
                 else marker in getattr(m, key.name) and key.marker in (None, marker)):
             return asks
-    if row.skip:
-        log.info("%s token %r %s; skipped",
-                 target.deprel, target.form, row.skip.format(marker))
     return None
 
 
 def apply_substitution(row: Substitution):
-    """The (s, lex, m) function giving one row's candidates for a sentence.
+    """The (s, lex, m, skipped) function giving one row's candidates for a sentence.
     Whether the row is keyed by case is read from its asks keys once, here."""
     by_case = isinstance(row.asks, dict) and isinstance(next(iter(row.asks)), Role)
 
-    def substitute(s: ParsedSentence, lex: SemanticLexicon, m: MarkerTable) -> list[QuestionCandidate]:
+    def substitute(s: ParsedSentence, lex: SemanticLexicon, m: MarkerTable,
+                   skipped=None) -> list[QuestionCandidate]:
         out = []
         pool = s.children(s.main_verb().id) if row.on_verb else s.tokens
         for target in [t for t in pool if t.deprel in row.labels]:
             marker, window = case_of(s, target.id, m) if by_case else (None, [])
-            asks = _case_asks(row, target, marker, m) if by_case else row.asks
+            asks = _case_asks(row, marker, m) if by_case else row.asks
             if asks is None:
+                if row.skip and skipped is not None:
+                    skipped.append((target, row.skip.format(marker)))
                 continue
             notes: tuple[str, ...] = ()
             if isinstance(asks, dict):
@@ -274,7 +271,8 @@ def apply_substitution(row: Substitution):
     return substitute
 
 
-def gen_rh(s: ParsedSentence, lex: SemanticLexicon, m: MarkerTable) -> list[QuestionCandidate]:
+def gen_rh(s: ParsedSentence, lex: SemanticLexicon, m: MarkerTable,
+           skipped=None) -> list[QuestionCandidate]:
     """Reason questions: drop the because-clause, ask kyon before the verb.
 
     The because-term heads its clause, so deleting its subtree removes
@@ -291,7 +289,8 @@ def gen_rh(s: ParsedSentence, lex: SemanticLexicon, m: MarkerTable) -> list[Ques
     return out
 
 
-def gen_r6_nonliving(s: ParsedSentence, lex: SemanticLexicon, m: MarkerTable) -> list[QuestionCandidate]:
+def gen_r6_nonliving(s: ParsedSentence, lex: SemanticLexicon, m: MarkerTable,
+                     skipped=None) -> list[QuestionCandidate]:
     """Possessed-thing questions: replace a nonliving possessed noun.
 
     "X ka Y" with nonliving Y becomes "X ki kaun si vastu". The inserted
@@ -326,7 +325,7 @@ def gen_r6_nonliving(s: ParsedSentence, lex: SemanticLexicon, m: MarkerTable) ->
 # does, so they stay code rather than rows.
 _FUNCTION_OF = ({row.rule: apply_substitution(row) for row in SUBSTITUTIONS}
                 | {RuleId.R_RH: gen_rh, RuleId.R_R6_NONLIVING: gen_r6_nonliving})
-# Every rule as an (s, lex, m) function, in RuleId order.
+# Every rule as an (s, lex, m, skipped=None) function, in RuleId order.
 RULE_FUNCTIONS = tuple((rule, _FUNCTION_OF[rule]) for rule in RuleId)
 # The labels a rule's targets carry; a sentence holding none of them gets no
 # candidate from it. R_RH looks for a because form, whatever its label.
@@ -336,8 +335,10 @@ _TARGET_LABELS[RuleId.R_R6_NONLIVING] = _TARGET_LABELS[RuleId.R_R6]
 
 def generate_all(s: ParsedSentence, lex: SemanticLexicon,
                  m: MarkerTable = DEFAULT_MARKERS,
-                 enabled: set[RuleId] | None = None) -> list[QuestionCandidate]:
-    """Run every enabled rule whose target labels the sentence holds, in fixed rule order."""
+                 enabled: set[RuleId] | None = None,
+                 skipped: list | None = None) -> list[QuestionCandidate]:
+    """Run every enabled rule whose target labels the sentence holds, in fixed rule order.
+    A target a row skips, saying why, is appended to ``skipped`` as (token, reason)."""
     if enabled is None:
         enabled = set(RuleId)
     labels = {t.deprel for t in s.tokens}
@@ -345,7 +346,7 @@ def generate_all(s: ParsedSentence, lex: SemanticLexicon,
     for rule_id, fn in RULE_FUNCTIONS:
         targets = _TARGET_LABELS.get(rule_id)
         if rule_id in enabled and (targets is None or not labels.isdisjoint(targets)):
-            out.extend(fn(s, lex, m))
+            out.extend(fn(s, lex, m, skipped))
     return out
 
 

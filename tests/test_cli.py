@@ -5,7 +5,6 @@ import ast
 import gc
 import importlib.metadata
 import json
-import logging
 import os
 import pkgutil
 import random
@@ -13,6 +12,7 @@ import re
 import shutil
 import subprocess
 import sys
+from contextlib import contextmanager
 from datetime import datetime, timedelta, timezone
 from functools import partial
 from pathlib import Path
@@ -32,19 +32,26 @@ from karaka_qg.evaluation import (
     load_ratings,
 )
 from karaka_qg.filters import FilterConfig, FilterVerdict
-from karaka_qg.lexicon import load_lexicon
+from karaka_qg.lexicon import default_lexicon, load_lexicon
 from karaka_qg.morphology import DEFAULT_MARKERS, load_marker_table
 from karaka_qg.rule_engine import (
     SUBSTITUTIONS,
     QuestionCandidate,
     Role,
     RuleId,
+    generate_all,
 )
 from karaka_qg.textfile import write_jsonl
 from karaka_qg.treebank_io import Token, build_sentence, load_treebank
 
 # The environment of a fresh interpreter that imports this checkout's package.
 PACKAGE_ENV = {**os.environ, "PYTHONPATH": str(Path(karaka_qg.__file__).resolve().parent.parent)}
+
+
+def last_error(err: str) -> str | None:
+    """The message of the last ERROR line in err, what main wrote to stderr; None if none."""
+    _, sep, message = ("\n" + err).rpartition("\nERROR ")
+    return message.removesuffix("\n") if sep else None
 
 TREEBANK = """\
 # sent_id = e001
@@ -320,37 +327,37 @@ def test_eval_json_format(tmp_path, capsys):
     assert payload["before_after"]["after"]["count"] == 6
 
 
-def test_eval_without_verdicts_skips_before_after(tmp_path, capsys, caplog):
+def test_eval_without_verdicts_skips_before_after(tmp_path, capsys):
     src = write_input(tmp_path)
     out = tmp_path / "out"
     assert main(["generate", "--input", str(src), "--out", str(out)]) == 0
     ratings = tmp_path / "ratings.csv"
     write_ratings(ratings, [("e001:R_K1:2:0", "a1", 5, 4)])
-    with caplog.at_level(logging.INFO, logger="karaka_qg"):
-        rc = main([
-            "eval", "--candidates", str(out / "candidates.jsonl"),
-            "--ratings", str(ratings), "--format", "json",
-        ])
+    rc = main([
+        "eval", "--candidates", str(out / "candidates.jsonl"),
+        "--ratings", str(ratings), "--format", "json",
+    ])
     assert rc == 0
-    payload = json.loads(capsys.readouterr().out)
+    captured = capsys.readouterr()
+    payload = json.loads(captured.out)
     assert payload["before_after"] is None
-    assert "skipping the before/after block" in caplog.text
+    assert "skipping the before/after block" in captured.err
 
 
-def test_missing_explicit_verdicts_file_is_an_input_error(tmp_path, capsys, caplog):
+def test_missing_explicit_verdicts_file_is_an_input_error(tmp_path, capsys):
     src = write_input(tmp_path)
     out = tmp_path / "out"
     assert main(["generate", "--input", str(src), "--out", str(out)]) == 0
     ratings = tmp_path / "ratings.csv"
     write_ratings(ratings, [("e001:R_K1:2:0", "a1", 5, 4)])
     missing = tmp_path / "absent_verdicts.jsonl"
-    with caplog.at_level(logging.INFO, logger="karaka_qg"):
-        rc = main(["eval", "--out", str(out), "--ratings", str(ratings),
-                   "--verdicts", str(missing)])
+    rc = main(["eval", "--out", str(out), "--ratings", str(ratings),
+               "--verdicts", str(missing)])
     assert rc == 1
-    assert str(missing) in caplog.text
-    assert "skipping the before/after block" not in caplog.text
-    assert capsys.readouterr().out == ""
+    captured = capsys.readouterr()
+    assert str(missing) in captured.err
+    assert "skipping the before/after block" not in captured.err
+    assert captured.out == ""
 
 
 def test_missing_input_file_is_an_input_error(tmp_path):
@@ -364,13 +371,12 @@ def test_malformed_treebank_is_an_input_error(tmp_path):
     assert main(["generate", "--input", str(src), "--out", str(tmp_path)]) == 1
 
 
-def test_duplicate_sent_id_is_an_input_error(tmp_path, caplog):
+def test_duplicate_sent_id_is_an_input_error(tmp_path, capsys):
     src = tmp_path / "dup.conllu"
     src.write_text(TREEBANK.replace("e002", "e001"), encoding="utf-8")
-    with caplog.at_level(logging.ERROR, logger="karaka_qg"):
-        rc = main(["pipeline", "--input", str(src), "--out", str(tmp_path / "out")])
+    rc = main(["pipeline", "--input", str(src), "--out", str(tmp_path / "out")])
     assert rc == 1
-    assert f"{src}:10: duplicate sent_id 'e001', first used at {src}:1" in caplog.text
+    assert f"{src}:10: duplicate sent_id 'e001', first used at {src}:1" in capsys.readouterr().err
     assert not (tmp_path / "out" / "candidates.jsonl").exists()
 
 
@@ -417,7 +423,7 @@ def test_duplicate_sent_id_is_an_input_error(tmp_path, caplog):
         "kept-string", "dropped-by-number", "candidates-nested", "verdicts-nested",
         "kept-names-a-filter", "dropped-names-none", "candidates-surrogate",
         "verdicts-surrogate", "no-kept", "unknown-filter"])
-def test_malformed_jsonl_line_is_an_input_error(tmp_path, caplog, name, spoil, reason):
+def test_malformed_jsonl_line_is_an_input_error(tmp_path, capsys, name, spoil, reason):
     src = write_input(tmp_path)
     out = tmp_path / "out"
     assert main(["pipeline", "--input", str(src), "--out", str(out)]) == 0
@@ -429,16 +435,15 @@ def test_malformed_jsonl_line_is_an_input_error(tmp_path, caplog, name, spoil, r
     write_ratings(ratings, [("e001:R_K1:2:0", "a1", 5, 4)])
     command = (["filter", "--input", str(src)] if name == "candidates.jsonl"
                else ["eval", "--ratings", str(ratings)])
-    with caplog.at_level(logging.ERROR, logger="karaka_qg"):
-        rc = main(command + ["--out", str(out)])
+    rc = main(command + ["--out", str(out)])
     assert rc == 1
-    message = caplog.records[-1].getMessage()
+    message = last_error(capsys.readouterr().err)
     assert message.startswith(f"{path}:2: ")
     assert reason in message
 
 
 @pytest.mark.parametrize("name", ["candidates.jsonl", "verdicts.jsonl"])
-def test_repeated_candidate_id_is_an_input_error(tmp_path, caplog, name):
+def test_repeated_candidate_id_is_an_input_error(tmp_path, capsys, name):
     src = write_input(tmp_path)
     out = tmp_path / "out"
     assert main(["pipeline", "--input", str(src), "--out", str(out)]) == 0
@@ -447,16 +452,15 @@ def test_repeated_candidate_id_is_an_input_error(tmp_path, caplog, name):
     path.write_text("\n".join(lines + lines[:1]) + "\n", encoding="utf-8")
     ratings = tmp_path / "ratings.csv"
     write_ratings(ratings, [("e001:R_K1:2:0", "a1", 5, 4)])
-    with caplog.at_level(logging.ERROR, logger="karaka_qg"):
-        rc = main(["eval", "--out", str(out), "--ratings", str(ratings)])
+    rc = main(["eval", "--out", str(out), "--ratings", str(ratings)])
     assert rc == 1
     first_id = json.loads(lines[0])["candidate_id"]
     assert (f"{path}:{len(lines) + 1}: duplicate candidate_id {first_id!r}, "
-            f"first used at {path}:1") in caplog.text
+            f"first used at {path}:1") in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("command", ["eval", "filter"])
-def test_repeated_candidate_id_names_a_first_use_past_a_blank_line(tmp_path, caplog, command):
+def test_repeated_candidate_id_names_a_first_use_past_a_blank_line(tmp_path, capsys, command):
     src = tmp_path / "corpus.conllu"
     src.write_text(bundled_corpus_text(), encoding="utf-8")
     out = tmp_path / "out"
@@ -469,13 +473,12 @@ def test_repeated_candidate_id_names_a_first_use_past_a_blank_line(tmp_path, cap
     # eval reads the karaka of each line, filter builds each line's record.
     args = (["eval", "--out", str(out), "--ratings", str(ratings)] if command == "eval"
             else ["filter", "--input", str(src), "--out", str(tmp_path / "filtered")])
-    with caplog.at_level(logging.ERROR, logger="karaka_qg"):
-        assert main(args + ["--candidates", str(dup)]) == 1
-    assert caplog.records[-1].getMessage() == (
+    assert main(args + ["--candidates", str(dup)]) == 1
+    assert last_error(capsys.readouterr().err) == (
         f"{dup}:98: duplicate candidate_id 'c001:R_K2:3:0', first used at {dup}:3")
 
 
-def test_lone_surrogate_escape_stops_eval_and_filter_before_any_output(tmp_path, capsys, caplog):
+def test_lone_surrogate_escape_stops_eval_and_filter_before_any_output(tmp_path, capsys):
     src = write_input(tmp_path)
     out = tmp_path / "out"
     assert main(["generate", "--input", str(src), "--out", str(out)]) == 0
@@ -486,18 +489,20 @@ def test_lone_surrogate_escape_stops_eval_and_filter_before_any_output(tmp_path,
     ratings = tmp_path / "ratings.csv"
     write_ratings(ratings, [("e001:R_K1:2:0", "a1", 5, 4)])
     filtered = tmp_path / "filtered"
-    with caplog.at_level(logging.ERROR, logger="karaka_qg"):
-        assert main(["eval", "--out", str(out), "--ratings", str(ratings)]) == 1
-        assert caplog.records[-1].getMessage() == (
-            f"{candidates}:1: lone surrogate '\\ud800' is not text")
-        assert main(["filter", "--input", str(src), "--candidates", str(candidates),
-                     "--out", str(filtered)]) == 1
-    assert caplog.records[-1].getMessage().startswith(f"{candidates}:1: ")
-    assert capsys.readouterr().out == ""
+    capsys.readouterr()
+    assert main(["eval", "--out", str(out), "--ratings", str(ratings)]) == 1
+    captured = capsys.readouterr()
+    assert last_error(captured.err) == f"{candidates}:1: lone surrogate '\\ud800' is not text"
+    assert captured.out == ""
+    assert main(["filter", "--input", str(src), "--candidates", str(candidates),
+                 "--out", str(filtered)]) == 1
+    captured = capsys.readouterr()
+    assert last_error(captured.err).startswith(f"{candidates}:1: ")
+    assert captured.out == ""
     assert not filtered.exists()
 
 
-def test_uncovered_candidate_names_its_candidates_line(tmp_path, caplog, capsys):
+def test_uncovered_candidate_names_its_candidates_line(tmp_path, capsys):
     src = write_input(tmp_path)
     out = tmp_path / "out"
     assert main(["pipeline", "--input", str(src), "--out", str(out)]) == 0
@@ -512,12 +517,12 @@ def test_uncovered_candidate_names_its_candidates_line(tmp_path, caplog, capsys)
     lines = verdicts.read_text(encoding="utf-8").splitlines()
     verdicts.write_text("\n".join(lines[:2] + lines[3:5]) + "\n", encoding="utf-8")
     ids = [row["candidate_id"] for row in read_jsonl(candidates)]
-    with caplog.at_level(logging.ERROR, logger="karaka_qg"):
-        assert main(["eval", "--out", str(out), "--ratings", str(ratings)]) == 1
-    assert caplog.records[-1].getMessage() == (
+    assert main(["eval", "--out", str(out), "--ratings", str(ratings)]) == 1
+    captured = capsys.readouterr()
+    assert last_error(captured.err) == (
         f"{candidates}:3: no filter verdict for candidate {ids[2]!r} "
         f"({len(ids) - 4} candidates uncovered)")
-    assert capsys.readouterr().out == ""
+    assert captured.out == ""
 
 
 def test_missing_lexicon_file_is_an_input_error(tmp_path):
@@ -536,7 +541,7 @@ def test_orphan_rating_is_an_input_error(tmp_path):
                  "--ratings", str(ratings)]) == 1
 
 
-def test_cross_file_reference_names_the_referring_line(tmp_path, caplog):
+def test_cross_file_reference_names_the_referring_line(tmp_path, capsys):
     src = write_input(tmp_path)
     out = tmp_path / "out"
     assert main(["generate", "--input", str(src), "--out", str(out)]) == 0
@@ -544,18 +549,16 @@ def test_cross_file_reference_names_the_referring_line(tmp_path, caplog):
     ratings = tmp_path / "ratings.csv"
     write_ratings(ratings, [("e001:R_K1:2:0", "a1", 5, 4), ("ghost", "a1", 3, 3),
                             ("ghost", "a2", 3, 3)])
-    with caplog.at_level(logging.ERROR, logger="karaka_qg"):
-        assert main(["eval", "--candidates", str(candidates), "--ratings", str(ratings)]) == 1
-    assert caplog.records[-1].getMessage() == (
+    assert main(["eval", "--candidates", str(candidates), "--ratings", str(ratings)]) == 1
+    assert last_error(capsys.readouterr().err) == (
         f"{ratings}:3: rating references unknown candidate_id 'ghost'")
     one = tmp_path / "one.conllu"
     one.write_text(TREEBANK.split("\n\n")[0] + "\n", encoding="utf-8")
     ids = [row["candidate_id"] for row in read_jsonl(candidates)]
     orphan = next(cid for cid in ids if cid.startswith("e002:"))
-    with caplog.at_level(logging.ERROR, logger="karaka_qg"):
-        assert main(["filter", "--input", str(one), "--candidates", str(candidates),
-                     "--out", str(tmp_path / "filtered")]) == 1
-    assert caplog.records[-1].getMessage() == (
+    assert main(["filter", "--input", str(one), "--candidates", str(candidates),
+                 "--out", str(tmp_path / "filtered")]) == 1
+    assert last_error(capsys.readouterr().err) == (
         f"{candidates}:{ids.index(orphan) + 1}: candidate {orphan}: unknown sentence_id 'e002'")
 
 
@@ -567,8 +570,7 @@ MULTI_LINE_RATINGS = ('candidate_id,annotator_id,syntax,semantic\n{0},a1,5,4\n"{
 
 @pytest.mark.parametrize("row, line", [(0, 2), (1, 3), (2, 5), (3, 6)],
                          ids=["line-2", "line-3", "line-5", "line-6"])
-def test_unknown_candidate_names_the_first_line_of_a_multi_line_row(tmp_path, caplog, capsys,
-                                                                    row, line):
+def test_unknown_candidate_names_the_first_line_of_a_multi_line_row(tmp_path, capsys, row, line):
     names = ["c0", "c1", "c2", "c3"]
     ids = [name + "\nx" if i % 2 else name for i, name in enumerate(names)]
     candidates = tmp_path / "candidates.jsonl"
@@ -580,12 +582,12 @@ def test_unknown_candidate_names_the_first_line_of_a_multi_line_row(tmp_path, ca
     capsys.readouterr()
     names[row] = "ghost"
     ratings.write_text(MULTI_LINE_RATINGS.format(*names), encoding="utf-8")
-    with caplog.at_level(logging.ERROR, logger="karaka_qg"):
-        assert main(argv) == 1
+    assert main(argv) == 1
     unknown = "ghost\nx" if row % 2 else "ghost"
-    assert caplog.records[-1].getMessage() == (
+    captured = capsys.readouterr()
+    assert last_error(captured.err) == (
         f"{ratings}:{line}: rating references unknown candidate_id {unknown!r}")
-    assert capsys.readouterr().out == ""
+    assert captured.out == ""
 
 
 KNOWN = "e001:R_K1:2:0"
@@ -605,19 +607,18 @@ KNOWN = "e001:R_K1:2:0"
     ([(KNOWN, "a1", 5, 4), ("ghost", "a1", 9, 4)], 3, "syntax score 9 outside 1..5"),
 ], ids=["unknown-then-its-duplicate", "unknown-then-duplicate", "duplicate-then-unknown",
         "score-and-unknown-in-one-row"])
-def test_eval_reports_the_first_fault_in_file_order(tmp_path, caplog, rows, line, reason):
+def test_eval_reports_the_first_fault_in_file_order(tmp_path, capsys, rows, line, reason):
     src = write_input(tmp_path)
     out = tmp_path / "out"
     assert main(["pipeline", "--input", str(src), "--out", str(out)]) == 0
     ratings = tmp_path / "ratings.csv"
     write_ratings(ratings, rows)
-    with caplog.at_level(logging.ERROR, logger="karaka_qg"):
-        assert main(["eval", "--out", str(out), "--ratings", str(ratings)]) == 1
-    assert caplog.records[-1].getMessage() == (
+    assert main(["eval", "--out", str(out), "--ratings", str(ratings)]) == 1
+    assert last_error(capsys.readouterr().err) == (
         f"{ratings}:{line}: {reason.format(KNOWN=KNOWN, ratings=ratings)}")
 
 
-def eval_and_pipeline(tmp_path, caplog, capsys, rows):
+def eval_and_pipeline(tmp_path, capsys, rows):
     """(exit code, last error, stdout) of eval and of pipeline --ratings on rows."""
     src = write_input(tmp_path)
     out = tmp_path / "out"
@@ -628,36 +629,34 @@ def eval_and_pipeline(tmp_path, caplog, capsys, rows):
     results = []
     for args in (["eval", "--out", str(out)],
                  ["pipeline", "--input", str(src), "--out", str(tmp_path / "piped")]):
-        caplog.clear()
-        with caplog.at_level(logging.ERROR, logger="karaka_qg"):
-            rc = main(args + ["--ratings", str(ratings), "--format", "json"])
-        results.append((rc, caplog.records[-1].getMessage() if caplog.records else None,
-                        capsys.readouterr().out))
+        rc = main(args + ["--ratings", str(ratings), "--format", "json"])
+        captured = capsys.readouterr()
+        results.append((rc, last_error(captured.err), captured.out))
     return ratings, results
 
 
-def test_a_repeat_among_seventy_annotators_names_the_pairs_first_line(tmp_path, caplog, capsys):
+def test_a_repeat_among_seventy_annotators_names_the_pairs_first_line(tmp_path, capsys):
     rows = [(KNOWN, f"a{i}", 5, 4) for i in range(70)] + [(KNOWN, "a66", 3, 3)]
-    ratings, results = eval_and_pipeline(tmp_path, caplog, capsys, rows)
+    ratings, results = eval_and_pipeline(tmp_path, capsys, rows)
     # a66 first rates on line 68; its repeat is the last row, on line 72.
     message = (f"{ratings}:72: duplicate rating for candidate {KNOWN!r} by annotator 'a66', "
                f"first used at {ratings}:68")
     assert results == [(1, message, "")] * 2
 
 
-def test_one_annotator_on_two_candidates_is_not_a_repeat(tmp_path, caplog, capsys):
+def test_one_annotator_on_two_candidates_is_not_a_repeat(tmp_path, capsys):
     rows = [(KNOWN, "a1", 5, 4), ("e001:R_K2:4:0", "a1", 3, 2)]
-    _, results = eval_and_pipeline(tmp_path, caplog, capsys, rows)
+    _, results = eval_and_pipeline(tmp_path, capsys, rows)
     assert [rc for rc, _, _ in results] == [0, 0] and results[0] == results[1]
     assert json.loads(results[0][2])["table"]["totals"]["syntax_mean"] == 4.0
 
 
-def test_index_pairs_a_packed_key_would_merge_stay_distinct(tmp_path, caplog, capsys):
+def test_index_pairs_a_packed_key_would_merge_stay_distinct(tmp_path, capsys):
     # Candidate 0 (the first line of candidates.jsonl) is rated by annotators
     # 0..70, then candidate 1 by annotator 0: a key packing the two indices with
     # any stride up to 70 would take the last row for a repeat.
     rows = [(KNOWN, f"a{i}", 5, 5) for i in range(71)] + [("e001:R_K2:4:0", "a0", 1, 1)]
-    _, results = eval_and_pipeline(tmp_path, caplog, capsys, rows)
+    _, results = eval_and_pipeline(tmp_path, capsys, rows)
     assert [rc for rc, _, _ in results] == [0, 0] and results[0] == results[1]
     table = json.loads(results[0][2])["table"]["rows"]
     assert (table["k1"]["syntax_mean"], table["k2"]["syntax_mean"]) == (5.0, 1.0)
@@ -666,33 +665,33 @@ def test_index_pairs_a_packed_key_would_merge_stay_distinct(tmp_path, caplog, ca
 @pytest.mark.parametrize("syntax, semantic", [
     ("0_5", "4"), ("5", "\uff14"), ("\u0663", "3"), ("4", "1_0"),
 ], ids=["underscore", "full-width", "arabic-indic", "underscore-out-of-range"])
-def test_a_score_outside_ascii_digits_is_not_an_integer(tmp_path, caplog, capsys, syntax, semantic):
+def test_a_score_outside_ascii_digits_is_not_an_integer(tmp_path, capsys, syntax, semantic):
     # int() alone would read 0_5 as 5 and the full-width 4 as 4.
     rows = [(KNOWN, "a1", 5, 4), (KNOWN, "a2", syntax, semantic)]
-    ratings, results = eval_and_pipeline(tmp_path, caplog, capsys, rows)
+    ratings, results = eval_and_pipeline(tmp_path, capsys, rows)
     assert results == [(1, f"{ratings}:3: scores must be integers", "")] * 2
 
 
-def test_a_repeated_unknown_id_fails_as_unknown_at_its_first_row(tmp_path, caplog, capsys):
+def test_a_repeated_unknown_id_fails_as_unknown_at_its_first_row(tmp_path, capsys):
     rows = [(KNOWN, "a1", 5, 4), ("ghost", "a1", 3, 3), ("ghost", "a1", 3, 3)]
-    ratings, results = eval_and_pipeline(tmp_path, caplog, capsys, rows)
+    ratings, results = eval_and_pipeline(tmp_path, capsys, rows)
     message = f"{ratings}:3: rating references unknown candidate_id 'ghost'"
     assert results == [(1, message, "")] * 2
 
 
-def test_an_empty_annotator_id_is_an_input_error(tmp_path, caplog, capsys):
+def test_an_empty_annotator_id_is_an_input_error(tmp_path, capsys):
     rows = [(KNOWN, "a1", 5, 4), (KNOWN, "", 3, 3)]
-    ratings, results = eval_and_pipeline(tmp_path, caplog, capsys, rows)
+    ratings, results = eval_and_pipeline(tmp_path, capsys, rows)
     assert results == [(1, f"{ratings}:3: empty annotator_id", "")] * 2
 
 
-def run_cli(caplog, capsys, argv) -> str:
-    """main(argv)'s standard output, or ValueError with the error it logged."""
-    caplog.clear()
-    with caplog.at_level(logging.ERROR, logger="karaka_qg"):
-        if main(argv) != 0:
-            raise ValueError(caplog.records[-1].getMessage())
-    return capsys.readouterr().out
+def run_cli(capsys, argv) -> str:
+    """main(argv)'s standard output, or ValueError with the error it wrote to stderr."""
+    rc = main(argv)
+    captured = capsys.readouterr()
+    if rc != 0:
+        raise ValueError(last_error(captured.err))
+    return captured.out
 
 
 def rate_with(command, cli, path) -> str:
@@ -734,11 +733,11 @@ EDGE_READERS = {
 
 @pytest.mark.parametrize("edge", ["{} ", "\xa0{}"], ids=["trailing-space", "leading-nbsp"])
 @pytest.mark.parametrize("case", list(EDGE_READERS))
-def test_an_id_with_edge_whitespace_is_an_error_at_its_line_or_the_same_id(tmp_path, caplog, capsys,
+def test_an_id_with_edge_whitespace_is_an_error_at_its_line_or_the_same_id(tmp_path, capsys,
                                                                            case, edge):
     read, name, text, ident, line = EDGE_READERS[case]
     if isinstance(read, str):
-        read = partial(rate_with, read, partial(run_cli, caplog, capsys))
+        read = partial(rate_with, read, partial(run_cli, capsys))
     path = tmp_path / name
     path.write_text(text.format(ident), encoding="utf-8")
     try:
@@ -754,7 +753,7 @@ def test_an_id_with_edge_whitespace_is_an_error_at_its_line_or_the_same_id(tmp_p
         assert spaced == twin
 
 
-def test_unknown_rating_comes_before_an_uncovered_candidate(tmp_path, caplog):
+def test_unknown_rating_comes_before_an_uncovered_candidate(tmp_path, capsys):
     src = write_input(tmp_path)
     out = tmp_path / "out"
     assert main(["pipeline", "--input", str(src), "--out", str(out)]) == 0
@@ -763,14 +762,12 @@ def test_unknown_rating_comes_before_an_uncovered_candidate(tmp_path, caplog):
     verdicts.write_text("\n".join(lines[1:]) + "\n", encoding="utf-8")
     ratings = tmp_path / "ratings.csv"
     write_ratings(ratings, [(KNOWN, "a1", 5, 4), ("ghost", "a1", 3, 3)])
-    with caplog.at_level(logging.ERROR, logger="karaka_qg"):
-        assert main(["eval", "--out", str(out), "--ratings", str(ratings)]) == 1
-    assert caplog.records[-1].getMessage() == (
+    assert main(["eval", "--out", str(out), "--ratings", str(ratings)]) == 1
+    assert last_error(capsys.readouterr().err) == (
         f"{ratings}:3: rating references unknown candidate_id 'ghost'")
     write_ratings(ratings, [(KNOWN, "a1", 5, 4)])
-    with caplog.at_level(logging.ERROR, logger="karaka_qg"):
-        assert main(["eval", "--out", str(out), "--ratings", str(ratings)]) == 1
-    assert caplog.records[-1].getMessage().startswith(
+    assert main(["eval", "--out", str(out), "--ratings", str(ratings)]) == 1
+    assert last_error(capsys.readouterr().err).startswith(
         f"{out / 'candidates.jsonl'}:1: no filter verdict for candidate ")
 
 
@@ -843,7 +840,7 @@ def _spoil_line(path, line_no):
 
 @pytest.mark.parametrize("name", ["treebank", "lexicon", "markers", "candidates",
                                   "verdicts", "ratings"])
-def test_non_utf8_input_is_an_input_error(tmp_path, caplog, name):
+def test_non_utf8_input_is_an_input_error(tmp_path, capsys, name):
     src = write_input(tmp_path)
     out = tmp_path / "out"
     assert main(["pipeline", "--input", str(src), "--out", str(out)]) == 0
@@ -862,10 +859,9 @@ def test_non_utf8_input_is_an_input_error(tmp_path, caplog, name):
         "ratings": (ratings, ["eval", "--ratings", str(ratings)]),
     }[name]
     _spoil_line(path, 2)
-    with caplog.at_level(logging.ERROR, logger="karaka_qg"):
-        rc = main(command + ["--out", str(out)])
+    rc = main(command + ["--out", str(out)])
     assert rc == 1
-    assert caplog.records[-1].getMessage() == f"{path}:2: not valid UTF-8"
+    assert last_error(capsys.readouterr().err) == f"{path}:2: not valid UTF-8"
 
 
 def test_unknown_rule_is_a_config_error(tmp_path):
@@ -874,12 +870,11 @@ def test_unknown_rule_is_a_config_error(tmp_path):
                  "--rules", "k1,k99"]) == 2
 
 
-def test_empty_rule_selection_is_a_config_error(tmp_path, caplog):
+def test_empty_rule_selection_is_a_config_error(tmp_path, capsys):
     src = write_input(tmp_path)
-    with caplog.at_level(logging.ERROR, logger="karaka_qg"):
-        rc = main(["generate", "--input", str(src), "--out", str(tmp_path), "--rules", ","])
+    rc = main(["generate", "--input", str(src), "--out", str(tmp_path), "--rules", ","])
     assert rc == 2
-    assert caplog.records[-1].getMessage() == "no rules selected"
+    assert last_error(capsys.readouterr().err) == "no rules selected"
 
 
 def test_bad_theta_is_a_config_error(tmp_path):
@@ -888,12 +883,11 @@ def test_bad_theta_is_a_config_error(tmp_path):
                  "--theta", "0"]) == 2
 
 
-def test_theta_below_one_names_the_check(tmp_path, caplog):
+def test_theta_below_one_names_the_check(tmp_path, capsys):
     src = write_input(tmp_path)
-    with caplog.at_level(logging.ERROR, logger="karaka_qg"):
-        rc = main(["filter", "--input", str(src), "--out", str(tmp_path), "--theta", "0"])
+    rc = main(["filter", "--input", str(src), "--out", str(tmp_path), "--theta", "0"])
     assert rc == 2
-    assert "theta must be >= 1" in caplog.text
+    assert "theta must be >= 1" in capsys.readouterr().err
 
 
 def test_unknown_filter_is_a_config_error(tmp_path):
@@ -902,19 +896,125 @@ def test_unknown_filter_is_a_config_error(tmp_path):
                  "--disable-filter", "F_TYPO"]) == 2
 
 
-def test_pipeline_json_format_without_ratings_is_a_config_error(tmp_path, caplog):
+def test_pipeline_json_format_without_ratings_is_a_config_error(tmp_path, capsys):
     src = write_input(tmp_path)
-    with caplog.at_level(logging.ERROR, logger="karaka_qg"):
-        rc = main(["pipeline", "--input", str(src), "--out", str(tmp_path / "out"),
-                   "--format", "json"])
+    rc = main(["pipeline", "--input", str(src), "--out", str(tmp_path / "out"),
+               "--format", "json"])
     assert rc == 2
-    assert "--format json formats the ratings table; it needs --ratings" in caplog.text
+    assert "--format json formats the ratings table; it needs --ratings" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
 
 
 def test_missing_subcommand_is_a_usage_error(capsys):
     assert main([]) == 2
     capsys.readouterr()
+
+
+# Sentence x's k1 and sentence y's k2 carry a se their rules have no question for.
+SKIP_PROBE = ("# sent_id = x\n1\traam\traam\tPROPN\t_\t3\tk1\n2\tse\tse\tADP\t_\t1\tpsp\n"
+              "3\tgaya\tjaa\tVERB\t_\t0\troot\n\n"
+              "# sent_id = y\n1\tsiita\tsiita\tPROPN\t_\t4\tk2\n2\tse\tse\tADP\t_\t1\tpsp\n"
+              "3\traam\traam\tPROPN\t_\t4\tk1\n4\tdekha\tdekh\tVERB\t_\t0\troot\n\n")
+SKIP_LINES = ("INFO k1 token 'raam' carries non-ergative marker 'se'; skipped\n"
+              "INFO k2 token 'siita' carries unexpected marker 'se'; skipped\n")
+
+
+@pytest.mark.parametrize("command, count", [("generate", "generated 1 candidates from 2 sentences"),
+                                            ("pipeline", "kept 1 of 1 candidates")])
+def test_each_skipped_target_is_a_line_before_the_count(tmp_path, capsys, command, count):
+    src = tmp_path / "probe.conllu"
+    src.write_text(SKIP_PROBE, encoding="utf-8")
+    assert main([command, "--input", str(src), "--out", str(tmp_path / "out")]) == 0
+    assert capsys.readouterr().err == f"{SKIP_LINES}INFO {count}\n"
+
+
+@contextmanager
+def bare_root_logger():
+    """The root logger with no handler, as in a fresh interpreter; restored on exit."""
+    import logging
+
+    root = logging.getLogger()
+    handlers, level = root.handlers, root.level
+    root.handlers = []
+    try:
+        yield root
+    finally:
+        root.handlers = handlers
+        root.setLevel(level)
+
+
+@pytest.mark.parametrize("host", ["bare", "warning-handler"])
+def test_main_writes_its_own_lines_and_leaves_logging_alone(tmp_path, capsys, host):
+    # A host that set up logging, or did not, neither silences nor reformats main's
+    # lines, and main leaves its root logger's handlers and level as they were.
+    import logging
+
+    src = tmp_path / "corpus.conllu"
+    src.write_text(bundled_corpus_text(), encoding="utf-8")
+    missing = tmp_path / "absent.conllu"
+    with bare_root_logger() as root:
+        if host == "warning-handler":
+            handler = logging.StreamHandler(sys.stderr)
+            handler.setFormatter(logging.Formatter("HOST %(levelname)s %(name)s: %(message)s"))
+            root.addHandler(handler)
+            root.setLevel(logging.WARNING)
+        before = (root.handlers[:], root.level)
+        assert main(["pipeline", "--input", str(src), "--out", str(tmp_path / "out")]) == 0
+        assert capsys.readouterr().err == "INFO kept 75 of 96 candidates\n"
+        assert main(["pipeline", "--input", str(missing), "--out", str(tmp_path / "out")]) == 1
+        assert capsys.readouterr().err == (
+            f"ERROR [Errno 2] No such file or directory: {str(missing)!r}\n")
+        assert (root.handlers, root.level) == before
+
+
+def test_a_library_caller_gets_skips_only_in_the_list_it_passes(tmp_path, capsys):
+    src = tmp_path / "probe.conllu"
+    src.write_text(SKIP_PROBE, encoding="utf-8")
+    s = load_treebank(src)[0]
+    with bare_root_logger():
+        assert main(["generate", "--input", str(src), "--out", str(tmp_path / "out")]) == 0
+        capsys.readouterr()
+        assert generate_all(s, default_lexicon()) == []
+        assert capsys.readouterr().err == ""
+        skipped = []
+        assert generate_all(s, default_lexicon(), skipped=skipped) == []
+        assert skipped == [(s.token(1), "carries non-ergative marker 'se'")]
+        assert capsys.readouterr().err == ""
+
+
+def test_a_stderr_that_cannot_be_written_drops_the_lines_not_the_command(tmp_path):
+    # With fd 2 closed the interpreter starts with no sys.stderr; on a read-only fd 2
+    # each write fails. Either way the command exits 0 and writes what it writes.
+    src = tmp_path / "corpus.conllu"
+    src.write_text(bundled_corpus_text(), encoding="utf-8")
+    ratings = tmp_path / "ratings.csv"
+    write_ratings(ratings, [("c001:R_K1:1:0", "a1", 5, 4)])
+    data = ("candidates.jsonl", "kept.jsonl", "verdicts.jsonl")
+    written = sorted(data + ("filter_summary.json", "generate_summary.json", "run_meta.json"))
+    runs = {}
+    with open(os.devnull, "rb") as read_only:
+        def run(stderr, *argv):
+            return subprocess.run(
+                [sys.executable, "-m", "karaka_qg.cli", *argv], cwd=tmp_path, env=PACKAGE_ENV,
+                stdout=subprocess.PIPE, stderr=read_only if stderr == "read-only" else subprocess.PIPE,
+                preexec_fn=partial(os.close, 2) if stderr == "closed" else None)
+
+        for stderr in ("open", "closed", "read-only"):
+            out = tmp_path / stderr
+            piped = run(stderr, "pipeline", "--input", str(src), "--out", str(out))
+            assert (piped.returncode, piped.stdout) == (0, b"")
+            assert sorted(path.name for path in out.iterdir()) == written
+            # tmp_path holds no verdicts, so eval prints the table alone.
+            evaluated = run(stderr, "eval", "--candidates", str(out / "candidates.jsonl"),
+                            "--out", str(tmp_path), "--ratings", str(ratings), "--format", "json")
+            assert evaluated.returncode == 0
+            runs[stderr] = ([(out / name).read_bytes() for name in data], evaluated.stdout)
+            if stderr == "open":
+                assert piped.stderr == b"INFO kept 75 of 96 candidates\n"
+                assert evaluated.stderr == (f"INFO no verdicts at {tmp_path / 'verdicts.jsonl'}; "
+                                            "skipping the before/after block\n").encode()
+    assert json.loads(runs["open"][1])["before_after"] is None
+    assert runs["closed"] == runs["open"] and runs["read-only"] == runs["open"]
 
 
 @pytest.mark.parametrize("collecting", [True, False], ids=["collector-on", "collector-off"])
@@ -1126,8 +1226,9 @@ def test_importing_the_cli_does_not_import_statistics():
     # The ratings fold counts scores itself, and the records are named tuples: statistics
     # and dataclasses (with the inspect it imports) cost start-up time on every command.
     # The ratings stage (with csv) is imported by the commands that read ratings, and the
-    # run_meta.json timestamp comes from time, so no other command pays for them.
-    unloaded = ("statistics", "dataclasses", "csv", "datetime", "karaka_qg.evaluation")
+    # run_meta.json timestamp comes from time, so no other command pays for them. The
+    # command line writes its stderr lines itself, so logging is not imported either.
+    unloaded = ("statistics", "dataclasses", "csv", "datetime", "karaka_qg.evaluation", "logging")
     proc = subprocess.run(
         [sys.executable, "-c", "import sys, karaka_qg.cli; "
                                "print(*[m for m in sys.argv[1:] if m in sys.modules])", *unloaded],
