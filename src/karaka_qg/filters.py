@@ -69,12 +69,11 @@ class FilterConfig(_FilterSettings):
         return cls(*iterable)
 
 
-def _check_kept(d: dict) -> None:
+def _check_kept(kept: bool, dropped_by: str | None) -> None:
     """Raise ValueError for a verdict that is kept yet names a filter, or
     dropped yet names none."""
-    kept, dropped = d["kept"], d.get("dropped_by")
-    if kept != (dropped is None):
-        raise ValueError(f"kept is {json.dumps(kept)} but dropped_by is {json.dumps(dropped)}")
+    if kept != (dropped_by is None):
+        raise ValueError(f"kept is {json.dumps(kept)} but dropped_by is {json.dumps(dropped_by)}")
 
 
 @partial(jsonl_record, check=_check_kept)

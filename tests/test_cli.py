@@ -41,7 +41,7 @@ from karaka_qg.rule_engine import (
     RuleId,
     generate_all,
 )
-from karaka_qg.textfile import write_jsonl
+from karaka_qg.textfile import read_jsonl as read_records, write_jsonl
 from karaka_qg.treebank_io import Token, build_sentence, load_treebank
 
 # The environment of a fresh interpreter that imports this checkout's package.
@@ -1248,32 +1248,65 @@ def test_the_cli_serves_the_traced_ratings_functions_on_first_use():
 
 
 def test_each_jsonl_decoder_is_compiled_on_its_first_line_only(tmp_path):
-    # pipeline decodes no line, so it compiles no decoder; eval compiles one per record
-    # type it reads, however many lines; filter reads candidates only.
+    # pipeline reads no line, so it compiles no decoder. eval compiles one line matcher per
+    # record type it reads, however many lines, and no json_values on files the program
+    # wrote; filter reads candidates only. A line the matcher does not take compiles
+    # json_values once. Each run prints its exit code, then matchers and json_values compiled.
     child = ("import sys\n"
              "from karaka_qg import cli, textfile\n"
-             "compiled = []\n"
-             "source = textfile._json_values_source\n"
-             "textfile._json_values_source = lambda *args: compiled.append(1) or source(*args)\n"
+             "compiled = {'line_values': 0, 'json_values': 0}\n"
+             "for name in compiled:\n"
+             "    def count(*args, name=name, source=getattr(textfile, f'_{name}_source')):\n"
+             "        compiled[name] += 1\n"
+             "        return source(*args)\n"
+             "    setattr(textfile, f'_{name}_source', count)\n"
              "rc = cli.main(sys.argv[1:])\n"
-             "print(rc, len(compiled))\n")
+             "print(rc, *compiled.values())\n")
     (tmp_path / "corpus.conllu").write_text(bundled_corpus_text(), encoding="utf-8")
     out = tmp_path / "out"
     runs = [
-        (["pipeline", "--input", "corpus.conllu", "--out", "out"], "0 0"),
-        (["eval", "--out", "out", "--ratings", "ratings.csv"], "0 2"),
+        (["pipeline", "--input", "corpus.conllu", "--out", "out"], "0 0 0"),
+        (["eval", "--out", "out", "--ratings", "ratings.csv"], "0 2 0"),
         (["filter", "--input", "corpus.conllu", "--candidates", "out/candidates.jsonl",
-          "--out", "filtered"], "0 1"),
+          "--out", "filtered"], "0 1 0"),
+        (["eval", "--out", "out", "--candidates", "compact.jsonl", "--ratings", "ratings.csv"],
+         "0 2 1"),
     ]
     for argv, expected in runs:
         if argv[0] == "eval":
-            ids = [row["candidate_id"] for row in read_jsonl(out / "candidates.jsonl")]
-            assert len(ids) == 96
-            write_ratings(tmp_path / "ratings.csv", [(i, a, 4, 3) for i in ids for a in ("a1", "a2")])
+            rows = read_jsonl(out / "candidates.jsonl")
+            assert len(rows) == 96
+            write_ratings(tmp_path / "ratings.csv",
+                          [(r["candidate_id"], a, 4, 3) for r in rows for a in ("a1", "a2")])
+            # The same candidates, the fifth line without spaces.
+            lines = [json.dumps(r, ensure_ascii=False, separators=(",", ":") if i == 4 else None)
+                     for i, r in enumerate(rows)]
+            (tmp_path / "compact.jsonl").write_text("\n".join(lines) + "\n", encoding="utf-8")
         proc = subprocess.run([sys.executable, "-c", child, *argv], capture_output=True,
                               text=True, env=PACKAGE_ENV, cwd=tmp_path)
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.splitlines()[-1] == expected, argv
+
+
+def test_the_line_matcher_reads_every_line_pipeline_writes(tmp_path, monkeypatch):
+    # Each line json.loads reads is one the matcher did not take. A line with an
+    # escaped quote is not as the matcher takes it, so it alone goes to json.loads.
+    (tmp_path / "corpus.conllu").write_text(bundled_corpus_text(), encoding="utf-8")
+    out = tmp_path / "out"
+    assert main(["pipeline", "--input", str(tmp_path / "corpus.conllu"), "--out", str(out)]) == 0
+    loaded = []
+    monkeypatch.setattr(json, "loads", lambda line, loads=json.loads: loaded.append(line)
+                        or loads(line))
+    for name, record_type in (("candidates.jsonl", QuestionCandidate),
+                              ("verdicts.jsonl", FilterVerdict)):
+        records = read_records(out / name, record_type)
+        assert len(records) == 96 and loaded == [], name
+        quoted = records[0]._replace(candidate_id='a "quoted" id')
+        (tmp_path / name).write_text("".join(r.to_json_line() + "\n" for r in [*records, quoted]),
+                                     encoding="utf-8")
+        assert read_records(tmp_path / name, record_type) == [*records, quoted]
+        assert loaded == [quoted.to_json_line() + "\n"], name
+        loaded.clear()
 
 
 def test_every_reader_error_is_an_input_error():

@@ -52,7 +52,6 @@ from karaka_qg.rule_engine import (
 from karaka_qg.textfile import (
     _JSON_NAMES,
     JsonlError,
-    _decode_json_line,
     open_utf8,
     read_jsonl,
 )
@@ -560,25 +559,6 @@ def mutated(draw, texts):
     return text
 
 
-# JSON texts whose decoding takes each branch of the scanner: objects,
-# arrays, strings with escapes, numbers the float parser or int() treats
-# specially, and the constants.
-JSON_VALUES = ('{"a": [1, -2.5e3, null, true, false]}', '[]', '{}', '"\\u0915\\ud800\\n"',
-               '1e999', '-0', '0123', 'NaN', '-Infinity', '[{"k": {}}]', '"\\"', '1' * 5000)
-
-
-@settings(max_examples=200, deadline=None)
-@given(line=mutated(st.sampled_from(JSON_VALUES)) | hostile_text)
-def test_scanner_decode_equals_json_loads(line):
-    def decoded(decode):
-        try:
-            return "value", repr(decode(line))
-        except (ValueError, RecursionError) as exc:
-            return type(exc), str(exc)
-
-    assert decoded(_decode_json_line) == decoded(json.loads)
-
-
 # Candidates and verdicts, plain and with text that JSON escapes, lone
 # surrogates among it; each as written and ASCII-escaped.
 JSONL_RECORDS = (
@@ -603,7 +583,7 @@ def jsonl_files(draw):
 
 @settings(max_examples=40, deadline=None)
 @given(text=jsonl_files(), record_type=st.sampled_from([QuestionCandidate, FilterVerdict]))
-def test_scanner_reader_equals_the_json_loads_reader(tmp_path_factory, text, record_type):
+def test_matching_reader_equals_the_json_loads_reader(tmp_path_factory, text, record_type):
     path = tmp_path_factory.getbasetemp() / "lines.jsonl"
     # Unescaped lone surrogates become bytes that are not UTF-8.
     path.write_bytes(text.encode("utf-8", "surrogatepass"))
@@ -625,6 +605,66 @@ def test_projected_reader_equals_the_records_it_skips(tmp_path_factory, text, re
 
     assert (outcome(read_jsonl, path, record_type, project)
             == outcome(from_records, path, record_type))
+
+
+# Field values for the exhaustive reader check: text JSON escapes and text it
+# does not, a token holding each list separator, unknown rule and filter
+# values, and integers on both sides of the matcher's 18 digits.
+FIELD_TEXTS = ('"', "\\", *map(chr, range(0x20)), "\x7f", "\u2028", "\ufeff", "\U0001f600",
+               "\u0915\u094c\u0928", "", 'a", "b', "a, b", "R_X", "F_X")
+FIELD_LISTS = ([], *([text] for text in FIELD_TEXTS), ["a", "", "a, b"], list(FIELD_TEXTS))
+FIELD_INTS = (0, -7, 10**17, 10**18, 10**30)
+
+
+def one_field_changed(base: dict):
+    """base, then base with each string, list or integer field in turn
+    through its table of values."""
+    yield base
+    tables = {str: FIELD_TEXTS, list: FIELD_LISTS, int: FIELD_INTS}
+    for name, value in base.items():
+        for changed in tables.get(type(value), ()):
+            yield {**base, name: changed}
+
+
+def written(fields: dict, record_type) -> dict:
+    """The lines that write fields, by how each is written."""
+    def dumps(d, **how):
+        return json.dumps(d, ensure_ascii=False, **how)
+
+    lines = {"as written": dumps(fields) + "\n", "compact": dumps(fields, separators=(",", ":")) + "\n",
+             "reordered": dumps(dict(reversed(fields.items()))) + "\n",
+             "extra key": dumps({**fields, "extra": 1}) + "\n",
+             "trailing space": dumps(fields) + " \n", "no final newline": dumps(fields)}
+    for name in record_type._field_defaults:
+        lines[f"no {name}"] = dumps({k: v for k, v in fields.items() if k != name}) + "\n"
+    return lines
+
+
+# kept and dropped_by in every pairing, an unknown filter among them.
+VERDICT_FIELDS = tuple({"candidate_id": "c1", "kept": kept, "dropped_by": dropped_by, "detail": "why"}
+                       for kept in (True, False) for dropped_by in (None, "F_ANAPHORA", "F_X"))
+MATCHED_CASES = (
+    *((QuestionCandidate, fields) for fields in one_field_changed(QuestionCandidate(
+        "c1", "s1", RuleId.R_K1S, "k1", "kaun", ("kaun", "gaya", "?"), "g0", 1, ("n",)
+    ).to_json_dict())),
+    *((FilterVerdict, fields) for fields in one_field_changed(VERDICT_FIELDS[4])),
+    *((FilterVerdict, fields) for fields in VERDICT_FIELDS),
+)
+
+
+def test_matched_and_json_loads_lines_read_alike(tmp_path):
+    # Every field through its table, each line written seven or eight ways: the reader
+    # gives what the json.loads reader gives, record or error text. A line written as
+    # to_json_line writes it, with nothing escaped and an integer under 10**18, is matched.
+    path = tmp_path / "line.jsonl"
+    for record_type, fields in MATCHED_CASES:
+        for how, line in written(fields, record_type).items():
+            path.write_text(line, encoding="utf-8")
+            expected = outcome(reference_read_jsonl, path, record_type)
+            assert outcome(read_jsonl, path, record_type) == expected, (how, line)
+            if how == "as written" and "\\" not in line and type(expected) is list:
+                if abs(fields.get("target_token_id", 0)) < 10**18:
+                    assert record_type.line_values(line) is not None, line
 
 
 def reference_aggregate(ratings, candidates):

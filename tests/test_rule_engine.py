@@ -490,6 +490,8 @@ def test_derived_json_line_equals_json_dumps_and_reads_back(record):
     line = record.to_json_line()
     assert line == json.dumps(record.to_json_dict(), ensure_ascii=False)
     assert EveryField.from_json_dict(json.loads(line)) == record
+    # The line matcher takes a line with nothing escaped, and reads the same values back.
+    assert EveryField.line_values(line) == (None if "\\" in line else list(record))
 
 
 @pytest.mark.parametrize("kind", [float, tuple[int, ...]], ids=["float", "tuple-of-int"])
